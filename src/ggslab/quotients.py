@@ -11,8 +11,11 @@ abelian of rank at most 2, so the Frattini subgroup of Q equals the derived
 subgroup. Once the chain certifies |Q : Q'| = p^2, the maximal subgroups are
 exactly the p + 1 preimages of the index-p subgroups of Q/Q', one for each
 nonzero linear functional on F_p^2 (up to scalars) pulled back through the
-element's exponent sums.
+element's exponent sums. Every one of them contains Q', so its chain is the
+chain of Q' (built once, as a normal closure) extended by one spanning element.
 """
+
+import operator
 
 from .errors import CrossCheckError, InputError, ResourceLimitError
 
@@ -21,7 +24,9 @@ DEFAULT_LEAF_GUARD = 729  # 3^6 leaves
 
 def _compose(g, h):
     """Apply g, then h (right-action order)."""
-    return tuple(h[i] for i in g)
+    # itemgetter returns a bare item, not a tuple, when given a single index;
+    # every permutation here has degree p^n >= 3, so the result is a tuple
+    return operator.itemgetter(*g)(h)
 
 
 def _inverse(g):
@@ -37,6 +42,8 @@ class LeafPermutation:
     __slots__ = ("p", "n", "images")
 
     def __init__(self, p, n, images):
+        if p < 3 or n < 1:
+            raise InputError("leaf permutations need p >= 3 and n >= 1")
         images = tuple(images)
         if len(images) != p ** n or sorted(images) != list(range(p ** n)):
             raise InputError(f"not a permutation of {p ** n} leaves")
@@ -134,6 +141,16 @@ class _StabilizerChain:
     deeper one: a generator stored deeper fixes this level's base by
     construction but can still move other points of the orbit, so leaving it
     out undercounts the orbit.
+
+    Next to each transversal the chain keeps the inverse of every
+    representative, computed once when the entry is created, so sifting and
+    the Schreier step compose with it instead of inverting again. `inverses[i]`
+    always has the same keys as `transversals[i]`.
+
+    `copy()` gives an independent chain for the same group: every per-level
+    list, dict and set is copied, so extending the copy leaves the original
+    untouched, while the permutation tuples themselves are immutable and
+    shared.
     """
 
     def __init__(self, degree):
@@ -143,7 +160,18 @@ class _StabilizerChain:
         self.gens = []          # per level: list of perms fixing all earlier bases
         self.orbits = []        # per level: orbit points in discovery order
         self.transversals = []  # per level: point -> perm mapping base to point
-        self.done = []          # per level: processed (point, gen index) pairs
+        self.inverses = []      # per level: point -> inverse of that perm
+        self.done = []          # per level: processed (point, gen) pairs
+
+    def copy(self):
+        other = _StabilizerChain(self.degree)
+        other.bases = list(self.bases)
+        other.gens = [list(level) for level in self.gens]
+        other.orbits = [list(level) for level in self.orbits]
+        other.transversals = [dict(level) for level in self.transversals]
+        other.inverses = [dict(level) for level in self.inverses]
+        other.done = [set(level) for level in self.done]
+        return other
 
     def order(self):
         result = 1
@@ -154,13 +182,13 @@ class _StabilizerChain:
     def sift(self, perm):
         """Factor out transversal parts; returns the residue permutation."""
         res = perm
-        for i, base in enumerate(self.bases):
+        for base, inverses in zip(self.bases, self.inverses):
             t = res[base]
-            rep = self.transversals[i].get(t)
-            if rep is None:
+            inv = inverses.get(t)
+            if inv is None:
                 return res
-            if rep is not self.identity:
-                res = _compose(res, _inverse(rep))
+            if t != base:
+                res = _compose(res, inv)
         return res
 
     def contains(self, perm):
@@ -180,11 +208,10 @@ class _StabilizerChain:
         res = g
         i = level
         while i < len(self.bases):
-            t = res[self.bases[i]]
-            rep = self.transversals[i].get(t)
-            if rep is None:
+            inv = self.inverses[i].get(res[self.bases[i]])
+            if inv is None:
                 break
-            res = _compose(res, _inverse(rep))
+            res = _compose(res, inv)
             i += 1
         if res == self.identity:
             return
@@ -194,6 +221,7 @@ class _StabilizerChain:
             self.gens.append([])
             self.orbits.append([base])
             self.transversals.append({base: self.identity})
+            self.inverses.append({base: self.identity})
             self.done.append(set())
         if res not in self.gens[i]:
             self.gens[i].append(res)
@@ -207,6 +235,7 @@ class _StabilizerChain:
         returns whether anything new was processed."""
         orbit = self.orbits[i]
         trans = self.transversals[i]
+        inverses = self.inverses[i]
         done = self.done[i]
         progressed = False
         while True:
@@ -225,9 +254,10 @@ class _StabilizerChain:
                     image = _compose(trans[beta], s)
                     if gamma not in trans:
                         trans[gamma] = image
+                        inverses[gamma] = _inverse(image)
                         orbit.append(gamma)
                     else:
-                        schreier = _compose(image, _inverse(trans[gamma]))
+                        schreier = _compose(image, inverses[gamma])
                         if schreier != self.identity:
                             self._ingest(schreier, i + 1)
                 j += 1
@@ -283,6 +313,7 @@ def _normal_closure(seeds, conjugators, degree):
     conjugation by the given conjugators. Deterministic: seeds in order, new
     conjugates appended FIFO."""
     chain = _StabilizerChain(degree)
+    pairs = [(_inverse(c), c) for c in conjugators]
     kept = []
     queue = list(seeds)
     while queue:
@@ -291,8 +322,8 @@ def _normal_closure(seeds, conjugators, degree):
             continue
         chain.add_generator(h)
         kept.append(h)
-        for c in conjugators:
-            queue.append(_compose(_compose(_inverse(c), h), c))
+        for c_inv, c in pairs:
+            queue.append(_compose(_compose(c_inv, h), c))
     return chain, kept
 
 
@@ -316,7 +347,10 @@ def maximal_subgroups_census(group, n, leaf_guard=DEFAULT_LEAF_GUARD):
 
     # Q' as the normal closure of [a, b]; with both generators of order p this
     # is the whole Frattini subgroup of Q.
-    comm = _compose(_compose(_inverse(a_img), _inverse(b_img)), _compose(a_img, b_img))
+    a_inv = _inverse(a_img)
+    b_inv = _inverse(b_img)
+    conjugators = ((a_inv, a_img), (b_inv, b_img))
+    comm = _compose(_compose(a_inv, b_inv), _compose(a_img, b_img))
     derived_chain, derived_gens = _normal_closure([comm], [a_img, b_img], p ** n)
     frattini_index = q.order // derived_chain.order()
     if frattini_index != p * p:
@@ -329,14 +363,13 @@ def maximal_subgroups_census(group, n, leaf_guard=DEFAULT_LEAF_GUARD):
     for s, t in functionals:
         # a^{-t} b^{s} has exponent sums (-t, s), spanning ker(s*alpha + t*beta)
         w = _compose(_perm_power(a_img, (-t) % p), _perm_power(b_img, s % p))
-        sub = _StabilizerChain(p ** n)
-        sub_gens = [w] + derived_gens
-        for g in sub_gens:
-            sub.add_generator(g)
+        # the kernel contains Q', so extend a copy of its finished chain by w
+        sub = derived_chain.copy()
+        sub.add_generator(w)
         index = q.order // sub.order()
         normal = all(
-            sub.contains(_compose(_compose(_inverse(c), g), c))
-            for g in sub_gens for c in (a_img, b_img))
+            sub.contains(_compose(_compose(c_inv, g), c))
+            for g in [w] + derived_gens for c_inv, c in conjugators)
         records.append({"functional": [s, t], "index": index, "normal": normal})
         kernel_perms.append((sub, w))
 

@@ -1,11 +1,15 @@
 """Independent oracles the test suite checks the package against.
 
 Everything here is deliberately naive and cache-free: plain breadth-first
-enumeration of leaf permutations and depth-bounded recursive action
-comparison. Fixtures frozen in the tests were derived with these functions.
+enumeration of leaf permutations, depth-bounded recursive action
+comparison, the closed-form quotient order, and the census's subgroup chains
+built from nothing. Fixtures frozen in the tests were derived with these
+functions.
 """
 
 import itertools
+
+from ggslab.quotients import _StabilizerChain
 
 
 def leaf_action(group, w, n):
@@ -65,3 +69,38 @@ def agree_to_depth(group, w1, w2, depth):
         return out
 
     return rec(w1, w2, depth)
+
+
+def closed_form_log_order(p, e, n):
+    """log_p |G : St_G(n)| for a non-constant defining vector e and n >= 2,
+    by the theorem of Fernandez-Alcober and Zugadi-Reizabal (Trans. AMS 366,
+    2014): t p^(n-2) + 1 - delta (p^(n-2) - 1)/(p - 1), where t is the rank
+    over F_p of the circulant matrix with first row (e, 0) and delta is 1
+    exactly when e is symmetric."""
+    first = list(e) + [0]
+    rows = [first[-k:] + first[:-k] for k in range(p)]
+    rank = 0
+    for col in range(p):
+        pivot = next((r for r in range(rank, p) if rows[r][col] % p), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        scale = pow(rows[rank][col], p - 2, p)
+        rows[rank] = [x * scale % p for x in rows[rank]]
+        for r in range(p):
+            if r != rank and rows[r][col] % p:
+                factor = rows[r][col]
+                rows[r] = [(x - factor * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    delta = 1 if list(e) == list(reversed(e)) else 0
+    return rank * p ** (n - 2) + 1 - delta * (p ** (n - 2) - 1) // (p - 1)
+
+
+def scratch_subgroup_chain(w, derived_gens, degree):
+    """Chain of the subgroup generated by w and the derived subgroup's
+    generators, built from an empty chain (the census instead extends a copy
+    of the derived subgroup's chain by w)."""
+    chain = _StabilizerChain(degree)
+    for g in [w] + list(derived_gens):
+        chain.add_generator(g)
+    return chain

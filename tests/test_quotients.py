@@ -4,10 +4,14 @@ import random
 
 import pytest
 
+from ggslab import quotients
 from ggslab.core import make_ggs
 from ggslab.errors import CrossCheckError, InputError, ResourceLimitError
 from ggslab.quotients import (
     LeafPermutation,
+    _compose,
+    _inverse,
+    _perm_power,
     leaf_index,
     leaf_vertices,
     level_quotient,
@@ -17,7 +21,7 @@ from ggslab.quotients import (
 )
 from ggslab.words import random_word
 
-from oracles import bfs_quotient_order
+from oracles import bfs_quotient_order, closed_form_log_order, scratch_subgroup_chain
 
 
 # leaf permutations ----------------------------------------------------------
@@ -38,6 +42,10 @@ def test_permutation_validation():
         LeafPermutation(3, 1, (0, 0, 1))  # not a bijection
     with pytest.raises(InputError):
         LeafPermutation(3, 1, (0, 1))  # wrong size
+    with pytest.raises(InputError):
+        LeafPermutation(3, 0, (0,))  # level 0 has a single leaf
+    with pytest.raises(InputError):
+        LeafPermutation(1, 1, (0,))  # p below 3
 
 
 def test_permutation_algebra():
@@ -138,6 +146,31 @@ def test_chain_matches_bfs_oracle():
         assert level_quotient(g, n).order == bfs_quotient_order(g, n)
 
 
+# non-constant vectors only: the theorem excludes the constant vector
+CLOSED_FORM_CASES = (
+    [(3, e, n) for e in ((1, 0), (2, 0), (0, 1), (0, 2), (1, 2), (2, 1)) for n in (2, 3, 4)]
+    + [(5, e, n) for e in ((1, 0, 2, 4), (1, 2, 3, 4), (0, 0, 0, 1)) for n in (2, 3)])
+
+
+@pytest.mark.parametrize("p,e,n", CLOSED_FORM_CASES)
+def test_quotient_order_matches_closed_form(p, e, n):
+    assert level_quotient(make_ggs(p, e), n).order == p ** closed_form_log_order(p, e, n)
+
+
+@pytest.mark.parametrize("p,e,n", [(3, (1, 2), 3), (3, (1, 1), 3), (5, (1, 0, 2, 4), 2)])
+def test_chain_inverse_cache(p, e, n):
+    chain = level_quotient(make_ggs(p, e), n)._chain
+    extended = chain.copy()
+    extended.add_generator(tuple(reversed(range(p ** n))))  # leaves the group
+    for c in (chain, extended):
+        assert len(c.inverses) == len(c.transversals) == len(c.bases)
+        for trans, inverses in zip(c.transversals, c.inverses):
+            assert inverses.keys() == trans.keys()
+            for pt, rep in trans.items():
+                assert _compose(rep, inverses[pt]) == c.identity
+    assert extended.order() > chain.order()
+
+
 def test_quotient_guards():
     g = make_ggs(3, (1, 2))
     with pytest.raises(InputError):
@@ -209,3 +242,51 @@ def test_census_guards():
         maximal_subgroups_census(g, 1)
     with pytest.raises(ResourceLimitError):
         maximal_subgroups_census(g, 7)
+
+
+@pytest.mark.parametrize("p,e,n", [
+    (3, (1, 2), 2), (3, (1, 2), 3), (3, (1, 0), 2), (3, (1, 0), 3), (5, (1, 0, 2, 4), 2)])
+def test_census_seeded_chains_match_scratch_build(monkeypatch, p, e, n):
+    # spy on the census: the Q' chain it builds and the chains it copies from it
+    closures = []
+    copies = []
+
+    def shape(chain):
+        return (chain.order(), list(chain.bases), [list(o) for o in chain.orbits],
+                [len(level) for level in chain.gens], [len(level) for level in chain.done])
+
+    real_closure = quotients._normal_closure
+    real_copy = quotients._StabilizerChain.copy
+
+    def closure_spy(seeds, conjugators, degree):
+        chain, kept = real_closure(seeds, conjugators, degree)
+        closures.append((chain, kept, shape(chain)))
+        return chain, kept
+
+    def copy_spy(self):
+        other = real_copy(self)
+        copies.append(other)
+        return other
+
+    monkeypatch.setattr(quotients, "_normal_closure", closure_spy)
+    monkeypatch.setattr(quotients._StabilizerChain, "copy", copy_spy)
+    g = make_ggs(p, e)
+    census = maximal_subgroups_census(g, n)
+    assert census["count"] == p + 1
+    assert len(closures) == 1 and len(copies) == p + 1
+
+    # extending the copies left the Q' chain as it was
+    derived_chain, derived_gens, derived_shape = closures[0]
+    assert shape(derived_chain) == derived_shape
+
+    a_img = project(g.a, n).images
+    b_img = project(g.b, n).images
+    spanning = [_compose(_perm_power(a_img, (-t) % p), _perm_power(b_img, s % p))
+                for s, t in [(1, t) for t in range(p)] + [(0, 1)]]
+    for w, seeded in zip(spanning, copies):
+        reference = scratch_subgroup_chain(w, derived_gens, p ** n)
+        assert seeded.order() == reference.order() == census["order"] // p
+        conjugates = [_compose(_compose(_inverse(c), h), c)
+                      for h in [w] + derived_gens for c in (a_img, b_img)]
+        for x in spanning + conjugates:
+            assert seeded.contains(x) == reference.contains(x)
