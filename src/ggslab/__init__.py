@@ -14,7 +14,7 @@ from .core import (DEFAULT_DEPTH_CAP, DEFAULT_LENGTH_CAP, FAMILY_CONSTANT,
                    parse_group_spec, parse_vertex)
 from .errors import CrossCheckError, GgsLabError, InputError, ResourceLimitError
 from .quotients import (DEFAULT_LEAF_GUARD, LeafPermutation, level_quotient,
-                        maximal_subgroups_census, membership, project)
+                        maximal_subgroups_census, project)
 from .words import GroupWord, format_word, parse_word, syllable_length
 
 __version__ = "0.1.0"
@@ -40,7 +40,6 @@ __all__ = [
     "level_quotient",
     "make_ggs",
     "maximal_subgroups_census",
-    "membership",
     "parse_group_spec",
     "parse_vertex",
     "parse_word",

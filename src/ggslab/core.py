@@ -44,16 +44,23 @@ class GgsGroup:
     """A GGS-group, plus the word-level computation engine for its elements."""
 
     def __init__(self, p, e):
-        validate_odd_prime(p)
-        e = tuple(int(c) % p for c in e)
+        # the length check bounds p by the size of the input, so it runs
+        # before the trial division in the primality test
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise InputError(f"modulus must be an integer, got {p!r}")
+        e = tuple(e)
         if len(e) != p - 1:
             raise InputError(f"defining vector needs p-1={p - 1} entries, got {len(e)}")
+        validate_odd_prime(p)
+        e = tuple(int(c) % p for c in e)
         if not any(e):
             raise InputError("defining vector must be nonzero mod p")
         self.p = p
         self.e = e
         self.lam = sum(e) % p
-        if all(c == 1 for c in e):
+        # b_{ce} = b_e^c, so every scalar multiple of the all-ones vector
+        # defines the same (constant-vector) group
+        if len(set(e)) == 1:
             self.family = FAMILY_CONSTANT
         elif self.lam == 0:
             self.family = FAMILY_TORSION

@@ -1,7 +1,8 @@
-"""Exact arithmetic over the prime field F_p: scalars, dense matrices, rank.
+"""Exact linear algebra over the prime field F_p: rank, linear solving, circulants.
 
-Everything is plain integer arithmetic on canonical residues in {0, ..., p-1};
-no floating point enters anywhere. All objects are immutable and safe to share.
+A matrix is a plain sequence of equal-length integer rows; every entry is
+reduced to its canonical residue in {0, ..., p-1} before use, and no floating
+point enters anywhere. Rank and solving share one row-reduction routine.
 """
 
 from .errors import InputError
@@ -26,179 +27,41 @@ def validate_odd_prime(p):
     return p
 
 
-class FpScalar:
-    """An element of F_p, stored as the canonical residue."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value, p):
-        validate_odd_prime(p)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "value", value % p)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("FpScalar is immutable")
-
-    def _coerce(self, other):
-        if isinstance(other, FpScalar):
-            if other.p != self.p:
-                raise InputError(f"modulus mismatch: {self.p} vs {other.p}")
-            return other.value
-        if isinstance(other, int):
-            return other % self.p
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FpScalar(self.value + v, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FpScalar(self.value - v, self.p)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FpScalar(v - self.value, self.p)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FpScalar(self.value * v, self.p)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FpScalar(-self.value, self.p)
-
-    def inverse(self):
-        if self.value == 0:
-            raise InputError("0 has no inverse in F_p")
-        return FpScalar(pow(self.value, self.p - 2, self.p), self.p)
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        return FpScalar(pow(self.value, n, self.p), self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, FpScalar):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.value))
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"FpScalar({self.value}, p={self.p})"
-
-
-class FpMatrix:
-    """A dense matrix over F_p. Entries are canonical residues, row-major."""
-
-    __slots__ = ("p", "rows", "cols", "_ent")
-
-    def __init__(self, rows, cols, entries, p):
-        validate_odd_prime(p)
-        entries = tuple(int(e) % p for e in entries)
-        if rows < 0 or cols < 0 or len(entries) != rows * cols:
-            raise InputError(f"need {rows}x{cols}={rows * cols} entries, got {len(entries)}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_ent", entries)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("FpMatrix is immutable")
-
-    @classmethod
-    def from_rows(cls, row_lists, p):
-        rows = len(row_lists)
-        cols = len(row_lists[0]) if rows else 0
-        flat = []
-        for r in row_lists:
-            if len(r) != cols:
-                raise InputError("ragged rows")
-            flat.extend(int(x) for x in r)
-        return cls(rows, cols, flat, p)
-
-    @classmethod
-    def identity(cls, n, p):
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)], p)
-
-    def entry(self, i, j):
-        return self._ent[i * self.cols + j]
-
-    def row(self, i):
-        return self._ent[i * self.cols:(i + 1) * self.cols]
-
-    def to_rows(self):
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def __mul__(self, other):
-        if not isinstance(other, FpMatrix):
-            return NotImplemented
-        if self.p != other.p:
-            raise InputError(f"modulus mismatch: {self.p} vs {other.p}")
-        if self.cols != other.rows:
-            raise InputError(f"shape mismatch: {self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        p = self.p
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other.entry(k, j) for k in range(self.cols)) % p)
-        return FpMatrix(self.rows, other.cols, out, p)
-
-    def __eq__(self, other):
-        if not isinstance(other, FpMatrix):
-            return NotImplemented
-        return (self.p, self.rows, self.cols, self._ent) == (other.p, other.rows, other.cols, other._ent)
-
-    def __hash__(self):
-        return hash((self.p, self.rows, self.cols, self._ent))
-
-    def __repr__(self):
-        return f"FpMatrix({self.to_rows()}, p={self.p})"
-
-
-def gaussian_rank(m):
-    """Rank of an FpMatrix by Gaussian elimination over F_p."""
-    if not isinstance(m, FpMatrix):
-        raise InputError("gaussian_rank expects an FpMatrix")
-    p = m.p
-    work = [list(m.row(i)) for i in range(m.rows)]
+def _row_reduce(work, n_cols, p):
+    """Bring the residue rows in work to reduced row echelon form in place,
+    pivoting only in the first n_cols columns; later columns (an augmented
+    right-hand side) are carried along. Returns the pivot columns in order."""
+    n_rows = len(work)
+    pivots = []
     rank = 0
-    for col in range(m.cols):
-        pivot = None
-        for r in range(rank, m.rows):
-            if work[r][col]:
-                pivot = r
+    for col in range(n_cols):
+        sel = None
+        for i in range(rank, n_rows):
+            if work[i][col]:
+                sel = i
                 break
-        if pivot is None:
+        if sel is None:
             continue
-        work[rank], work[pivot] = work[pivot], work[rank]
+        work[rank], work[sel] = work[sel], work[rank]
         inv = pow(work[rank][col], p - 2, p)
         work[rank] = [(x * inv) % p for x in work[rank]]
-        for r in range(m.rows):
-            if r != rank and work[r][col]:
-                f = work[r][col]
-                work[r] = [(a - f * b) % p for a, b in zip(work[r], work[rank])]
+        for i in range(n_rows):
+            if i != rank and work[i][col]:
+                f = work[i][col]
+                work[i] = [(x - f * y) % p for x, y in zip(work[i], work[rank])]
+        pivots.append(col)
         rank += 1
-    return rank
+    return pivots
+
+
+def gaussian_rank(rows, p):
+    """Rank over F_p of the matrix with the given rows."""
+    validate_odd_prime(p)
+    work = [[int(x) % p for x in row] for row in rows]
+    n_cols = len(work[0]) if work else 0
+    if any(len(row) != n_cols for row in work):
+        raise InputError("ragged rows")
+    return len(_row_reduce(work, n_cols, p))
 
 
 def solve_linear_mod_p(rows, rhs, p):
@@ -210,31 +73,13 @@ def solve_linear_mod_p(rows, rhs, p):
     None when the system is inconsistent.
     """
     validate_odd_prime(p)
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if n_rows else 0
+    n_cols = len(rows[0]) if rows else 0
+    if len(rhs) != len(rows) or any(len(row) != n_cols for row in rows):
+        raise InputError("a linear system needs equal-length rows and one right-hand side per row")
     aug = [[int(x) % p for x in row] + [int(b) % p] for row, b in zip(rows, rhs)]
-    pivots = []
-    rank = 0
-    for col in range(n_cols):
-        sel = None
-        for i in range(rank, n_rows):
-            if aug[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        aug[rank], aug[sel] = aug[sel], aug[rank]
-        inv = pow(aug[rank][col], p - 2, p)
-        aug[rank] = [(x * inv) % p for x in aug[rank]]
-        for i in range(n_rows):
-            if i != rank and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, n_rows):
-        if aug[i][n_cols]:
-            return None
+    pivots = _row_reduce(aug, n_cols, p)
+    if any(row[n_cols] for row in aug[len(pivots):]):
+        return None
     particular = [0] * n_cols
     for i, col in enumerate(pivots):
         particular[col] = aug[i][n_cols]
@@ -252,16 +97,15 @@ def solve_linear_mod_p(rows, rhs, p):
 
 
 def circulant(first_row, p):
-    """The p x p circulant matrix whose row k is first_row cyclically shifted k steps."""
+    """The p x p circulant over F_p whose row k is first_row cyclically shifted
+    k steps to the right, as a list of rows."""
+    validate_odd_prime(p)
     vals = [int(x) % p for x in first_row]
     if len(vals) != p:
         raise InputError(f"a circulant over F_{p} needs exactly {p} entries, got {len(vals)}")
-    flat = []
-    for k in range(p):
-        flat.extend(vals[(j - k) % p] for j in range(p))
-    return FpMatrix(p, p, flat, p)
+    return [vals[-k:] + vals[:-k] for k in range(p)]
 
 
 def circulant_rank(first_row, p):
     """Rank over F_p of the circulant with the given first row (length p)."""
-    return gaussian_rank(circulant(first_row, p))
+    return gaussian_rank(circulant(first_row, p), p)

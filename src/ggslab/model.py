@@ -164,25 +164,15 @@ def mq_membership(x, q):
     return all(t % q == 0 for t in x.v)
 
 
-def _is_prime(n):
-    if not isinstance(n, int) or n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def distinct_mq_witness(q1, q2, p):
     """Certify M_{q1} != M_{q2} for distinct primes q1, q2 by exhibiting a
     lattice vector in one and not the other: (0, q1 * e_1) lies in M_{q1}, and
     Bezout (gcd(q1, q2) = 1) rules its coordinates out of q2's lattice."""
     if q1 == q2:
         raise InputError("q1 and q2 must be distinct")
-    if not (_is_prime(q1) and _is_prime(q2)):
-        raise InputError("q1 and q2 must be prime")
+    for q in (q1, q2):
+        if not (isinstance(q, int) and q == 2):
+            validate_odd_prime(q)
     validate_odd_prime(p)
     if math.gcd(q1, q2) != 1:
         raise CrossCheckError("distinct primes with gcd != 1")

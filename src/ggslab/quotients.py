@@ -303,11 +303,6 @@ def level_quotient(group, n, leaf_guard=DEFAULT_LEAF_GUARD):
     return PermQuotient(group, n, gen_a, gen_b, chain)
 
 
-def membership(quotient, perm):
-    """Whether a leaf permutation lies in the quotient's image of G."""
-    return quotient.contains(perm)
-
-
 def _normal_closure(seeds, conjugators, degree):
     """Chain for the smallest subgroup containing seeds and closed under
     conjugation by the given conjugators. Deterministic: seeds in order, new

@@ -2,9 +2,9 @@
 
 Everything here is deliberately naive and cache-free: plain breadth-first
 enumeration of leaf permutations, depth-bounded recursive action
-comparison, the closed-form quotient order, and the census's subgroup chains
-built from nothing. Fixtures frozen in the tests were derived with these
-functions.
+comparison, the closed-form quotient order and circulant rank, and the
+census's subgroup chains built from nothing. Fixtures frozen in the tests
+were derived with these functions.
 """
 
 import itertools
@@ -104,3 +104,25 @@ def scratch_subgroup_chain(w, derived_gens, degree):
     for g in [w] + list(derived_gens):
         chain.add_generator(g)
     return chain
+
+
+def circulant_rank_closed_form(row, p):
+    """Rank over F_p of the circulant with first row `row`, with no elimination.
+
+    The circulant is f(P) for the cyclic shift P and f the first-row
+    polynomial, and x^p - 1 = (x - 1)^p over F_p, so the rank is p minus the
+    multiplicity of x = 1 as a root of f (capped at p, which the zero row
+    reaches). The multiplicity is counted by repeated synthetic division by
+    x - 1."""
+    coeffs = [int(x) % p for x in row]  # coeffs[j] multiplies x^j
+    mult = 0
+    while mult < p:
+        acc, quotient = 0, []
+        for c in reversed(coeffs[1:]):
+            acc = (acc + c) % p
+            quotient.append(acc)
+        if (acc + coeffs[0]) % p:
+            break
+        coeffs = quotient[::-1]
+        mult += 1
+    return p - mult

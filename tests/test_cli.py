@@ -38,6 +38,15 @@ def test_classify_constant_vector_notes_weak_branching(capsys):
     assert lines[-1] == "branch = false (weakly branch only: constant defining vector)"
 
 
+def test_classify_scaled_constant_vector(capsys):
+    code, out, _ = run(capsys, "classify", "--group", "p=3;e=2,2")
+    assert code == 0
+    lines = out.splitlines()
+    assert "e = 2,2" in lines
+    assert "family = constant" in lines
+    assert lines[-1] == "branch = false (weakly branch only: constant defining vector)"
+
+
 def test_classify_json(capsys):
     code, out, _ = run(capsys, "classify", "--group", "p=5;e=1,0,2,4", "--json")
     assert code == 0
@@ -224,6 +233,13 @@ def test_bad_group_spec_exits_2(capsys):
     assert err.startswith("error:")
     code, _, _ = run(capsys, "classify", "--group", "p=4;e=1,1,1")
     assert code == 2
+    # a huge p with a short vector fails on length, before any trial division
+    code, _, err = run(capsys, "classify", "--group", "p=1000000000000000003;e=1")
+    assert code == 2
+    assert "entries" in err
+    for p in (0, 1, 9):
+        code, _, _ = run(capsys, "classify", "--group", f"p={p};e=" + ",".join(["1"] * max(p - 1, 1)))
+        assert code == 2
 
 
 def test_bad_word_and_vertex_exit_2(capsys):

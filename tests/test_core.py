@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ggslab import core
 from ggslab.core import (
     FAMILY_CONSTANT,
     FAMILY_FABRYKOWSKI_GUPTA,
@@ -30,11 +31,12 @@ from oracles import agree_to_depth, leaf_action
     (3, (1, 2), FAMILY_TORSION, 0, True, True),
     (3, (1, 0), FAMILY_FABRYKOWSKI_GUPTA, 1, False, True),
     (3, (0, 1), FAMILY_FABRYKOWSKI_GUPTA, 1, False, True),
-    (3, (2, 2), FAMILY_GENERIC, 1, False, True),
+    (3, (2, 2), FAMILY_CONSTANT, 1, False, False),  # b_(2,2) = b_(1,1)^2
     (5, (1, 1, 1, 1), FAMILY_CONSTANT, 4, False, False),
     (5, (1, 2, 3, 4), FAMILY_TORSION, 0, True, True),
     (5, (0, 0, 2, 0), FAMILY_FABRYKOWSKI_GUPTA, 2, False, True),
     (5, (1, 0, 2, 4), FAMILY_GENERIC, 2, False, True),
+    (5, (3, 3, 3, 3), FAMILY_CONSTANT, 2, False, False),
 ])
 def test_family_classification(p, e, family, lam, torsion, branch):
     g = make_ggs(p, e)
@@ -53,8 +55,28 @@ def test_defining_vector_validation():
         make_ggs(3, (3, 6))  # zero after reduction
     with pytest.raises(InputError):
         make_ggs(4, (1, 1, 1))
+    for p in (0, 1, 9):
+        with pytest.raises(InputError):
+            make_ggs(p, (1,) * max(p - 1, 0))
+    for p in (3.0, "3", True, None):
+        with pytest.raises(InputError):
+            make_ggs(p, (1, 1))
     # entries reduce mod p
     assert make_ggs(3, (4, 5)).e == (1, 2)
+
+
+def test_scaled_constant_vector_keeps_its_spec():
+    g = make_ggs(3, (2, 2))
+    assert g.e == (2, 2)
+    assert g.spec_string() == "p=3;e=2,2"
+
+
+def test_wrong_length_is_rejected_before_primality_test(monkeypatch):
+    calls = []
+    monkeypatch.setattr(core, "validate_odd_prime", lambda p: calls.append(p))
+    with pytest.raises(InputError):
+        make_ggs(1000000000000000003, (1,))
+    assert calls == []
 
 
 def test_group_equality_and_hash():

@@ -1,19 +1,22 @@
-"""Arithmetic over F_p: scalars, matrices, rank, linear solving, circulants."""
+"""Linear algebra over F_p: rank, linear solving, circulants."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ggslab.errors import InputError
 from ggslab.fp import (
-    FpMatrix,
-    FpScalar,
     circulant,
     circulant_rank,
     gaussian_rank,
     solve_linear_mod_p,
     validate_odd_prime,
 )
+
+from oracles import circulant_rank_closed_form
 
 
 def test_validate_odd_prime_accepts_small_primes():
@@ -27,112 +30,34 @@ def test_validate_odd_prime_rejects(bad):
         validate_odd_prime(bad)
 
 
-def test_scalar_arithmetic_matches_int_arithmetic():
-    rng = random.Random(7)
-    for _ in range(300):
-        p = rng.choice((3, 5, 7, 11))
-        x, y = rng.randrange(-40, 40), rng.randrange(-40, 40)
-        sx, sy = FpScalar(x, p), FpScalar(y, p)
-        assert int(sx + sy) == (x + y) % p
-        assert int(sx - sy) == (x - y) % p
-        assert int(sx * sy) == (x * y) % p
-        assert int(-sx) == (-x) % p
-        # mixing with plain ints coerces
-        assert sx + y == sx + sy
-        assert x - sy == sx - sy
-        assert y * sx == sy * sx
-
-
-def test_scalar_inverse_exhaustive():
-    for p in (3, 5, 7):
-        for x in range(1, p):
-            s = FpScalar(x, p)
-            assert int(s.inverse() * s) == 1
-    with pytest.raises(InputError):
-        FpScalar(0, 5).inverse()
-
-
-def test_scalar_pow():
-    s = FpScalar(2, 5)
-    assert int(s ** 0) == 1
-    assert int(s ** 4) == 1  # Fermat
-    assert int(s ** -1) == int(s.inverse())
-    assert int(s ** -3) == int((s.inverse()) ** 3)
-
-
-def test_scalar_modulus_mismatch_rejected():
-    with pytest.raises(InputError):
-        FpScalar(1, 3) + FpScalar(1, 5)
-    with pytest.raises(InputError):
-        FpScalar(1, 3) * FpScalar(1, 5)
-
-
-def test_scalar_equality_and_hash():
-    assert FpScalar(7, 5) == FpScalar(2, 5)
-    assert FpScalar(2, 5) != FpScalar(2, 7)
-    assert FpScalar(2, 5) == 2
-    assert hash(FpScalar(7, 5)) == hash(FpScalar(2, 5))
-    assert FpScalar(1, 3) != "1"
-
-
-def test_scalar_immutable():
-    s = FpScalar(1, 3)
-    with pytest.raises(AttributeError):
-        s.value = 2
-
-
-def test_matrix_identity_and_known_product():
-    ident = FpMatrix.identity(2, 3)
-    m = FpMatrix.from_rows([[1, 2], [0, 1]], 3)
-    assert m * ident == m
-    assert ident * m == m
-    # [[1,2],[0,1]] * [[1,2],[0,1]] = [[1,4],[0,1]] = [[1,1],[0,1]] mod 3
-    assert (m * m).to_rows() == [[1, 1], [0, 1]]
-
-
-def test_matrix_product_associative_sampled():
-    rng = random.Random(11)
-    p = 5
-    for _ in range(40):
-        mats = [
-            FpMatrix.from_rows([[rng.randrange(p) for _ in range(3)] for _ in range(3)], p)
-            for _ in range(3)
-        ]
-        x, y, z = mats
-        assert (x * y) * z == x * (y * z)
-
-
-def test_matrix_shape_and_modulus_checks():
-    a = FpMatrix.from_rows([[1, 0], [0, 1]], 3)
-    b = FpMatrix.from_rows([[1, 0, 0]], 3)
-    with pytest.raises(InputError):
-        a * b  # 2x2 times 1x3
-    c = FpMatrix.from_rows([[1, 0], [0, 1]], 5)
-    with pytest.raises(InputError):
-        a * c
-    with pytest.raises(InputError):
-        FpMatrix.from_rows([[1, 0], [1]], 3)  # ragged rows
-
-
-def test_matrix_immutable():
-    m = FpMatrix.identity(2, 3)
-    with pytest.raises(AttributeError):
-        m.entries = ()
-
-
 def test_gaussian_rank_known_values():
-    assert gaussian_rank(FpMatrix.identity(4, 5)) == 4
-    assert gaussian_rank(FpMatrix.from_rows([[0, 0], [0, 0]], 3)) == 0
+    assert gaussian_rank([[1 if i == j else 0 for j in range(4)] for i in range(4)], 5) == 4
+    assert gaussian_rank([[0, 0], [0, 0]], 3) == 0
+    assert gaussian_rank([], 3) == 0
     # second row is twice the first mod 5
-    assert gaussian_rank(FpMatrix.from_rows([[1, 2, 3], [2, 4, 6]], 5)) == 1
+    assert gaussian_rank([[1, 2, 3], [2, 4, 6]], 5) == 1
     # rank 2: rows [1,1,1] and [1,2,4] independent, third = 2*second - first
-    m = FpMatrix.from_rows([[1, 1, 1], [1, 2, 4], [1, 3, 7]], 5)
-    assert gaussian_rank(m) == 2
+    assert gaussian_rank([[1, 1, 1], [1, 2, 4], [1, 3, 7]], 5) == 2
+    # entries are reduced mod p first
+    assert gaussian_rank([[5, 10], [-5, 3]], 5) == 1
+
+
+def test_gaussian_rank_input_checks():
+    with pytest.raises(InputError):
+        gaussian_rank([[1, 0], [1]], 3)  # ragged rows
+    with pytest.raises(InputError):
+        gaussian_rank([[1, 0]], 4)
 
 
 def test_circulant_row_structure():
-    c = circulant((1, 2, 0), 3)
-    assert c.to_rows() == [[1, 2, 0], [0, 1, 2], [2, 0, 1]]
+    assert circulant((1, 2, 0), 3) == [[1, 2, 0], [0, 1, 2], [2, 0, 1]]
+    assert circulant((4, 0, -1, 0, 0), 5) == [
+        [4, 0, 4, 0, 0],
+        [0, 4, 0, 4, 0],
+        [0, 0, 4, 0, 4],
+        [4, 0, 0, 4, 0],
+        [0, 4, 0, 0, 4],
+    ]
 
 
 def test_circulant_rank_examples():
@@ -158,9 +83,18 @@ def test_circulant_rank_full_iff_nonzero_sum_p3():
                     assert r < 3, row
 
 
+def test_circulant_rank_matches_closed_form_p3_p5():
+    # all 27 + 3125 first rows against the root-multiplicity closed form
+    for p in (3, 5):
+        for row in itertools.product(range(p), repeat=p):
+            assert circulant_rank(row, p) == circulant_rank_closed_form(row, p), row
+
+
 def test_circulant_length_check():
     with pytest.raises(InputError):
         circulant((1, 2), 3)
+    with pytest.raises(InputError):
+        circulant((1, 2, 0, 0), 4)
 
 
 def _check_solution(rows, rhs, sol, p):
@@ -209,7 +143,65 @@ def test_solve_linear_inconsistent_returns_none():
     assert solve_linear_mod_p([[0, 0]], [1], 5) is None
 
 
+def test_solve_linear_input_checks():
+    with pytest.raises(InputError):
+        solve_linear_mod_p([[1, 0], [0, 1]], [1], 3)  # one right-hand side short
+    with pytest.raises(InputError):
+        solve_linear_mod_p([[1, 0], [0, 1, 2]], [1, 1], 3)  # ragged rows
+    with pytest.raises(InputError):
+        solve_linear_mod_p([[1, 0]], [1], 9)
+
+
 def test_solve_linear_zero_columns():
     particular, basis = solve_linear_mod_p([[0, 0]], [0], 3)
     assert particular == (0, 0)
     assert len(basis) == 2
+
+
+# brute-force property checks on small systems ------------------------------
+
+_small_systems = st.sampled_from((3, 5, 7)).flatmap(lambda p: st.tuples(
+    st.just(p),
+    st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.tuples(st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
+                  st.integers(0, p - 1)),
+        min_size=1, max_size=4)),
+))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_small_systems)
+def test_solve_linear_matches_brute_force(system):
+    p, eqs = system
+    rows = [row for row, _ in eqs]
+    rhs = [b for _, b in eqs]
+    n = len(rows[0])
+    brute = {
+        x for x in itertools.product(range(p), repeat=n)
+        if all(sum(r * v for r, v in zip(row, x)) % p == b for row, b in eqs)
+    }
+    out = solve_linear_mod_p(rows, rhs, p)
+    if out is None:
+        assert brute == set()
+        return
+    particular, basis = out
+    got = set()
+    for coeffs in itertools.product(range(p), repeat=len(basis)):
+        got.add(tuple(
+            (particular[i] + sum(c * vec[i] for c, vec in zip(coeffs, basis))) % p
+            for i in range(n)))
+    assert got == brute
+    assert len(got) == p ** len(basis)  # the basis vectors are independent
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_small_systems)
+def test_gaussian_rank_matches_row_space_size(system):
+    p, eqs = system
+    rows = [row for row, _ in eqs]
+    n = len(rows[0])
+    span = {
+        tuple(sum(c * row[i] for c, row in zip(coeffs, rows)) % p for i in range(n))
+        for coeffs in itertools.product(range(p), repeat=len(rows))
+    }
+    assert p ** gaussian_rank(rows, p) == len(span)
