@@ -15,7 +15,7 @@ from .core import (DEFAULT_DEPTH_CAP, DEFAULT_LENGTH_CAP, FAMILY_CONSTANT,
 from .errors import CrossCheckError, GgsLabError, InputError, ResourceLimitError
 from .quotients import (DEFAULT_LEAF_GUARD, LeafPermutation, level_quotient,
                         maximal_subgroups_census, project)
-from .words import GroupWord, format_word, parse_word, syllable_length
+from .words import GroupWord, format_word, parse_word
 
 __version__ = "0.1.0"
 
@@ -44,6 +44,5 @@ __all__ = [
     "parse_vertex",
     "parse_word",
     "project",
-    "syllable_length",
     "__version__",
 ]

@@ -29,7 +29,7 @@ import threading
 
 from .errors import InputError, ResourceLimitError
 from .fp import solve_linear_mod_p, validate_odd_prime
-from .words import GroupWord, concat, format_word, invert, normalize, parse_word, power
+from .words import GroupWord, class_sums, concat, format_word, invert, normalize, parse_word, power
 
 FAMILY_TORSION = "torsion"
 FAMILY_CONSTANT = "constant"
@@ -94,6 +94,8 @@ class GgsGroup:
         return f"GgsGroup({self.spec_string()!r}, family={self.family})"
 
     def __eq__(self, other):
+        """Equality of presentations (p, e). G_{ce} = G_e as groups, but at p = 3
+        b_{(2,2)} = b_{(1,1)}^2, so one word names different automorphisms."""
         if not isinstance(other, GgsGroup):
             return NotImplemented
         return self.p == other.p and self.e == other.e
@@ -234,13 +236,13 @@ class GgsGroup:
         is pinned down by its beta_k together with the walk classes
         c_k = c_1 + alpha_1 + ... + alpha_{k-1} (consecutive classes differ
         because interior alpha_k != 0, and the final a-power is forced by the
-        total a-exponent). In the section at residue r, syllable k sits at
-        v = r + c_k: it lands as b^{beta_k} when v = 0 and as a^{beta_k e_v}
-        otherwise, so requiring the candidate to match the exponent-sum pair
-        of every section of w is a linear system in the beta over F_p. Only
-        its solutions with all beta_k nonzero are emitted; each still needs an
-        equal() confirmation. Class sequences run in lexicographic order, so
-        the output order is deterministic.
+        total a-exponent). Its section at residue r has b-exponent B_{-r} and
+        a-exponent sum_c B_c e_{r+c}, for the class sums B of class_sums, so
+        matching the exponent sums of every section of w means matching B:
+        one indicator row per class, consistent exactly when the classes meet
+        the support of B. Only solutions with all beta_k nonzero are emitted;
+        each still needs an equal() confirmation. Class sequences run in
+        lexicographic order, so the output order is deterministic.
         """
         p = self.p
         ta, tb = w._ab
@@ -248,22 +250,15 @@ class GgsGroup:
             if tb % p == 0:
                 yield GroupWord(p, ta, ())
             return
-        targets = [self.section_word(w, r)._ab for r in range(p)]
+        sums = class_sums(w)
+        support = {c for c in range(p) if sums[c]}
+        if len(support) > m:
+            return
         for cs in itertools.product(range(p), repeat=m):
-            if any(cs[k] == cs[k + 1] for k in range(m - 1)):
+            if any(cs[k] == cs[k + 1] for k in range(m - 1)) or not support.issubset(cs):
                 continue
-            rows = []
-            rhs = []
-            for r in range(p):
-                vs = [(r + c) % p for c in cs]
-                rows.append([1 if v == 0 else 0 for v in vs])
-                rhs.append(targets[r][1])
-                rows.append([0 if v == 0 else self.e[v - 1] for v in vs])
-                rhs.append(targets[r][0])
-            sol = solve_linear_mod_p(rows, rhs, p)
-            if sol is None:
-                continue
-            particular, basis = sol
+            rows = [[1 if ck == c else 0 for ck in cs] for c in range(p)]
+            particular, basis = solve_linear_mod_p(rows, sums, p)
             alphas = tuple((cs[k + 1] - cs[k]) % p for k in range(m - 1))
             alphas += ((ta - cs[-1]) % p,)
             for coeffs in itertools.product(range(p), repeat=len(basis)):
@@ -280,7 +275,7 @@ class GgsGroup:
         it exceeds cap.
 
         Breadth-first over syllable counts 0..cap; within a level only words
-        passing the full section-invariant sieve are candidates, each confirmed
+        passing the class-sum sieve are candidates, each confirmed
         with equal(). The first hit is the minimum. Results are memoized with
         the level up to which the search is exhaustive, and the search never
         runs past the syllable count of w itself, which is always attainable.
@@ -314,7 +309,9 @@ def make_ggs(p, e):
 
 
 class Element:
-    """A group element, carried as a free-product normal form over its group."""
+    """A group element, carried as a free-product normal form over its group.
+
+    ``==`` is object identity (``g.a == g.a`` is False); equals() decides equality."""
 
     __slots__ = ("group", "word")
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import CrossCheckError, InputError
 from .fp import circulant_rank
-from .words import normalize, format_word, random_word
+from .words import class_sums, normalize, format_word, random_word
 from .core import FAMILY_CONSTANT, make_ggs
 from .quotients import maximal_subgroups_census
 from . import model as _model
@@ -81,7 +81,8 @@ def exponent_profile(group, g):
     Computed two independent ways and cross-checked: once through the actual
     first-level sections, once through the conjugate decomposition
     g = prod_k (b^{j_k})^{a^{l_k}} read off the normal form, which gives
-    m_u = sum of j_k over k with l_k = u and n_u = sum_j e_j m_{u-j}.
+    m_u = sum of j_k over k with l_k = u (the class sum B_{-u}, since
+    l_k = -c_k for the walk class c_k) and n_u = sum_j e_j m_{u-j}.
     """
     p = group.p
     ta, tb = g.abelianize()
@@ -97,11 +98,8 @@ def exponent_profile(group, g):
 
     # route 2: conjugate decomposition from the word
     w = g.word
-    ms = [0] * p
-    s = w.leading_a
-    for beta, alpha in w.body:
-        ms[(-s) % p] = (ms[(-s) % p] + beta) % p
-        s = (s + alpha) % p
+    sums = class_sums(w)
+    ms = [sums[-r] for r in range(p)]
     ns = [0] * p
     for u in range(p):
         ns[u] = sum(group.e[j - 1] * ms[(u - j) % p] for j in range(1, p)) % p

@@ -75,17 +75,8 @@ class LeafPermutation:
     __invert__ = inverse
 
     def __pow__(self, k):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = LeafPermutation.identity(self.p, self.n)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        images = self.images if k >= 0 else _inverse(self.images)
+        return LeafPermutation(self.p, self.n, _perm_power(images, abs(k)))
 
     @property
     def is_identity(self):

@@ -145,9 +145,17 @@ def normalize(raw, p):
     return GroupWord(p, lead, tuple(body))
 
 
-def syllable_length(w):
-    """Number of b-syllables of a normal form."""
-    return w.syllables
+def class_sums(w):
+    """B_0, ..., B_{p-1}: B_c sums beta_k over the syllables of walk class
+    c_k = c + alpha_1 + ... + alpha_{k-1} in a^{c} b^{beta_1} a^{alpha_1} ...;
+    it is the b-exponent of the first-level section at residue -c."""
+    p = w.p
+    sums = [0] * p
+    c = w.leading_a
+    for beta, alpha in w.body:
+        sums[c] = (sums[c] + beta) % p
+        c = (c + alpha) % p
+    return sums
 
 
 def concat(w1, w2):

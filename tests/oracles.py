@@ -3,13 +3,16 @@
 Everything here is deliberately naive and cache-free: plain breadth-first
 enumeration of leaf permutations, depth-bounded recursive action
 comparison, the closed-form quotient order and circulant rank, and the
-census's subgroup chains built from nothing. Fixtures frozen in the tests
-were derived with these functions.
+census's subgroup chains built from nothing and the length sieve on the
+full section-target system. Fixtures frozen in the tests were derived with
+these functions.
 """
 
 import itertools
 
+from ggslab.fp import solve_linear_mod_p
 from ggslab.quotients import _StabilizerChain
+from ggslab.words import GroupWord
 
 
 def leaf_action(group, w, n):
@@ -126,3 +129,46 @@ def circulant_rank_closed_form(row, p):
         coeffs = quotient[::-1]
         mult += 1
     return p - mult
+
+
+def section_target_candidates(group, m, w):
+    """The length sieve on the 2p-row section-target system, as a list.
+
+    For each class sequence with no two equal neighbours, the betas must
+    reproduce the exponent-sum pair of every first-level section of w: a
+    b-row and an e-weighted a-row per residue. This is the sieve the package
+    ran before it matched the p class sums of w instead."""
+    p = group.p
+    ta, tb = w._ab
+    out = []
+    if m == 0:
+        if tb % p == 0:
+            out.append(GroupWord(p, ta, ()))
+        return out
+    targets = [group.section_word(w, r)._ab for r in range(p)]
+    for cs in itertools.product(range(p), repeat=m):
+        if any(cs[k] == cs[k + 1] for k in range(m - 1)):
+            continue
+        rows = []
+        rhs = []
+        for r in range(p):
+            vs = [(r + c) % p for c in cs]
+            rows.append([1 if v == 0 else 0 for v in vs])
+            rhs.append(targets[r][1])
+            rows.append([0 if v == 0 else group.e[v - 1] for v in vs])
+            rhs.append(targets[r][0])
+        sol = solve_linear_mod_p(rows, rhs, p)
+        if sol is None:
+            continue
+        particular, basis = sol
+        alphas = tuple((cs[k + 1] - cs[k]) % p for k in range(m - 1))
+        alphas += ((ta - cs[-1]) % p,)
+        for coeffs in itertools.product(range(p), repeat=len(basis)):
+            betas = list(particular)
+            for coeff, vec in zip(coeffs, basis):
+                if coeff:
+                    betas = [(x + coeff * y) % p for x, y in zip(betas, vec)]
+            if 0 in betas:
+                continue
+            out.append(GroupWord(p, cs[0], tuple(zip(betas, alphas))))
+    return out

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ggslab import core
 from ggslab.core import (
@@ -18,9 +20,10 @@ from ggslab.core import (
     parse_vertex,
 )
 from ggslab.errors import InputError, ResourceLimitError
-from ggslab.words import GroupWord, normalize, parse_word, random_word
+from ggslab.quotients import level_quotient
+from ggslab.words import GroupWord, class_sums, normalize, parse_word, random_word
 
-from oracles import agree_to_depth, leaf_action
+from oracles import agree_to_depth, leaf_action, section_target_candidates
 
 
 # classification -------------------------------------------------------------
@@ -357,3 +360,62 @@ def test_length_invariant_under_conjugation_by_a():
         lc = x.conjugate(g.a).length(5)
         if lx is not None and lc is not None:
             assert abs(lx - lc) <= 0  # equal when both certified
+
+
+# the class-sum sieve against the section-target sieve ------------------------
+
+# (p, e, most syllables drawn); scaled constant, torsion and generic vectors,
+# with words short enough that the oracle's p^m class sequences stay cheap
+_SIEVE_GROUPS = (
+    (3, (1, 0), 5), (3, (2, 2), 5), (3, (1, 2), 5),
+    (5, (1, 0, 2, 4), 4), (5, (3, 3, 3, 3), 4), (5, (1, 2, 3, 4), 4),
+    (7, (1, 0, 0, 0, 0, 0), 3), (7, (1, 2, 3, 4, 5, 6), 3), (7, (2, 5, 0, 1, 3, 3), 3),
+)
+
+
+@st.composite
+def _group_and_word(draw):
+    p, e, most = draw(st.sampled_from(_SIEVE_GROUPS))
+    m = draw(st.integers(0, most))
+    body = tuple(
+        (draw(st.integers(1, p - 1)), draw(st.integers(1 if k < m - 1 else 0, p - 1)))
+        for k in range(m))
+    return make_ggs(p, e), GroupWord(p, draw(st.integers(0, p - 1)), body)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_group_and_word())
+def test_candidate_words_match_section_target_sieve(case):
+    g, w = case
+    p = g.p
+    sums = class_sums(w)
+    for c in range(p):
+        assert sums[c] == g.section_word(w, (-c) % p).exponent_sums()[1]
+    for m in range(w.syllables + 1):
+        assert list(g._candidate_words(m, w)) == section_target_candidates(g, m, w)
+
+
+# G_{ce} = G_e -------------------------------------------------------------------
+
+
+def _scale_betas(w, c):
+    return GroupWord(w.p, w.leading_a, tuple((beta * c % w.p, alpha) for beta, alpha in w.body))
+
+
+@pytest.mark.parametrize("p,e,levels,most", [
+    (3, (1, 0), 3, 4), (3, (1, 1), 3, 4), (3, (1, 2), 3, 4),
+    (5, (1, 0, 2, 4), 2, 3), (5, (1, 1, 1, 1), 2, 3),
+])
+def test_scaled_vector_defines_the_same_group(p, e, levels, most):
+    # b_{ce} = b_e^c, so a word in G_{ce} is the word with every beta times c in G_e
+    base = make_ggs(p, e)
+    rng = random.Random(71)
+    samples = [random_word(p, most, rng) for _ in range(6)]
+    orders = [level_quotient(base, n).order for n in range(1, levels + 1)]
+    for c in range(1, p):
+        scaled = make_ggs(p, tuple(c * x for x in e))
+        assert (scaled.family, scaled.is_torsion, scaled.is_branch) == (
+            base.family, base.is_torsion, base.is_branch)
+        assert [level_quotient(scaled, n).order for n in range(1, levels + 1)] == orders
+        for w in samples:
+            assert scaled.length_word(w) == base.length_word(_scale_betas(w, c))

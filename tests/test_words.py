@@ -14,7 +14,6 @@ from ggslab.words import (
     parse_word,
     power,
     random_word,
-    syllable_length,
 )
 
 
@@ -155,10 +154,10 @@ def test_exponent_sums_additive():
 
 
 def test_syllable_length():
-    assert syllable_length(GroupWord.identity(3)) == 0
-    assert syllable_length(parse_word("a^2", 3)) == 0
-    assert syllable_length(parse_word("b a b", 3)) == 2
-    assert syllable_length(parse_word("a b a b^2 a^2 b", 5)) == 3
+    assert GroupWord.identity(3).syllables == 0
+    assert parse_word("a^2", 3).syllables == 0
+    assert parse_word("b a b", 3).syllables == 2
+    assert parse_word("a b a b^2 a^2 b", 5).syllables == 3
 
 
 def test_sort_key_orders_by_syllables_first():
@@ -166,7 +165,7 @@ def test_sort_key_orders_by_syllables_first():
     words = [parse_word(t, p) for t in ("b a b", "a", "1", "b", "a^2")]
     ordered = sorted(words, key=lambda w: w.sort_key())
     assert ordered[0].is_identity
-    assert syllable_length(ordered[-1]) == 2
+    assert ordered[-1].syllables == 2
 
 
 def test_random_word_deterministic_and_int_seed():
