@@ -19,8 +19,11 @@ Sanity anchor for the sign conventions: psi([a, b]) computes to
 (b^{-1} a^{e_1}, a^{e_2 - e_1}, ..., a^{e_{p-1} - e_{p-2}}, a^{-e_{p-1}} b).
 
 GgsGroup and Element are immutable; the group carries internal memo tables
-(sections, settled equality pairs, certified lengths) behind a lock, so
-concurrent readers only ever contend on that shared memo.
+(sections, settled equality pairs, certified lengths). The equality and length
+tables sit behind a lock, so concurrent readers only ever contend on that
+shared memo. section_word reads and writes its table without the lock: each
+store is idempotent (a key always maps to the same section) and of an
+immutable word, so a race at worst computes one section twice.
 """
 
 import itertools
@@ -30,6 +33,7 @@ import threading
 from .errors import InputError, ResourceLimitError
 from .fp import solve_linear_mod_p, validate_odd_prime
 from .words import GroupWord, class_sums, concat, format_word, invert, normalize, parse_word, power
+from .words import _reduce
 
 FAMILY_TORSION = "torsion"
 FAMILY_CONSTANT = "constant"
@@ -158,7 +162,7 @@ class GgsGroup:
             else:
                 toks.append(("a", beta * self.e[v - 1]))
             v = (v + alpha) % p
-        res = normalize(toks, p)
+        res = _reduce(toks, p)
         self._sections[key] = res
         return res
 
@@ -248,15 +252,11 @@ class GgsGroup:
         ta, tb = w._ab
         if m == 0:
             if tb % p == 0:
-                yield GroupWord(p, ta, ())
+                yield GroupWord._reduced(p, ta, ())
             return
         sums = class_sums(w)
         support = {c for c in range(p) if sums[c]}
-        if len(support) > m:
-            return
-        for cs in itertools.product(range(p), repeat=m):
-            if any(cs[k] == cs[k + 1] for k in range(m - 1)) or not support.issubset(cs):
-                continue
+        for cs in _class_sequences(p, m, support):
             rows = [[1 if ck == c else 0 for ck in cs] for c in range(p)]
             particular, basis = solve_linear_mod_p(rows, sums, p)
             alphas = tuple((cs[k + 1] - cs[k]) % p for k in range(m - 1))
@@ -268,7 +268,7 @@ class GgsGroup:
                         betas = [(x + coeff * y) % p for x, y in zip(betas, vec)]
                 if 0 in betas:
                     continue
-                yield GroupWord(p, cs[0], tuple(zip(betas, alphas)))
+                yield GroupWord._reduced(p, cs[0], tuple(zip(betas, alphas)))
 
     def length_word(self, w, cap=DEFAULT_LENGTH_CAP, depth_cap=None):
         """Minimal syllable length over all normal forms equal to w, or None if
@@ -301,6 +301,31 @@ class GgsGroup:
         with self._lock:
             self._lengths[w] = (None, cap)
         return None
+
+
+def _class_sequences(p, m, support):
+    """Class sequences c_1..c_m (m >= 1) over F_p, lexicographic, with no two equal
+    neighbours and every class of support present. Depth-first: a branch is
+    dropped once the support classes it misses outnumber the free positions."""
+    seq = []
+
+    def extend(missing):
+        left = m - len(seq) - 1  # positions after the one placed now
+        prev = seq[-1] if seq else None
+        for c in range(p):
+            if c == prev:
+                continue
+            rest = missing - {c} if c in missing else missing
+            if len(rest) > left:
+                continue
+            seq.append(c)
+            if left:
+                yield from extend(rest)
+            else:
+                yield tuple(seq)
+            seq.pop()
+
+    return extend(frozenset(support))
 
 
 def make_ggs(p, e):

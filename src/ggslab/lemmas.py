@@ -92,19 +92,19 @@ def exponent_profile(group, g):
         raise InputError("exponent profile needs g = b^t mod G' with t != 0")
 
     # route 1: sections
-    direct = []
-    for r in range(p):
-        direct.append(g.section(group.p if r == 0 else r).abelianize())
+    w = g.word
+    direct = [group.section_word(w, r)._ab for r in range(p)]
 
     # route 2: conjugate decomposition from the word
-    w = g.word
     sums = class_sums(w)
     ms = [sums[-r] for r in range(p)]
     ns = [0] * p
-    for u in range(p):
-        ns[u] = sum(group.e[j - 1] * ms[(u - j) % p] for j in range(1, p)) % p
+    for v, m_v in enumerate(ms):
+        if m_v:
+            for j in range(1, p):
+                ns[(v + j) % p] += group.e[j - 1] * m_v
 
-    derived = [(ns[r], ms[r]) for r in range(p)]
+    derived = [(n % p, ms[r]) for r, n in enumerate(ns)]
     if derived != direct:
         raise CrossCheckError(
             f"exponent profile mismatch for {format_word(w)!r}: "
@@ -441,7 +441,9 @@ def sweep_propagation(group, cases, seed):
 
 def sweep_short_section(group, cases, seed, cap=6, max_attempts_factor=400):
     """Confirm the short-section conclusion on `cases` hypothesis-satisfying
-    elements; draws that miss the hypotheses count as skipped."""
+    elements; draws that miss the hypotheses count as skipped. When e has a
+    single nonzero entry e_j, n_u = e_j m_{u-j} and Case 2 needs all p class
+    sums m_u nonzero, which no draw reaches once p > SWEEP_MAX_FACTORS."""
     if group.lam == 0:
         return _report("short-section", seed, skipped=1,
                        note="needs a non-torsion group")

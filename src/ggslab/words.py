@@ -8,6 +8,11 @@ with every beta_k nonzero mod p and every interior a-exponent nonzero; the
 leading and trailing a-exponents may vanish. The count m of b-syllables is the
 word's syllable length. GroupWord stores exactly this shape and is immutable
 and hashable, so words serve directly as memo keys elsewhere.
+
+GroupWord(...), normalize and parse_word validate their input. The package's
+own reductions (concat, invert, and sections in core) start from tokens of
+words that are already valid, so they reduce with _reduce and build the
+result with GroupWord._reduced, which checks nothing.
 """
 
 import random
@@ -38,12 +43,22 @@ class GroupWord:
                 raise InputError(f"interior a-exponent {a} must be nonzero mod {p}")
             if not 0 <= a < p:
                 raise InputError(f"a-exponent {a} out of range for p={p}")
+        self._fill(p, leading_a, body)
+
+    @classmethod
+    def _reduced(cls, p, leading_a, body):
+        """A word from parts already in normal form: residues, every beta and
+        every interior alpha nonzero, body a tuple of pairs. Nothing is checked."""
+        w = object.__new__(cls)
+        w._fill(p, leading_a, body)
+        return w
+
+    def _fill(self, p, leading_a, body):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "leading_a", leading_a)
         object.__setattr__(self, "body", body)
-        ta = (leading_a + sum(a for _, a in body)) % p
-        tb = sum(b for b, _ in body) % p
-        object.__setattr__(self, "_ab", (ta, tb))
+        betas, alphas = zip(*body) if body else ((), ())
+        object.__setattr__(self, "_ab", ((leading_a + sum(alphas)) % p, sum(betas) % p))
         object.__setattr__(self, "_hash", hash((p, leading_a, body)))
 
     def __setattr__(self, name, val):
@@ -101,48 +116,49 @@ class GroupWord:
 
 
 def normalize(raw, p):
-    """Reduce a (gen, exp) token sequence to its unique normal form.
-
-    A single left-to-right pass over a stack reaches the fixpoint: merging two
-    adjacent same-generator runs can only expose one earlier run, which the
-    stack top already is.
-    """
+    """Reduce a (gen, exp) token sequence to its unique normal form."""
     validate_odd_prime(p)
-    out = []  # alternating [gen, exp] with exp nonzero
+    toks = []
     for gen, exp in raw:
         if gen not in ("a", "b"):
             raise InputError(f"unknown generator {gen!r}")
         if not isinstance(exp, int) or isinstance(exp, bool):
             raise InputError(f"exponent must be an integer, got {exp!r}")
+        toks.append((gen, exp))
+    return _reduce(toks, p)
+
+
+def _reduce(tokens, p):
+    """Normal form of (gen, exp) tokens with gen in {"a", "b"} and int exp.
+
+    A single left-to-right pass over a stack reaches the fixpoint: merging two
+    adjacent same-generator runs can only expose one earlier run, which the
+    stack top already is. The stack alternates generators, so after an optional
+    leading a-run its exponents read beta_1, alpha_2, beta_2, ...
+    """
+    gens = []
+    exps = []  # nonzero residues, one per run
+    for gen, exp in tokens:
         e = exp % p
-        if e == 0:
+        if not e:
             continue
-        if out and out[-1][0] == gen:
-            s = (out[-1][1] + e) % p
-            if s == 0:
-                out.pop()
+        if gens and gens[-1] == gen:
+            e = (exps[-1] + e) % p
+            if e:
+                exps[-1] = e
             else:
-                out[-1][1] = s
+                gens.pop()
+                exps.pop()
         else:
-            out.append([gen, e])
-    if not out:
-        return GroupWord.identity(p)
-    idx = 0
+            gens.append(gen)
+            exps.append(e)
     lead = 0
-    if out[0][0] == "a":
-        lead = out[0][1]
-        idx = 1
-    body = []
-    while idx < len(out):
-        beta = out[idx][1]
-        alpha = 0
-        if idx + 1 < len(out):
-            alpha = out[idx + 1][1]
-            idx += 2
-        else:
-            idx += 1
-        body.append((beta, alpha))
-    return GroupWord(p, lead, tuple(body))
+    if gens and gens[0] == "a":
+        lead = exps[0]
+        del exps[0]
+    if len(exps) % 2:
+        exps.append(0)
+    return GroupWord._reduced(p, lead, tuple(zip(exps[::2], exps[1::2])))
 
 
 def class_sums(w):
@@ -161,11 +177,11 @@ def class_sums(w):
 def concat(w1, w2):
     if w1.p != w2.p:
         raise InputError(f"modulus mismatch: {w1.p} vs {w2.p}")
-    return normalize(w1.tokens() + w2.tokens(), w1.p)
+    return _reduce(w1.tokens() + w2.tokens(), w1.p)
 
 
 def invert(w):
-    return normalize([(g, -e) for g, e in reversed(w.tokens())], w.p)
+    return _reduce([(g, -e) for g, e in reversed(w.tokens())], w.p)
 
 
 def power(w, n):

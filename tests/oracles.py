@@ -3,9 +3,9 @@
 Everything here is deliberately naive and cache-free: plain breadth-first
 enumeration of leaf permutations, depth-bounded recursive action
 comparison, the closed-form quotient order and circulant rank, and the
-census's subgroup chains built from nothing and the length sieve on the
-full section-target system. Fixtures frozen in the tests were derived with
-these functions.
+census's subgroup chains built from nothing, the length sieve on the
+full section-target system and its class sequences filtered from all p^m.
+Fixtures frozen in the tests were derived with these functions.
 """
 
 import itertools
@@ -171,4 +171,16 @@ def section_target_candidates(group, m, w):
             if 0 in betas:
                 continue
             out.append(GroupWord(p, cs[0], tuple(zip(betas, alphas))))
+    return out
+
+
+def product_class_sequences(p, m, support):
+    """The class sequences the length sieve tries, as a list: every sequence
+    in F_p^m, filtered for no two equal neighbours and for covering the
+    support set. This is the walk the sieve ran before its pruned DFS."""
+    out = []
+    for cs in itertools.product(range(p), repeat=m):
+        if any(cs[k] == cs[k + 1] for k in range(m - 1)) or not support.issubset(cs):
+            continue
+        out.append(cs)
     return out

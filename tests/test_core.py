@@ -1,5 +1,6 @@
 """The word-level engine: sections, actions, equality, length."""
 
+import itertools
 import random
 
 import pytest
@@ -23,7 +24,12 @@ from ggslab.errors import InputError, ResourceLimitError
 from ggslab.quotients import level_quotient
 from ggslab.words import GroupWord, class_sums, normalize, parse_word, random_word
 
-from oracles import agree_to_depth, leaf_action, section_target_candidates
+from oracles import (
+    agree_to_depth,
+    leaf_action,
+    product_class_sequences,
+    section_target_candidates,
+)
 
 
 # classification -------------------------------------------------------------
@@ -393,6 +399,16 @@ def test_candidate_words_match_section_target_sieve(case):
         assert sums[c] == g.section_word(w, (-c) % p).exponent_sums()[1]
     for m in range(w.syllables + 1):
         assert list(g._candidate_words(m, w)) == section_target_candidates(g, m, w)
+
+
+@pytest.mark.parametrize("p,most", [(3, 5), (5, 5), (7, 4)])
+def test_class_sequences_match_product_filter(p, most):
+    # supports one larger than m cannot be covered and give an empty stream
+    for m in range(1, most + 1):
+        for size in range(min(m + 1, p) + 1):
+            for support in itertools.combinations(range(p), size):
+                assert (list(core._class_sequences(p, m, set(support)))
+                        == product_class_sequences(p, m, set(support)))
 
 
 # G_{ce} = G_e -------------------------------------------------------------------

@@ -7,6 +7,8 @@ import pytest
 from ggslab.core import make_ggs
 from ggslab.errors import InputError
 from ggslab.lemmas import (
+    SWEEP_MAX_FACTORS,
+    _case2_candidate,
     check_derived_product,
     check_propagates,
     check_section_less_than_half,
@@ -131,6 +133,22 @@ def test_short_section_skips():
     assert check_section_less_than_half(g, g.b)["status"] == "skipped"  # Case 1
     torsion = make_ggs(3, (1, 2))
     assert check_section_less_than_half(torsion, torsion.b)["status"] == "skipped"
+
+
+def test_short_section_draws_never_reach_case_2_at_p7_single_entry():
+    # n_u = m_{u-1}, so Case 2 needs all seven class sums m_u nonzero; a draw
+    # has at most SWEEP_MAX_FACTORS conjugate factors or two classes
+    assert SWEEP_MAX_FACTORS < 7
+    g = make_ggs(7, (1, 0, 0, 0, 0, 0))
+    rng = random.Random(11)
+    classified = 0
+    for _ in range(500):
+        x = _case2_candidate(g, rng)
+        if x.abelianize()[1] == 0:
+            continue  # the interleaved shape can draw t = 0, which has no profile
+        assert classify_case(exponent_profile(g, x), g.lam).case == 1
+        classified += 1
+    assert classified > 400
 
 
 def test_infinite_order_trace_examples():

@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ggslab.core import make_ggs
 from ggslab.errors import InputError
 from ggslab.words import (
     GroupWord,
@@ -175,3 +178,46 @@ def test_random_word_deterministic_and_int_seed():
     assert random_word(5, 6, 42) == w1
     with pytest.raises(InputError):
         random_word(5, -1, 42)
+
+
+# the unchecked construction path -------------------------------------------------
+
+
+@st.composite
+def _group_and_tokens(draw):
+    p = draw(st.sampled_from((3, 5, 7)))
+    e = draw(st.lists(st.integers(0, p - 1), min_size=p - 1, max_size=p - 1).filter(any))
+    tokens = st.lists(st.tuples(st.sampled_from("ab"), st.integers(-2 * p, 2 * p)), max_size=14)
+    return make_ggs(p, e), draw(tokens), draw(tokens)
+
+
+def _token_sums(toks, p):
+    return (sum(x for g, x in toks if g == "a") % p, sum(x for g, x in toks if g == "b") % p)
+
+
+def _assert_revalidates(w, ab):
+    """w passes the checked constructor unchanged, cached slots included, and
+    its exponent sums are the independently computed `ab`."""
+    fresh = GroupWord(w.p, w.leading_a, w.body)
+    assert fresh == w
+    assert (fresh._ab, hash(fresh)) == (w._ab, hash(w))
+    assert w._ab == ab
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_group_and_tokens())
+def test_unchecked_reductions_build_valid_words(case):
+    g, t1, t2 = case
+    p = g.p
+    w1, w2 = normalize(t1, p), normalize(t2, p)
+    _assert_revalidates(w1, _token_sums(t1, p))
+    _assert_revalidates(w2, _token_sums(t2, p))
+    _assert_revalidates(concat(w1, w2), _token_sums(t1 + t2, p))
+    _assert_revalidates(invert(w1), _token_sums([(x, -y) for x, y in t1], p))
+    for r in range(p):
+        sec = g.section_word(w1, r)
+        _assert_revalidates(sec, _token_sums(sec.tokens(), p))
+    for m in range(min(w1.syllables, 3) + 1):
+        for cand in g._candidate_words(m, w1):
+            assert cand.syllables == m
+            _assert_revalidates(cand, w1._ab)
