@@ -11,10 +11,11 @@ import os
 import sys
 
 from . import lemmas
-from .core import (DEFAULT_DEPTH_CAP, DEFAULT_LENGTH_CAP, format_vertex,
-                   parse_group_spec, parse_vertex)
+from .core import (DEFAULT_DEPTH_CAP, DEFAULT_LENGTH_CAP, FAMILY_CONSTANT,
+                   format_vertex, parse_group_spec, parse_vertex)
 from .errors import CrossCheckError, InputError, ResourceLimitError
-from .quotients import DEFAULT_LEAF_GUARD, level_quotient, maximal_subgroups_census
+from .quotients import (DEFAULT_LEAF_GUARD, closed_form_order, level_quotient,
+                        maximal_subgroups_census)
 from .words import format_word, parse_word
 
 # sweep sizes mirror the property-suite counts the checks were designed around
@@ -180,20 +181,25 @@ def cmd_abelianize(args, group):
 
 def cmd_quotient(args, group):
     n = args.level
-    quotient = level_quotient(group, n, leaf_guard=args.quotient_guard)
     if n >= 2:
+        # the census builds the level quotient and reports its order
         census = maximal_subgroups_census(group, n, leaf_guard=args.quotient_guard)
-        data = dict(census)
-        data["order"] = quotient.order
-        lines = [f"level = {n}", f"order = {quotient.order}",
+        order = census["order"]
+        if group.family != FAMILY_CONSTANT:
+            want = closed_form_order(group, n)
+            if order != want:
+                raise CrossCheckError(f"quotient order {order} != closed form {want}")
+        data = census
+        lines = [f"level = {n}", f"order = {order}",
                  f"maximal subgroups = {census['count']}"]
         for rec in census["maximal"]:
             s, t = rec["functional"]
             lines.append(f"  functional ({s},{t}): index {rec['index']}, "
                          + ("normal" if rec["normal"] else "not normal"))
     else:
-        data = {"p": group.p, "e": list(group.e), "n": n, "order": quotient.order}
-        lines = [f"level = {n}", f"order = {quotient.order}"]
+        order = level_quotient(group, n, leaf_guard=args.quotient_guard).order
+        data = {"p": group.p, "e": list(group.e), "n": n, "order": order}
+        lines = [f"level = {n}", f"order = {order}"]
     _emit(args, data, lines)
     return 0
 

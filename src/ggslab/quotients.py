@@ -1,23 +1,31 @@
 """Finite congruence quotients G / st_G(n) as permutation groups on the p^n leaves.
 
 Leaves are indexed by the rank of their vertex word in lexicographic order over
-{1, ..., p}^n. Orders and membership come from a deterministic stabilizer
-chain (base points taken in natural leaf order, Schreier generators processed
-in a fixed order), so repeated runs agree byte for byte.
+{1, ..., p}^n. Quotient orders and `PermQuotient.contains` come from a
+deterministic stabilizer chain (base points taken in natural leaf order,
+Schreier generators processed in a fixed order), so repeated runs agree byte
+for byte.
 
-The maximal-subgroup census works entirely inside the quotient Q: since the
-images of a and b have order p, Q modulo its derived subgroup is elementary
-abelian of rank at most 2, so the Frattini subgroup of Q equals the derived
-subgroup. Once the chain certifies |Q : Q'| = p^2, the maximal subgroups are
-exactly the p + 1 preimages of the index-p subgroups of Q/Q', one for each
-nonzero linear functional on F_p^2 (up to scalars) pulled back through the
-element's exponent sums. Every one of them contains Q', so its chain is the
-chain of Q' (built once, as a normal closure) extended by one spanning element.
+The maximal-subgroup census runs on layered bases instead (`_LayeredBasis`):
+induced polycyclic sequences of subgroups of the iterated wreath product
+C_p wr ... wr C_p, in which orders and memberships are F_p elimination on
+rotation labels, level by level. The layered order of <a, b> must equal the
+chain's order. Since the images of a and b have order p, Q/Q' is elementary
+abelian of rank at most 2, so the Frattini subgroup of Q is Q'. Once
+|Q : Q'| = p^2 is certified, the maximal subgroups are the p + 1 preimages of
+the index-p subgroups of Q/Q', one for each nonzero linear functional on
+F_p^2 (up to scalars) pulled back through the exponent sums. Q' is a layered
+normal closure, each maximal subgroup is Q' closed with one spanning element,
+and index, normality and distinctness are computed on those bases, not read
+off the theorem.
 """
 
+import bisect
+import collections
 import operator
 
 from .errors import CrossCheckError, InputError, ResourceLimitError
+from .fp import circulant_rank
 
 DEFAULT_LEAF_GUARD = 729  # 3^6 leaves
 
@@ -137,11 +145,6 @@ class _StabilizerChain:
     representative, computed once when the entry is created, so sifting and
     the Schreier step compose with it instead of inverting again. `inverses[i]`
     always has the same keys as `transversals[i]`.
-
-    `copy()` gives an independent chain for the same group: every per-level
-    list, dict and set is copied, so extending the copy leaves the original
-    untouched, while the permutation tuples themselves are immutable and
-    shared.
     """
 
     def __init__(self, degree):
@@ -153,16 +156,6 @@ class _StabilizerChain:
         self.transversals = []  # per level: point -> perm mapping base to point
         self.inverses = []      # per level: point -> inverse of that perm
         self.done = []          # per level: processed (point, gen) pairs
-
-    def copy(self):
-        other = _StabilizerChain(self.degree)
-        other.bases = list(self.bases)
-        other.gens = [list(level) for level in self.gens]
-        other.orbits = [list(level) for level in self.orbits]
-        other.transversals = [dict(level) for level in self.transversals]
-        other.inverses = [dict(level) for level in self.inverses]
-        other.done = [set(level) for level in self.done]
-        return other
 
     def order(self):
         result = 1
@@ -294,23 +287,137 @@ def level_quotient(group, n, leaf_guard=DEFAULT_LEAF_GUARD):
     return PermQuotient(group, n, gen_a, gen_b, chain)
 
 
-def _normal_closure(seeds, conjugators, degree):
-    """Chain for the smallest subgroup containing seeds and closed under
-    conjugation by the given conjugators. Deterministic: seeds in order, new
-    conjugates appended FIFO."""
-    chain = _StabilizerChain(degree)
-    pairs = [(_inverse(c), c) for c in conjugators]
-    kept = []
-    queue = list(seeds)
-    while queue:
-        h = queue.pop(0)
-        if chain.contains(h):
-            continue
-        chain.add_generator(h)
-        kept.append(h)
-        for c_inv, c in pairs:
-            queue.append(_compose(_compose(c_inv, h), c))
-    return chain, kept
+def closed_form_order(group, n):
+    """|G : St_G(n)| for a non-constant defining vector e and n >= 2, by the
+    theorem of Fernandez-Alcober and Zugadi-Reizabal (Trans. AMS 366, 2014):
+    p^(t p^(n-2) + 1 - delta (p^(n-2) - 1)/(p - 1)), where t is the rank over
+    F_p of the circulant with first row (e, 0) and delta is 1 exactly when e
+    is symmetric."""
+    p, e = group.p, tuple(group.e)
+    t = circulant_rank(list(e) + [0], p)
+    delta = 1 if e == e[::-1] else 0
+    return p ** (t * p ** (n - 2) + 1 - delta * (p ** (n - 2) - 1) // (p - 1))
+
+
+def _check_rotations(perm, p, n):
+    """Raise CrossCheckError unless perm lies in the iterated wreath product:
+    it respects the tree and every vertex maps its children by a power of the
+    p-cycle. The layered basis reads rotation labels, which mean nothing
+    outside that group."""
+    above = [0]
+    for k in range(1, n + 1):
+        step = p ** (n - k)
+        # the level-k vertex under which the first leaf of each level-k vertex lands
+        here = [perm[u * step] // step for u in range(p ** k)]
+        for u, w in enumerate(here):
+            first = u - u % p
+            if w // p != above[u // p] or (w - u) % p != (here[first] - first) % p:
+                raise CrossCheckError(
+                    f"leaf permutation does not turn the children of level-{k - 1} "
+                    "vertices by powers of the p-cycle")
+        above = here
+
+
+class _LayeredBasis:
+    """Induced polycyclic sequence of a subgroup of the iterated wreath product
+    C_p wr ... wr C_p acting on the p^n leaves.
+
+    The rotation labels of a permutation at level k are digit k of the image of
+    the first leaf under each level-k vertex. On the level-k stabilizer they
+    add under composition, and they all vanish exactly on the level-(k+1)
+    stabilizer. The basis keeps at most one element per (level, pivot
+    column): an element of the level stabilizer whose labels there vanish
+    before the pivot column and read 1 at it. `layers[k]` holds
+    (column, labels, powers b^0..b^(p-1)) sorted by column; `elements` holds
+    the basis in the order it was found.
+
+    `closure` keeps the basis closed: every p-th power and every commutator of
+    two basis elements sifts to the identity through the deeper levels. Then
+    the basis elements of level k and below generate a subgroup T_k, each T_k
+    is normal in T_(k-1) with elementary abelian quotient of rank
+    len(layers[k - 1]), so the subgroup has order p^len(elements) and
+    `contains` is exact. `contains` is sound for any permutation: a residue
+    equal to the identity writes the input as a product of basis elements.
+    """
+
+    def __init__(self, p, n):
+        self.p = p
+        self.n = n
+        self.identity = tuple(range(p ** n))
+        self.layers = [[] for _ in range(n)]
+        self.elements = []
+        self._inverses = []
+
+    def copy(self):
+        other = _LayeredBasis(self.p, self.n)
+        other.layers = [list(layer) for layer in self.layers]
+        other.elements = list(self.elements)
+        other._inverses = list(self._inverses)
+        return other
+
+    def order(self):
+        return self.p ** len(self.elements)
+
+    def labels(self, perm, k):
+        step = self.p ** (self.n - k - 1)
+        return [perm[i] // step % self.p for i in range(0, len(perm), step * self.p)]
+
+    def _reduce(self, perm):
+        """(residue, level, labels): perm times powers of basis elements with
+        the pivot columns cleared level by level, down to the first level where
+        labels remain; (residue, n, None) when none remain."""
+        p = self.p
+        for k, layer in enumerate(self.layers):
+            labels = self.labels(perm, k)
+            if not any(labels):
+                continue
+            for column, vec, powers in layer:
+                coef = labels[column]
+                if coef:
+                    # vec vanishes before its column, so cleared columns stay clear
+                    labels = [(x - coef * y) % p for x, y in zip(labels, vec)]
+                    perm = _compose(perm, powers[p - coef])
+            if any(labels):
+                return perm, k, labels
+        return perm, self.n, None
+
+    def sift(self, perm):
+        return self._reduce(perm)[0]
+
+    def contains(self, perm):
+        return self.sift(perm) == self.identity
+
+    def closure(self, seeds, conjugators=()):
+        """Grow the basis to the smallest subgroup that contains it and the
+        seeds and is normalized by the conjugators. Deterministic: queued
+        elements are sifted first in, first out; a new basis element queues
+        its p-th power, its commutators with every earlier basis element and
+        its conjugates, in that order."""
+        p = self.p
+        for g in list(seeds) + list(conjugators):
+            _check_rotations(g, p, self.n)
+        pairs = [(_inverse(c), c) for c in conjugators]
+        queue = collections.deque(seeds)
+        while queue:
+            residue, k, labels = self._reduce(queue.popleft())
+            if labels is None:
+                continue
+            column = next(i for i, x in enumerate(labels) if x)
+            scale = pow(labels[column], -1, p)
+            b = _perm_power(residue, scale)
+            powers = [self.identity, b]
+            while len(powers) < p:
+                powers.append(_compose(powers[-1], b))
+            # columns are unique within a level, so the tuples order by column
+            bisect.insort(self.layers[k], (column, [x * scale % p for x in labels], powers))
+            b_inv = _inverse(b)
+            queue.append(_compose(powers[-1], b))
+            for x, x_inv in zip(self.elements, self._inverses):
+                queue.append(_compose(_compose(b_inv, x_inv), _compose(b, x)))
+            for c_inv, c in pairs:
+                queue.append(_compose(_compose(c_inv, b), c))
+            self.elements.append(b)
+            self._inverses.append(b_inv)
 
 
 def maximal_subgroups_census(group, n, leaf_guard=DEFAULT_LEAF_GUARD):
@@ -320,6 +427,9 @@ def maximal_subgroups_census(group, n, leaf_guard=DEFAULT_LEAF_GUARD):
     subgroup with its defining functional (s, t) on the exponent-sum plane
     (the subgroup is the pullback of ker(s*alpha + t*beta)), its index, and
     whether conjugation by both generator images fixed it.
+
+    The order comes from the stabilizer chain of `level_quotient`; Q' and the
+    records come from layered bases, whose order of <a, b> must match it.
     """
     if n < 2:
         raise InputError("the census needs level n >= 2")
@@ -331,14 +441,21 @@ def maximal_subgroups_census(group, n, leaf_guard=DEFAULT_LEAF_GUARD):
     if _perm_power(a_img, p) != identity or _perm_power(b_img, p) != identity:
         raise CrossCheckError("generator images are not of order dividing p")
 
+    whole = _LayeredBasis(p, n)
+    whole.closure([a_img, b_img])
+    if whole.order() != q.order:
+        raise CrossCheckError(
+            f"layered order {whole.order()} != stabilizer chain order {q.order}")
+
     # Q' as the normal closure of [a, b]; with both generators of order p this
     # is the whole Frattini subgroup of Q.
     a_inv = _inverse(a_img)
     b_inv = _inverse(b_img)
     conjugators = ((a_inv, a_img), (b_inv, b_img))
     comm = _compose(_compose(a_inv, b_inv), _compose(a_img, b_img))
-    derived_chain, derived_gens = _normal_closure([comm], [a_img, b_img], p ** n)
-    frattini_index = q.order // derived_chain.order()
+    derived = _LayeredBasis(p, n)
+    derived.closure([comm], [a_img, b_img])
+    frattini_index = q.order // derived.order()
     if frattini_index != p * p:
         raise CrossCheckError(
             f"|Q : Q'| = {frattini_index} != p^2; the functional census does not apply")
@@ -349,13 +466,13 @@ def maximal_subgroups_census(group, n, leaf_guard=DEFAULT_LEAF_GUARD):
     for s, t in functionals:
         # a^{-t} b^{s} has exponent sums (-t, s), spanning ker(s*alpha + t*beta)
         w = _compose(_perm_power(a_img, (-t) % p), _perm_power(b_img, s % p))
-        # the kernel contains Q', so extend a copy of its finished chain by w
-        sub = derived_chain.copy()
-        sub.add_generator(w)
+        # the kernel contains Q', so close a copy of its basis with w
+        sub = derived.copy()
+        sub.closure([w])
         index = q.order // sub.order()
         normal = all(
             sub.contains(_compose(_compose(c_inv, g), c))
-            for g in [w] + derived_gens for c_inv, c in conjugators)
+            for g in [w] + derived.elements for c_inv, c in conjugators)
         records.append({"functional": [s, t], "index": index, "normal": normal})
         kernel_perms.append((sub, w))
 

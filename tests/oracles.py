@@ -2,16 +2,17 @@
 
 Everything here is deliberately naive and cache-free: plain breadth-first
 enumeration of leaf permutations, depth-bounded recursive action
-comparison, the closed-form quotient order and circulant rank, and the
-census's subgroup chains built from nothing, the length sieve on the
-full section-target system and its class sequences filtered from all p^m.
+comparison, the closed-form quotient order and circulant rank, the
+maximal-subgroup census on stabilizer chains built from nothing, and the
+length sieve on the full section-target system and its class sequences
+filtered from all p^m.
 Fixtures frozen in the tests were derived with these functions.
 """
 
 import itertools
 
 from ggslab.fp import solve_linear_mod_p
-from ggslab.quotients import _StabilizerChain
+from ggslab.quotients import _StabilizerChain, _compose, _inverse, _perm_power, level_quotient
 from ggslab.words import GroupWord
 
 
@@ -99,14 +100,67 @@ def closed_form_log_order(p, e, n):
     return rank * p ** (n - 2) + 1 - delta * (p ** (n - 2) - 1) // (p - 1)
 
 
-def scratch_subgroup_chain(w, derived_gens, degree):
-    """Chain of the subgroup generated by w and the derived subgroup's
-    generators, built from an empty chain (the census instead extends a copy
-    of the derived subgroup's chain by w)."""
+def normal_closure_chain(seeds, conjugators, degree):
+    """Chain for the smallest subgroup containing seeds and closed under
+    conjugation by the given conjugators, and the seeds it kept.
+    Deterministic: seeds in order, new conjugates appended FIFO."""
     chain = _StabilizerChain(degree)
-    for g in [w] + list(derived_gens):
-        chain.add_generator(g)
-    return chain
+    pairs = [(_inverse(c), c) for c in conjugators]
+    kept = []
+    queue = list(seeds)
+    while queue:
+        h = queue.pop(0)
+        if chain.contains(h):
+            continue
+        chain.add_generator(h)
+        kept.append(h)
+        for c_inv, c in pairs:
+            queue.append(_compose(_compose(c_inv, h), c))
+    return chain, kept
+
+
+def census_by_sifting(group, n):
+    """The maximal-subgroup census on stabilizer chains alone, in the format of
+    `quotients.maximal_subgroups_census`: Q' as a chain normal closure, each
+    maximal subgroup's chain built from nothing out of w and the kept
+    generators of Q', and normality and distinctness by sifting through those
+    chains. This is the census the package ran before its layered bases."""
+    q = level_quotient(group, n)
+    p = group.p
+    a_img = q.gen_a.images
+    b_img = q.gen_b.images
+    a_inv = _inverse(a_img)
+    b_inv = _inverse(b_img)
+    conjugators = ((a_inv, a_img), (b_inv, b_img))
+    comm = _compose(_compose(a_inv, b_inv), _compose(a_img, b_img))
+    derived_chain, derived_gens = normal_closure_chain([comm], [a_img, b_img], p ** n)
+    frattini_index = q.order // derived_chain.order()
+    functionals = [(1, t) for t in range(p)] + [(0, 1)]
+    records = []
+    kernels = []
+    for s, t in functionals:
+        w = _compose(_perm_power(a_img, (-t) % p), _perm_power(b_img, s % p))
+        sub = _StabilizerChain(p ** n)
+        for g in derived_gens + [w]:
+            sub.add_generator(g)
+        normal = all(
+            sub.contains(_compose(_compose(c_inv, g), c))
+            for g in [w] + derived_gens for c_inv, c in conjugators)
+        records.append({"functional": [s, t], "index": q.order // sub.order(),
+                        "normal": normal})
+        kernels.append((sub, w))
+    if any(kernels[j][0].contains(kernels[i][1])
+           for i in range(len(functionals)) for j in range(len(functionals)) if i != j):
+        raise AssertionError("functional kernels are not pairwise distinct")
+    return {
+        "p": p,
+        "e": list(group.e),
+        "n": n,
+        "order": q.order,
+        "frattini_index": frattini_index,
+        "count": len(records),
+        "maximal": records,
+    }
 
 
 def circulant_rank_closed_form(row, p):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ggslab import cli
+from ggslab import cli, quotients
 from ggslab.cli import VERIFY_NAMES, main
 
 
@@ -144,6 +144,40 @@ def test_quotient_census_json(capsys):
     assert data["order"] == 81
     assert data["count"] == 4
     assert [r["functional"] for r in data["maximal"]] == [[1, 0], [1, 1], [1, 2], [0, 1]]
+
+
+@pytest.mark.parametrize("level", ["1", "2", "3"])
+def test_quotient_builds_the_level_quotient_once(capsys, monkeypatch, level):
+    calls = []
+    real = quotients.level_quotient
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(quotients, "level_quotient", spy)
+    monkeypatch.setattr(cli, "level_quotient", spy)
+    code, _, _ = run(capsys, "quotient", "--group", "p=3;e=1,0", level)
+    assert code == 0
+    assert calls == [int(level)]
+
+
+def test_quotient_order_against_closed_form_exits_3(capsys, monkeypatch):
+    real = cli.maximal_subgroups_census
+
+    def wrong_order(group, n, leaf_guard):
+        census = real(group, n, leaf_guard)
+        census["order"] *= group.p
+        return census
+
+    monkeypatch.setattr(cli, "maximal_subgroups_census", wrong_order)
+    code, out, err = run(capsys, "quotient", "--group", "p=3;e=1,2", "2")
+    assert code == 3
+    assert out == ""
+    assert "closed form 27" in err
+    # constant vectors are outside the theorem, so they are not compared
+    code, _, _ = run(capsys, "quotient", "--group", "p=3;e=2,2", "2")
+    assert code == 0
 
 
 # verify ---------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Finite level quotients: leaf permutations, orders, membership, census."""
 
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ggslab import quotients
 from ggslab.core import make_ggs
@@ -10,8 +13,8 @@ from ggslab.errors import CrossCheckError, InputError, ResourceLimitError
 from ggslab.quotients import (
     LeafPermutation,
     _compose,
-    _inverse,
-    _perm_power,
+    _LayeredBasis,
+    _StabilizerChain,
     leaf_index,
     leaf_vertices,
     level_quotient,
@@ -20,7 +23,7 @@ from ggslab.quotients import (
 )
 from ggslab.words import random_word
 
-from oracles import bfs_quotient_order, closed_form_log_order, scratch_subgroup_chain
+from oracles import bfs_quotient_order, census_by_sifting, closed_form_log_order
 
 
 # leaf permutations ----------------------------------------------------------
@@ -158,9 +161,11 @@ def test_quotient_order_matches_closed_form(p, e, n):
 
 @pytest.mark.parametrize("p,e,n", [(3, (1, 2), 3), (3, (1, 1), 3), (5, (1, 0, 2, 4), 2)])
 def test_chain_inverse_cache(p, e, n):
-    chain = level_quotient(make_ggs(p, e), n)._chain
-    extended = chain.copy()
-    extended.add_generator(tuple(reversed(range(p ** n))))  # leaves the group
+    q = level_quotient(make_ggs(p, e), n)
+    chain = q._chain
+    extended = _StabilizerChain(p ** n)
+    for g in (q.gen_a.images, q.gen_b.images, tuple(reversed(range(p ** n)))):
+        extended.add_generator(g)  # the reversal leaves the group
     for c in (chain, extended):
         assert len(c.inverses) == len(c.transversals) == len(c.bases)
         for trans, inverses in zip(c.transversals, c.inverses):
@@ -243,49 +248,137 @@ def test_census_guards():
         maximal_subgroups_census(g, 7)
 
 
-@pytest.mark.parametrize("p,e,n", [
-    (3, (1, 2), 2), (3, (1, 2), 3), (3, (1, 0), 2), (3, (1, 0), 3), (5, (1, 0, 2, 4), 2)])
-def test_census_seeded_chains_match_scratch_build(monkeypatch, p, e, n):
-    # spy on the census: the Q' chain it builds and the chains it copies from it
-    closures = []
-    copies = []
+# every vector at p=3 for n = 2, 3, and three at n = 4; six vectors at p=5 for
+# n = 2 and two for n = 3; two at p=7 for n = 2. The suite runs the rows with
+# n <= 3; the n = 4 rows (about 2 s more on the oracle) are for full checks.
+CENSUS_ORACLE_CASES = (
+    [(3, e, n) for n in (2, 3)
+     for e in ((0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2))]
+    + [(3, e, 4) for e in ((1, 0), (1, 2), (1, 1))]
+    + [(5, e, 2) for e in ((1, 0, 0, 0), (1, 2, 3, 4), (1, 0, 2, 4), (0, 0, 0, 1),
+                           (1, 1, 1, 1), (1, 2, 2, 1))]
+    + [(5, e, 3) for e in ((1, 0, 2, 4), (1, 2, 3, 4))]
+    + [(7, e, 2) for e in ((1, 0, 0, 0, 0, 0), (1, 2, 3, 4, 5, 6))])
 
-    def shape(chain):
-        return (chain.order(), list(chain.bases), [list(o) for o in chain.orbits],
-                [len(level) for level in chain.gens], [len(level) for level in chain.done])
 
-    real_closure = quotients._normal_closure
-    real_copy = quotients._StabilizerChain.copy
+def _case_id(case):
+    p, e, n = case
+    return f"{p}-{''.join(map(str, e))}-{n}"
 
-    def closure_spy(seeds, conjugators, degree):
-        chain, kept = real_closure(seeds, conjugators, degree)
-        closures.append((chain, kept, shape(chain)))
-        return chain, kept
 
-    def copy_spy(self):
-        other = real_copy(self)
-        copies.append(other)
-        return other
-
-    monkeypatch.setattr(quotients, "_normal_closure", closure_spy)
-    monkeypatch.setattr(quotients._StabilizerChain, "copy", copy_spy)
+@pytest.mark.parametrize("case", [c for c in CENSUS_ORACLE_CASES if c[2] <= 3], ids=_case_id)
+def test_census_matches_sifting_oracle(case):
+    p, e, n = case
     g = make_ggs(p, e)
-    census = maximal_subgroups_census(g, n)
-    assert census["count"] == p + 1
-    assert len(closures) == 1 and len(copies) == p + 1
+    assert (json.dumps(maximal_subgroups_census(g, n), sort_keys=True)
+            == json.dumps(census_by_sifting(g, n), sort_keys=True))
 
-    # extending the copies left the Q' chain as it was
-    derived_chain, derived_gens, derived_shape = closures[0]
-    assert shape(derived_chain) == derived_shape
 
-    a_img = project(g.a, n).images
-    b_img = project(g.b, n).images
-    spanning = [_compose(_perm_power(a_img, (-t) % p), _perm_power(b_img, s % p))
-                for s, t in [(1, t) for t in range(p)] + [(0, 1)]]
-    for w, seeded in zip(spanning, copies):
-        reference = scratch_subgroup_chain(w, derived_gens, p ** n)
-        assert seeded.order() == reference.order() == census["order"] // p
-        conjugates = [_compose(_compose(_inverse(c), h), c)
-                      for h in [w] + derived_gens for c in (a_img, b_img)]
-        for x in spanning + conjugates:
-            assert seeded.contains(x) == reference.contains(x)
+def test_census_rejects_layered_order_mismatch(monkeypatch):
+    real = quotients.level_quotient
+
+    def wrong_order(group, n, leaf_guard=quotients.DEFAULT_LEAF_GUARD):
+        q = real(group, n, leaf_guard)
+        q.order *= group.p
+        return q
+
+    monkeypatch.setattr(quotients, "level_quotient", wrong_order)
+    with pytest.raises(CrossCheckError, match="layered order"):
+        maximal_subgroups_census(make_ggs(3, (1, 2)), 2)
+
+
+# the layered basis ----------------------------------------------------------
+
+
+def _chain_of(gens, degree):
+    chain = _StabilizerChain(degree)
+    for g in gens:
+        chain.add_generator(g)
+    return chain
+
+
+def _closed(gens, p, n, conjugators=()):
+    basis = _LayeredBasis(p, n)
+    basis.closure(gens, conjugators)
+    return basis
+
+
+@st.composite
+def _projected_subgroup(draw):
+    p, n = draw(st.sampled_from(((3, 1), (3, 2), (3, 3), (5, 2))))
+    e = draw(st.lists(st.integers(0, p - 1), min_size=p - 1, max_size=p - 1).filter(any))
+    seed = draw(st.integers(0, 2 ** 16))
+    count = draw(st.integers(1, 3))
+    g = make_ggs(p, tuple(e))
+    rng = random.Random(seed)
+    gens = [project(g.element(random_word(p, 4, rng)), n).images for _ in range(count)]
+    return g, n, gens, seed
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_projected_subgroup())
+def test_layered_order_matches_chain(case):
+    g, n, gens, _ = case
+    assert _closed(gens, g.p, n).order() == _chain_of(gens, g.p ** n).order()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_projected_subgroup())
+def test_layered_sift_matches_chain_contains(case):
+    g, n, gens, seed = case
+    p = g.p
+    basis = _closed(gens, p, n)
+    chain = _chain_of(gens, p ** n)
+    rng = random.Random(seed + 1)
+    other = make_ggs(p, tuple(rng.randrange(p) for _ in range(p - 2)) + (1,))
+    shuffled = list(range(p ** n))
+    rng.shuffle(shuffled)
+    members = gens + [_compose(x, y) for x in gens for y in gens]
+    probes = (members
+              + [project(g.element(random_word(p, 6, rng)), n).images for _ in range(8)]
+              + [project(other.element(random_word(p, 6, rng)), n).images for _ in range(4)]
+              + [tuple(shuffled)])
+    assert all(basis.contains(x) for x in members)
+    for x in probes:
+        assert basis.contains(x) == chain.contains(x)
+        assert basis.contains(x) == (basis.sift(x) == basis.identity)
+
+
+@pytest.mark.parametrize("p,e,n", CLOSED_FORM_CASES)
+def test_layered_order_matches_closed_form(p, e, n):
+    g = make_ggs(p, e)
+    gens = [project(g.a, n).images, project(g.b, n).images]
+    assert _closed(gens, p, n).order() == p ** closed_form_log_order(p, e, n)
+
+
+def test_layered_order_of_constant_vector_level_four():
+    # frozen from the stabilizer chain; the closed form excludes constant vectors
+    g = make_ggs(3, (1, 1))
+    assert _closed([project(g.a, 4).images, project(g.b, 4).images], 3, 4).order() == 3 ** 23
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (3, 3), (5, 2)])
+def test_layered_basis_rejects_leaf_transposition(p, n):
+    # two leaves in different first-level subtrees trade places: the first and
+    # the last leaf, and two second leaves, which keep every first leaf fixed
+    for i, j in ((0, p ** n - 1), (1, p ** (n - 1) + 1)):
+        swap = list(range(p ** n))
+        swap[i], swap[j] = j, i
+        with pytest.raises(CrossCheckError):
+            _closed([tuple(swap)], p, n)
+        with pytest.raises(CrossCheckError):
+            _closed([], p, n, conjugators=[tuple(swap)])
+
+
+def test_census_rejects_non_rotation_generator(monkeypatch):
+    # b's image replaced by a tree automorphism of order 5 that cycles the
+    # first-level subtrees 0 -> 2 -> 1 -> 3 -> 4 -> 0, no power of the 5-cycle
+    g = make_ggs(5, (1, 0, 2, 4))
+    real = quotients.project
+    b_img = real(g.b, 2)
+    subtrees = {0: 2, 2: 1, 1: 3, 3: 4, 4: 0}
+    fake = LeafPermutation(5, 2, [subtrees[x // 5] * 5 + x % 5 for x in range(25)])
+    monkeypatch.setattr(
+        quotients, "project", lambda x, n: fake if real(x, n) == b_img else real(x, n))
+    with pytest.raises(CrossCheckError, match="p-cycle"):
+        maximal_subgroups_census(g, 2)
