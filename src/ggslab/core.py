@@ -30,9 +30,10 @@ import itertools
 import re
 import threading
 
-from .errors import InputError, ResourceLimitError
+from .errors import CrossCheckError, InputError, ResourceLimitError
 from .fp import solve_linear_mod_p, validate_odd_prime
-from .words import GroupWord, class_sums, concat, format_word, invert, normalize, parse_word, power
+from .words import (GroupWord, class_counts, class_sums, concat, format_word, invert, normalize,
+                    parse_word, power)
 from .words import _reduce
 
 FAMILY_TORSION = "torsion"
@@ -233,7 +234,22 @@ class GgsGroup:
             self._eq_false.add(pair)
         return ok
 
-    def _candidate_words(self, m, w):
+    def _class_floor(self, w):
+        """need[c] for c in F_p: how often walk class c occurs, at the least, in
+        any normal form equal to w.
+
+        The section at residue -c takes its b-syllables only from the syllables
+        of walk class c, and a word with k syllables has at most k nonzero class
+        sums. Sections and class sums are invariants of the element, so every
+        word equal to w has class c at least |supp class_sums(section(w, -c))|
+        times. need[c] >= 1 wherever B_c != 0, since B_c is the b-exponent of
+        that section.
+        """
+        p = self.p
+        return [sum(1 for x in class_sums(self.section_word(w, -c % p)) if x)
+                for c in range(p)]
+
+    def _candidate_words(self, m, w, need):
         """Normal forms with m syllables that share every cheap invariant of w.
 
         A normal form a^{c_1} b^{beta_1} a^{alpha_1} ... b^{beta_m} a^{alpha_m}
@@ -243,20 +259,20 @@ class GgsGroup:
         total a-exponent). Its section at residue r has b-exponent B_{-r} and
         a-exponent sum_c B_c e_{r+c}, for the class sums B of class_sums, so
         matching the exponent sums of every section of w means matching B:
-        one indicator row per class, consistent exactly when the classes meet
-        the support of B. Only solutions with all beta_k nonzero are emitted;
-        each still needs an equal() confirmation. Class sequences run in
-        lexicographic order, so the output order is deterministic.
+        one indicator row per class. Only class sequences that meet the class
+        floor need (_class_floor(w)) are walked, which covers the support of
+        B; only solutions with all beta_k nonzero are emitted, and each still
+        needs an equal() confirmation. Class sequences run in lexicographic
+        order, so the output order is deterministic.
         """
         p = self.p
         ta, tb = w._ab
         if m == 0:
-            if tb % p == 0:
+            if tb % p == 0 and not any(need):
                 yield GroupWord._reduced(p, ta, ())
             return
         sums = class_sums(w)
-        support = {c for c in range(p) if sums[c]}
-        for cs in _class_sequences(p, m, support):
+        for cs in _class_sequences(p, m, need):
             rows = [[1 if ck == c else 0 for ck in cs] for c in range(p)]
             particular, basis = solve_linear_mod_p(rows, sums, p)
             alphas = tuple((cs[k + 1] - cs[k]) % p for k in range(m - 1))
@@ -274,11 +290,13 @@ class GgsGroup:
         """Minimal syllable length over all normal forms equal to w, or None if
         it exceeds cap.
 
-        Breadth-first over syllable counts 0..cap; within a level only words
-        passing the class-sum sieve are candidates, each confirmed
-        with equal(). The first hit is the minimum. Results are memoized with
-        the level up to which the search is exhaustive, and the search never
-        runs past the syllable count of w itself, which is always attainable.
+        Breadth-first over syllable counts; within a level only words passing
+        the class-sum sieve and the class floor are candidates, each confirmed
+        with equal(). The first hit is the minimum. The search starts at the
+        floor's total, below which no word equals w (past cap it answers None
+        at once), and never runs past the syllable count of w itself, which is
+        always attainable. Results are memoized with the level up to which the
+        search is exhaustive.
         """
         if cap < 0:
             raise InputError("length cap must be >= 0")
@@ -292,8 +310,14 @@ class GgsGroup:
             if cap <= upto:
                 return None
             start = upto + 1
-        for m in range(start, min(cap, w.syllables) + 1):
-            for cand in self._candidate_words(m, w):
+        need = self._class_floor(w)
+        counts = class_counts(w)
+        if any(have < owed for have, owed in zip(counts, need)):
+            # w is a word equal to itself, so it always meets its own floor
+            raise CrossCheckError(f"{format_word(w)} has walk class counts {counts} "
+                                  f"below its own floor {need}")
+        for m in range(max(start, sum(need)), min(cap, w.syllables) + 1):
+            for cand in self._candidate_words(m, w, need):
                 if self.equal_words(cand, w, depth_cap):
                     with self._lock:
                         self._lengths[w] = (m, cap)
@@ -303,29 +327,33 @@ class GgsGroup:
         return None
 
 
-def _class_sequences(p, m, support):
+def _class_sequences(p, m, need):
     """Class sequences c_1..c_m (m >= 1) over F_p, lexicographic, with no two equal
-    neighbours and every class of support present. Depth-first: a branch is
-    dropped once the support classes it misses outnumber the free positions."""
+    neighbours and every class c present at least need[c] times. Depth-first: a
+    branch is dropped once the occurrences it still owes outnumber the free
+    positions."""
     seq = []
+    owed = list(need)
 
-    def extend(missing):
+    def extend(total):
         left = m - len(seq) - 1  # positions after the one placed now
         prev = seq[-1] if seq else None
         for c in range(p):
             if c == prev:
                 continue
-            rest = missing - {c} if c in missing else missing
-            if len(rest) > left:
+            owes = owed[c] > 0
+            if total - owes > left:
                 continue
             seq.append(c)
+            owed[c] -= owes
             if left:
-                yield from extend(rest)
+                yield from extend(total - owes)
             else:
                 yield tuple(seq)
+            owed[c] += owes
             seq.pop()
 
-    return extend(frozenset(support))
+    return extend(sum(owed))
 
 
 def make_ggs(p, e):

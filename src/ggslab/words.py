@@ -174,6 +174,17 @@ def class_sums(w):
     return sums
 
 
+def class_counts(w):
+    """How many syllables of w fall in each walk class c_k, as in class_sums."""
+    p = w.p
+    counts = [0] * p
+    c = w.leading_a
+    for _, alpha in w.body:
+        counts[c] += 1
+        c = (c + alpha) % p
+    return counts
+
+
 def concat(w1, w2):
     if w1.p != w2.p:
         raise InputError(f"modulus mismatch: {w1.p} vs {w2.p}")

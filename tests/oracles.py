@@ -5,7 +5,7 @@ enumeration of leaf permutations, depth-bounded recursive action
 comparison, the closed-form quotient order and circulant rank, the
 maximal-subgroup census on stabilizer chains built from nothing, and the
 length sieve on the full section-target system and its class sequences
-filtered from all p^m.
+filtered from all p^m, and the class floor read off token lists.
 Fixtures frozen in the tests were derived with these functions.
 """
 
@@ -228,13 +228,58 @@ def section_target_candidates(group, m, w):
     return out
 
 
-def product_class_sequences(p, m, support):
+def product_class_sequences(p, m, need):
     """The class sequences the length sieve tries, as a list: every sequence
-    in F_p^m, filtered for no two equal neighbours and for covering the
-    support set. This is the walk the sieve ran before its pruned DFS."""
+    in F_p^m, filtered for no two equal neighbours and for holding each class
+    c at least need[c] times. A 0/1 vector is the old filter for covering a
+    support set; this is the walk the sieve ran before its pruned DFS."""
     out = []
     for cs in itertools.product(range(p), repeat=m):
-        if any(cs[k] == cs[k + 1] for k in range(m - 1)) or not support.issubset(cs):
+        if any(cs[k] == cs[k + 1] for k in range(m - 1)):
+            continue
+        if any(cs.count(c) < need[c] for c in range(p)):
             continue
         out.append(cs)
     return out
+
+
+def walk_class_counts(w):
+    """Syllables per walk class of a normal form, counted from its tokens."""
+    counts = [0] * w.p
+    c = 0
+    for gen, exp in w.tokens():
+        if gen == "a":
+            c = (c + exp) % w.p
+        else:
+            counts[c] += 1
+    return counts
+
+
+def class_floor(group, w):
+    """For each class c, the number of nonzero class sums of the section of w
+    at residue -c, both read off the token lists with no reduction: the
+    section's tokens by tracking the letter under each prefix, and its class
+    sums by tracking the a-exponent before each b-token. Merging or dropping
+    tokens leaves class sums unchanged, so this is the floor the length sieve
+    puts on how often each class occurs."""
+    p = group.p
+    floor = []
+    for c in range(p):
+        v = -c % p
+        section = []
+        for gen, exp in w.tokens():
+            if gen == "a":
+                v = (v + exp) % p
+            elif v == 0:
+                section.append(("b", exp))
+            else:
+                section.append(("a", exp * group.e[v - 1]))
+        sums = [0] * p
+        k = 0
+        for gen, exp in section:
+            if gen == "a":
+                k = (k + exp) % p
+            else:
+                sums[k] = (sums[k] + exp) % p
+        floor.append(sum(1 for x in sums if x))
+    return floor

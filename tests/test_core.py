@@ -20,15 +20,17 @@ from ggslab.core import (
     parse_group_spec,
     parse_vertex,
 )
-from ggslab.errors import InputError, ResourceLimitError
+from ggslab.errors import CrossCheckError, InputError, ResourceLimitError
 from ggslab.quotients import level_quotient
 from ggslab.words import GroupWord, class_sums, normalize, parse_word, random_word
 
 from oracles import (
     agree_to_depth,
+    class_floor,
     leaf_action,
     product_class_sequences,
     section_target_candidates,
+    walk_class_counts,
 )
 
 
@@ -379,36 +381,149 @@ _SIEVE_GROUPS = (
 )
 
 
-@st.composite
-def _group_and_word(draw):
-    p, e, most = draw(st.sampled_from(_SIEVE_GROUPS))
+def _draw_word(draw, p, most):
     m = draw(st.integers(0, most))
     body = tuple(
         (draw(st.integers(1, p - 1)), draw(st.integers(1 if k < m - 1 else 0, p - 1)))
         for k in range(m))
-    return make_ggs(p, e), GroupWord(p, draw(st.integers(0, p - 1)), body)
+    return GroupWord(p, draw(st.integers(0, p - 1)), body)
+
+
+@st.composite
+def _group_and_word(draw):
+    p, e, most = draw(st.sampled_from(_SIEVE_GROUPS))
+    return make_ggs(p, e), _draw_word(draw, p, most)
+
+
+def _meets_floor(word, floor):
+    return all(have >= owed for have, owed in zip(walk_class_counts(word), floor))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(_group_and_word())
 def test_candidate_words_match_section_target_sieve(case):
+    # the class-sum sieve with the class floor is the section-target sieve
+    # filtered by a floor read off token lists, and everything the floor drops
+    # is a word that does not equal w
     g, w = case
     p = g.p
     sums = class_sums(w)
     for c in range(p):
         assert sums[c] == g.section_word(w, (-c) % p).exponent_sums()[1]
+    floor = class_floor(g, w)
+    assert g._class_floor(w) == floor
     for m in range(w.syllables + 1):
-        assert list(g._candidate_words(m, w)) == section_target_candidates(g, m, w)
+        oracle = section_target_candidates(g, m, w)
+        kept = [c for c in oracle if _meets_floor(c, floor)]
+        assert list(g._candidate_words(m, w, floor)) == kept
+        for c in oracle:
+            if not _meets_floor(c, floor):
+                assert g.equal_words(c, w) is False
 
 
 @pytest.mark.parametrize("p,most", [(3, 5), (5, 5), (7, 4)])
 def test_class_sequences_match_product_filter(p, most):
-    # supports one larger than m cannot be covered and give an empty stream
+    # 0/1 floors are the old support filter, and floors with entries 0..2 run
+    # to one syllable less; floors whose total exceeds m cannot be met and
+    # give an empty stream
     for m in range(1, most + 1):
-        for size in range(min(m + 1, p) + 1):
-            for support in itertools.combinations(range(p), size):
-                assert (list(core._class_sequences(p, m, set(support)))
-                        == product_class_sequences(p, m, set(support)))
+        floors = [[1 if c in support else 0 for c in range(p)]
+                  for size in range(min(m + 1, p) + 1)
+                  for support in itertools.combinations(range(p), size)]
+        if m < most:
+            floors += [list(need) for need in itertools.product(range(3), repeat=p)
+                       if 2 in need and sum(need) <= m + 1]
+        for need in floors:
+            assert (list(core._class_sequences(p, m, need))
+                    == product_class_sequences(p, m, need))
+
+
+# the class floor ------------------------------------------------------------
+
+@pytest.mark.parametrize("e,distinct_pairs", [((1, 0), 0), ((1, 2), 0), ((1, 1), 432)])
+def test_class_floor_holds_for_every_equal_pair(e, distinct_pairs):
+    # exhaustive at p=3 over words of at most 4 syllables: words with the same
+    # action on level 3 are compared with the word problem, and every equal
+    # pair (c, w) has at least need(w)[k] syllables of each walk class k. At
+    # this size only the constant group has equal pairs of distinct words;
+    # w = c checks the floor against the word itself.
+    g = make_ggs(3, e)
+    buckets = {}
+    for m in range(5):
+        for lead in range(3):
+            for betas in itertools.product((1, 2), repeat=m):
+                for alphas in itertools.product((1, 2), repeat=max(m - 1, 0)):
+                    for last in range(3) if m else (None,):
+                        w = GroupWord(3, lead, tuple(zip(betas, alphas + (last,))))
+                        buckets.setdefault(leaf_action(g, w, 3), []).append(w)
+    distinct = 0
+    for words in buckets.values():
+        floors = [g._class_floor(w) for w in words]
+        for c in words:
+            for w, floor in zip(words, floors):
+                if g.equal_words(c, w):
+                    distinct += c != w
+                    assert _meets_floor(c, floor)
+    assert distinct == distinct_pairs
+
+
+def _bfs_length(g, w, cap):
+    for m in range(cap + 1):
+        for cand in section_target_candidates(g, m, w):
+            if g.equal_words(cand, w):
+                return m
+    return None
+
+
+@st.composite
+def _reducible_word(draw):
+    # with one nonzero entry e_k, b^(a^i) has nontrivial first-level sections
+    # only at letters i and i + k, so powers of b^(a^i) and b^(a^j) commute
+    # when those pairs are disjoint, and x [(b^s)^(a^i), b^(a^j)] y is x y in
+    # disguise
+    p, e = draw(st.sampled_from(((5, (0, 0, 2, 0)), (7, (1, 0, 0, 0, 0, 0)))))
+    g = make_ggs(p, e)
+    k = next(i for i, c in enumerate(e, 1) if c)
+    i = draw(st.integers(0, p - 1))
+    j = draw(st.sampled_from([j for j in range(p)
+                              if {i, (i + k) % p}.isdisjoint({j, (j + k) % p})]))
+    bs = g.b ** draw(st.integers(1, p - 1))
+    r = bs.conjugate(g.a ** i).commutator(g.b.conjugate(g.a ** j))
+    x, y = (g.element(_draw_word(draw, p, 2)) for _ in range(2))
+    assert r.is_trivial()
+    return g, (x * r * y).word
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_group_and_word(), _reducible_word()), st.integers(0, 5))
+def test_length_matches_breadth_first_search_on_section_targets(case, cap):
+    # the oracle gets a group of its own, so neither reads the other's memo
+    g, w = case
+    assert g.length_word(w, cap) == _bfs_length(make_ggs(g.p, g.e), w, cap)
+
+
+def test_length_below_the_floor_answers_none_without_confirming(monkeypatch):
+    # six syllables over three walk classes, and a floor of six
+    g = make_ggs(11, (1, 0, 2, 4, 3, 5, 1, 2, 0, 3))
+    w = parse_word("a b^4 a^3 b^9 a^10 b^9 a b^6 a^8 b^5 a^3 b^3", 11)
+    assert sum(g._class_floor(w)) == 6
+    calls = []
+    real = GgsGroup.equal_words
+    monkeypatch.setattr(GgsGroup, "equal_words",
+                        lambda self, *args: calls.append(args) or real(self, *args))
+    assert g.length_word(w, cap=5) is None
+    assert calls == []
+    assert g._lengths[w] == (None, 5)
+    assert g.length_word(w, cap=4) is None
+    assert g.length_word(w) == 6
+
+
+def test_floor_above_the_word_trips_the_self_check(monkeypatch):
+    g = make_ggs(3, (1, 2))
+    w = parse_word("b a b", 3)
+    monkeypatch.setattr(GgsGroup, "_class_floor", lambda self, w: [2, 1, 1])
+    with pytest.raises(CrossCheckError):
+        g.length_word(w)
 
 
 # G_{ce} = G_e -------------------------------------------------------------------

@@ -218,6 +218,6 @@ def test_unchecked_reductions_build_valid_words(case):
         sec = g.section_word(w1, r)
         _assert_revalidates(sec, _token_sums(sec.tokens(), p))
     for m in range(min(w1.syllables, 3) + 1):
-        for cand in g._candidate_words(m, w1):
+        for cand in g._candidate_words(m, w1, g._class_floor(w1)):
             assert cand.syllables == m
             _assert_revalidates(cand, w1._ab)
