@@ -6,6 +6,15 @@ deterministic stabilizer chain (base points taken in natural leaf order,
 Schreier generators processed in a fixed order), so repeated runs agree byte
 for byte.
 
+Internally a permutation of degree p^n <= 256 is a 256-byte `bytes` table
+whose entries past p^n are the identity: composing is `bytes.translate`,
+inverting is `bytes.maketrans`, comparing is a memcmp and the hash is cached.
+Degrees above 256 (343, 625 and 729 leaves under the default guard) keep
+tuples, composed with `operator.itemgetter`, because a translate table has 256
+entries. `_as_perm` converts to the internal format at every entry point, and
+`_identity`, `_compose`, `_inverse` and `_perm_power` work on either format;
+`LeafPermutation.images` stays a tuple.
+
 The maximal-subgroup census runs on layered bases instead (`_LayeredBasis`):
 induced polycyclic sequences of subgroups of the iterated wreath product
 C_p wr ... wr C_p, in which orders and memberships are F_p elimination on
@@ -29,19 +38,55 @@ from .fp import circulant_rank
 
 DEFAULT_LEAF_GUARD = 729  # 3^6 leaves
 
+_TABLE = 256  # largest degree stored as a bytes translate table
+_IDENTITY_TABLE = bytes(range(_TABLE))
+
+
+def _identity(degree):
+    return _IDENTITY_TABLE if degree <= _TABLE else tuple(range(degree))
+
+
+def _as_perm(images, degree):
+    """A permutation of 0..degree-1 in the internal format for that degree:
+    a 256-byte table fixed past the degree when degree <= 256, else a tuple.
+    Tables already in that format pass through."""
+    if degree <= _TABLE and type(images) is bytes and len(images) == _TABLE:
+        return images
+    if len(images) != degree:
+        raise InputError(f"expected a permutation of {degree} points, got {len(images)}")
+    if degree > _TABLE:
+        return tuple(images)
+    return bytes(images) + _IDENTITY_TABLE[degree:]
+
 
 def _compose(g, h):
     """Apply g, then h (right-action order)."""
+    if type(g) is bytes:
+        return g.translate(h)
     # itemgetter returns a bare item, not a tuple, when given a single index;
     # every permutation here has degree p^n >= 3, so the result is a tuple
     return operator.itemgetter(*g)(h)
 
 
 def _inverse(g):
+    if type(g) is bytes:
+        return bytes.maketrans(g, _IDENTITY_TABLE)
     inv = [0] * len(g)
     for i, x in enumerate(g):
         inv[x] = i
     return tuple(inv)
+
+
+def _perm_power(perm, k):
+    out = _IDENTITY_TABLE if type(perm) is bytes else tuple(range(len(perm)))
+    base = perm
+    while k:
+        if k & 1:
+            out = _compose(out, base)
+        k >>= 1
+        if k:
+            base = _compose(base, base)
+    return out
 
 
 class LeafPermutation:
@@ -145,11 +190,16 @@ class _StabilizerChain:
     representative, computed once when the entry is created, so sifting and
     the Schreier step compose with it instead of inverting again. `inverses[i]`
     always has the same keys as `transversals[i]`.
+
+    Every stored permutation is in the internal format of `_as_perm`: a
+    256-byte translate table for degree <= 256, so the (point, generator) keys
+    of `done` hash in constant time, and a tuple above 256. `add_generator`,
+    `sift` and `contains` accept any sequence of images.
     """
 
     def __init__(self, degree):
         self.degree = degree
-        self.identity = tuple(range(degree))
+        self.identity = _identity(degree)
         self.bases = []
         self.gens = []          # per level: list of perms fixing all earlier bases
         self.orbits = []        # per level: orbit points in discovery order
@@ -165,7 +215,7 @@ class _StabilizerChain:
 
     def sift(self, perm):
         """Factor out transversal parts; returns the residue permutation."""
-        res = perm
+        res = _as_perm(perm, self.degree)
         for base, inverses in zip(self.bases, self.inverses):
             t = res[base]
             inv = inverses.get(t)
@@ -179,9 +229,7 @@ class _StabilizerChain:
         return self.sift(perm) == self.identity
 
     def add_generator(self, perm):
-        if len(perm) != self.degree:
-            raise InputError("generator degree mismatch")
-        self._ingest(tuple(perm), 0)
+        self._ingest(_as_perm(perm, self.degree), 0)
         # a residue placed deep in the chain may move non-base points of
         # shallower orbits, so sweep every level to a global fixpoint
         while any(self._close_level(i) for i in range(len(self.bases))):
@@ -277,8 +325,13 @@ def level_quotient(group, n, leaf_guard=DEFAULT_LEAF_GUARD):
     if n < 1:
         raise InputError("level must be >= 1")
     p = group.p
-    if p ** n > leaf_guard:
-        raise ResourceLimitError(f"p^n = {p ** n} leaves exceeds the guard {leaf_guard}")
+    # multiply up to the guard: p^n itself may be far too large to compute
+    leaves = 1
+    for _ in range(n):
+        leaves *= p
+        if leaves > leaf_guard:
+            raise ResourceLimitError(
+                f"level {n} at p = {p} has more than {leaf_guard} leaves, the guard")
     gen_a = project(group.a, n)
     gen_b = project(group.b, n)
     chain = _StabilizerChain(p ** n)
@@ -343,7 +396,11 @@ class _LayeredBasis:
     def __init__(self, p, n):
         self.p = p
         self.n = n
-        self.identity = tuple(range(p ** n))
+        self.degree = p ** n
+        self.identity = _identity(self.degree)
+        # digit k of a leaf index, looked up by translate on table-format perms
+        self._digits = [bytes(x // p ** (n - k - 1) % p for x in range(_TABLE))
+                        for k in range(n)] if self.degree <= _TABLE else None
         self.layers = [[] for _ in range(n)]
         self.elements = []
         self._inverses = []
@@ -360,7 +417,9 @@ class _LayeredBasis:
 
     def labels(self, perm, k):
         step = self.p ** (self.n - k - 1)
-        return [perm[i] // step % self.p for i in range(0, len(perm), step * self.p)]
+        if self._digits is not None:
+            return perm[:self.degree:step * self.p].translate(self._digits[k])
+        return [perm[i] // step % self.p for i in range(0, self.degree, step * self.p)]
 
     def _reduce(self, perm):
         """(residue, level, labels): perm times powers of basis elements with
@@ -382,7 +441,7 @@ class _LayeredBasis:
         return perm, self.n, None
 
     def sift(self, perm):
-        return self._reduce(perm)[0]
+        return self._reduce(_as_perm(perm, self.degree))[0]
 
     def contains(self, perm):
         return self.sift(perm) == self.identity
@@ -394,7 +453,9 @@ class _LayeredBasis:
         its p-th power, its commutators with every earlier basis element and
         its conjugates, in that order."""
         p = self.p
-        for g in list(seeds) + list(conjugators):
+        seeds = [_as_perm(g, self.degree) for g in seeds]
+        conjugators = [_as_perm(c, self.degree) for c in conjugators]
+        for g in seeds + conjugators:
             _check_rotations(g, p, self.n)
         pairs = [(_inverse(c), c) for c in conjugators]
         queue = collections.deque(seeds)
@@ -435,9 +496,9 @@ def maximal_subgroups_census(group, n, leaf_guard=DEFAULT_LEAF_GUARD):
         raise InputError("the census needs level n >= 2")
     q = level_quotient(group, n, leaf_guard)
     p = group.p
-    a_img = q.gen_a.images
-    b_img = q.gen_b.images
-    identity = tuple(range(p ** n))
+    a_img = _as_perm(q.gen_a.images, p ** n)
+    b_img = _as_perm(q.gen_b.images, p ** n)
+    identity = _identity(p ** n)
     if _perm_power(a_img, p) != identity or _perm_power(b_img, p) != identity:
         raise CrossCheckError("generator images are not of order dividing p")
 
@@ -492,15 +553,3 @@ def maximal_subgroups_census(group, n, leaf_guard=DEFAULT_LEAF_GUARD):
         "count": len(records),
         "maximal": records,
     }
-
-
-def _perm_power(perm, k):
-    out = tuple(range(len(perm)))
-    base = perm
-    while k:
-        if k & 1:
-            out = _compose(out, base)
-        k >>= 1
-        if k:
-            base = _compose(base, base)
-    return out

@@ -1,6 +1,7 @@
 """The ggslab command-line interface, driven in process."""
 
 import json
+import time
 
 import pytest
 
@@ -160,6 +161,17 @@ def test_quotient_builds_the_level_quotient_once(capsys, monkeypatch, level):
     code, _, _ = run(capsys, "quotient", "--group", "p=3;e=1,0", level)
     assert code == 0
     assert calls == [int(level)]
+
+
+@pytest.mark.parametrize("level", ["10000", "100000000"])
+def test_quotient_leaf_guard_refuses_deep_levels_at_once(capsys, level):
+    # 3^10000 has too many digits to print; 3^100000000 took over 20 s to compute
+    start = time.perf_counter()
+    code, out, err = run(capsys, "quotient", "--group", "p=3;e=1,2", level)
+    assert code == 4
+    assert out == ""
+    assert "more than 729 leaves" in err
+    assert time.perf_counter() - start < 10
 
 
 def test_quotient_order_against_closed_form_exits_3(capsys, monkeypatch):

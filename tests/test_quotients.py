@@ -8,13 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ggslab import quotients
-from ggslab.core import make_ggs
+from ggslab.core import make_ggs, parse_group_spec
 from ggslab.errors import CrossCheckError, InputError, ResourceLimitError
 from ggslab.quotients import (
+    _IDENTITY_TABLE,
     LeafPermutation,
+    _as_perm,
     _compose,
+    _identity,
+    _inverse,
     _LayeredBasis,
+    _perm_power,
     _StabilizerChain,
+    closed_form_order,
     leaf_index,
     leaf_vertices,
     level_quotient,
@@ -108,6 +114,64 @@ def test_generator_images_have_order_p():
             assert (project(g.b, n) ** p).is_identity
 
 
+# the internal permutation format ---------------------------------------------
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(3, 256).flatmap(lambda d: st.tuples(
+    st.permutations(range(d)), st.permutations(range(d)), st.integers(0, 12))))
+def test_table_kernels_match_tuples(case):
+    g, h, k = tuple(case[0]), tuple(case[1]), case[2]
+    d = len(g)
+    tg, th = _as_perm(g, d), _as_perm(h, d)
+    assert tg[:d] == bytes(g) and tg[d:] == _IDENTITY_TABLE[d:]
+    assert _as_perm(tg, d) is tg
+    for table, images in ((_compose(tg, th), _compose(g, h)),
+                          (_inverse(tg), _inverse(g)),
+                          (_perm_power(tg, k), _perm_power(g, k))):
+        assert type(table) is bytes and type(images) is tuple
+        assert len(table) == 256 and table[d:] == _IDENTITY_TABLE[d:]
+        assert table == _as_perm(images, d)
+
+
+def test_as_perm_formats():
+    assert _identity(243) == _as_perm(range(243), 243) == _IDENTITY_TABLE
+    assert _identity(289) == _as_perm(range(289), 289) == tuple(range(289))
+    with pytest.raises(InputError):
+        _as_perm((1, 0), 3)
+    with pytest.raises(InputError):
+        _StabilizerChain(9).add_generator((1, 2, 0))
+
+
+@pytest.mark.parametrize("p,e,n", [(3, (1, 2), 3), (3, (1, 0), 2), (5, (1, 0, 2, 4), 2)])
+def test_entry_points_accept_tuples_and_tables(p, e, n):
+    # unconverted, a tuple reaching a table-format chain would compose into a
+    # tuple that never equals the identity table
+    g = make_ggs(p, e)
+    degree = p ** n
+    gens = [project(g.a, n).images, project(g.b, n).images]
+    tables = [_as_perm(x, degree) for x in gens]
+    chains = [_chain_of(gens, degree), _chain_of(tables, degree)]
+    assert chains[0].bases == chains[1].bases
+    assert chains[0].orbits == chains[1].orbits
+    assert chains[0].done == chains[1].done
+    comm = _compose(_compose(_inverse(gens[0]), _inverse(gens[1])), _compose(*gens))
+    bases = [_closed(gens, p, n), _closed(tables, p, n),
+             _closed([comm], p, n, gens), _closed([_as_perm(comm, degree)], p, n, tables)]
+    assert bases[0].elements == bases[1].elements
+    assert bases[2].elements == bases[3].elements
+    rng = random.Random(degree)
+    members = [project(g.element(random_word(p, 6, rng)), n).images for _ in range(6)]
+    shuffled = list(range(degree))
+    rng.shuffle(shuffled)
+    for c in chains + bases[:2]:
+        assert all(c.contains(x) for x in members)
+    for x in members + [tuple(shuffled), comm]:
+        for c in chains + bases:
+            assert c.contains(x) == c.contains(_as_perm(x, degree))
+            assert c.sift(x) == c.sift(_as_perm(x, degree))
+
+
 # quotient orders ------------------------------------------------------------
 
 # orders frozen from the breadth-first closure oracle; the small rows are
@@ -175,12 +239,61 @@ def test_chain_inverse_cache(p, e, n):
     assert extended.order() > chain.order()
 
 
+# the chain shape of the six benchmark census groups, frozen from the chain on
+# tuples: bases, orbit sizes and processed (point, generator) pairs per level
+CHAIN_SHAPES = {
+    ("p=3;e=1,0", 4): (
+        (0, 27, 54, 72, 63, 57, 45, 48, 36, 30, 39, 75, 18, 21, 9, 3, 12, 66),
+        (81, 27, 27, 9, 3, 3, 9, 3, 3, 3, 3, 3, 9, 3, 3, 3, 3, 3),
+        (2025, 621, 567, 162, 48, 45, 126, 36, 33, 30, 27, 24, 63, 15, 12, 9, 6, 3)),
+    ("p=3;e=1,2", 4): (
+        (0, 27, 30, 36, 45, 54, 63, 9, 57, 72, 3, 18),
+        (81, 27, 3, 9, 3, 9, 3, 3, 3, 3, 3, 3),
+        (1296, 378, 36, 99, 27, 72, 18, 15, 12, 9, 6, 3)),
+    ("p=3;e=1,1", 4): (
+        (0, 27, 30, 36, 9, 54, 63, 12, 39, 18, 45, 57, 72, 3),
+        (81, 27, 3, 9, 9, 27, 3, 3, 3, 3, 3, 3, 3, 3),
+        (1458, 432, 45, 126, 108, 297, 24, 21, 18, 15, 12, 9, 6, 3)),
+    ("p=5;e=1,0,2,4", 3): (
+        (0, 25, 75, 100, 105, 80, 110, 85, 90, 50, 30, 35, 55, 40, 60, 115, 65, 5, 10, 15),
+        (125, 25, 25, 25, 5, 5, 5, 5, 5, 25, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5),
+        (3125, 575, 525, 475, 85, 80, 75, 70, 65, 300, 50, 45, 40, 35, 30, 25, 20, 15,
+         10, 5)),
+    ("p=5;e=1,2,3,4", 3): (
+        (0, 25, 30, 50, 55, 75, 100, 5),
+        (125, 25, 5, 5, 5, 5, 5, 5),
+        (1250, 200, 30, 25, 20, 15, 10, 5)),
+    ("p=7;e=1,0,0,0,0,0", 2): (
+        (0, 42, 35, 28, 21, 14, 7),
+        (49, 7, 7, 7, 7, 7, 7),
+        (392, 42, 35, 28, 21, 14, 7)),
+}
+
+
+def test_chain_shape_totals():
+    # the totals the benchmark's traced census reports
+    assert sum(len(b) for b, _, _ in CHAIN_SHAPES.values()) == 79
+    assert sum(sum(o) for _, o, _ in CHAIN_SHAPES.values()) == 1099
+    assert sum(sum(d) for _, _, d in CHAIN_SHAPES.values()) == 16141
+
+
+@pytest.mark.parametrize("spec,n", list(CHAIN_SHAPES))
+def test_chain_shape_frozen(spec, n):
+    chain = level_quotient(parse_group_spec(spec), n)._chain
+    bases, orbit_sizes, pairs = CHAIN_SHAPES[(spec, n)]
+    assert tuple(chain.bases) == bases
+    assert tuple(len(o) for o in chain.orbits) == orbit_sizes
+    assert tuple(len(d) for d in chain.done) == pairs
+
+
 def test_quotient_guards():
     g = make_ggs(3, (1, 2))
     with pytest.raises(InputError):
         level_quotient(g, 0)
     with pytest.raises(ResourceLimitError):
         level_quotient(g, 7)  # 3^7 leaves over the default guard
+    with pytest.raises(ResourceLimitError, match="more than 729 leaves"):
+        level_quotient(g, 10 ** 8)  # refused without computing 3^(10^8)
     with pytest.raises(ResourceLimitError):
         level_quotient(g, 4, leaf_guard=30)  # custom guard tightens the bound
     assert level_quotient(g, 3, leaf_guard=27).order == 2187
@@ -238,6 +351,16 @@ def test_census_level_three():
     assert c["order"] == 2187
     assert c["count"] == 4
     assert all(r["normal"] and r["index"] == 3 for r in c["maximal"])
+
+
+def test_census_beyond_table_degree():
+    # 289 leaves: past the 256-entry translate table, so the chain and the
+    # layered bases run on tuples
+    g = make_ggs(17, (1,) + (0,) * 15)
+    c = maximal_subgroups_census(g, 2)
+    assert c["order"] == closed_form_order(g, 2) == 17 ** 18
+    assert c["count"] == 18 and c["frattini_index"] == 17 ** 2
+    assert all(r["index"] == 17 and r["normal"] for r in c["maximal"])
 
 
 def test_census_guards():
