@@ -19,10 +19,14 @@ Sanity anchor for the sign conventions: psi([a, b]) computes to
 (b^{-1} a^{e_1}, a^{e_2 - e_1}, ..., a^{e_{p-1} - e_{p-2}}, a^{-e_{p-1}} b).
 
 GgsGroup and Element are immutable; the group carries internal memo tables
-(sections, settled equality pairs, certified lengths). The equality and length
-tables sit behind a lock, so concurrent readers only ever contend on that
-shared memo. section_word reads and writes its table without the lock: each
-store is idempotent (a key always maps to the same section) and of an
+(sections, settled equality pairs, certified lengths) that live as long as the
+group and never shrink. They hold what later calls revisit: sections met by
+equal(), lengths and the class floor. A caller that needs sections of a
+throwaway word only once, such as lemmas.exponent_profile on a sweep draw,
+calls _section_uncached and leaves the table as it was. The equality and
+length tables sit behind a lock, so concurrent readers only ever contend on
+that shared memo. section_word reads and writes its table without the lock:
+each store is idempotent (a key always maps to the same section) and of an
 immutable word, so a race at worst computes one section twice.
 """
 
@@ -143,17 +147,24 @@ class GgsGroup:
         return self.p if r == 0 else r
 
     def section_word(self, w, r):
-        """Section of a word at the level-1 letter with residue r, as a normal form.
+        """Section of a word at the level-1 letter with residue r, as a normal
+        form, memoized in _sections (see _section_uncached)."""
+        key = (w, r)
+        cached = self._sections.get(key)
+        if cached is not None:
+            return cached
+        res = self._section_uncached(w, r)
+        self._sections[key] = res
+        return res
+
+    def _section_uncached(self, w, r):
+        """The section of section_word, computed without touching the memo.
 
         Walk the syllables left to right tracking the image of the letter under
         the prefix so far: an a-syllable only moves the tracked letter, a
         b-syllable emits b^beta when the letter sits at residue 0 (the letter p)
         and a^{beta * e_v} when it sits at residue v != 0.
         """
-        key = (w, r)
-        cached = self._sections.get(key)
-        if cached is not None:
-            return cached
         p = self.p
         v = (r + w.leading_a) % p
         toks = []
@@ -163,9 +174,7 @@ class GgsGroup:
             else:
                 toks.append(("a", beta * self.e[v - 1]))
             v = (v + alpha) % p
-        res = _reduce(toks, p)
-        self._sections[key] = res
-        return res
+        return _reduce(toks, p)
 
     def act_word(self, w, vertex):
         out = []
@@ -371,8 +380,8 @@ class Element:
     def __init__(self, group, word):
         if word.p != group.p:
             raise InputError(f"word modulus {word.p} does not match group p={group.p}")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "word", word)
+        _set_group(self, group)
+        _set_word(self, word)
 
     def __setattr__(self, name, val):
         raise AttributeError("Element is immutable")
@@ -461,6 +470,11 @@ class Element:
 
     def __repr__(self):
         return f"Element({format_word(self.word)!r}, {self.group.spec_string()})"
+
+
+# slot descriptors write past __setattr__, as in words.GroupWord
+_set_group = Element.group.__set__
+_set_word = Element.word.__set__
 
 
 _GROUP_SPEC_RE = re.compile(r"p=(\d+);e=(-?\d+(?:,-?\d+)*)$")

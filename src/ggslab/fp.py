@@ -2,7 +2,9 @@
 
 A matrix is a plain sequence of equal-length integer rows; every entry is
 reduced to its canonical residue in {0, ..., p-1} before use, and no floating
-point enters anywhere. Rank and solving share one row-reduction routine.
+point enters anywhere. There is one elimination routine: rank runs only its
+forward pass to row echelon form (_echelon), and solving adds
+back-substitution to reduced row echelon form (_row_reduce).
 """
 
 from .errors import InputError
@@ -27,30 +29,54 @@ def validate_odd_prime(p):
     return p
 
 
-def _row_reduce(work, n_cols, p):
-    """Bring the residue rows in work to reduced row echelon form in place,
-    pivoting only in the first n_cols columns; later columns (an augmented
-    right-hand side) are carried along. Returns the pivot columns in order."""
+def _echelon(work, n_cols, p):
+    """Bring the residue rows in work to row echelon form in place, pivoting
+    only in the first n_cols columns; later columns (an augmented right-hand
+    side) are carried along. Each pivot row is scaled to lead with 1.
+
+    Below the current pivot every row is zero left of the pivot column, so
+    only the tail row[col:] is scaled and eliminated, and the pass stops once
+    every row holds a pivot. Returns the pivot columns in order; their count
+    is the rank."""
     n_rows = len(work)
     pivots = []
     rank = 0
     for col in range(n_cols):
-        sel = None
         for i in range(rank, n_rows):
             if work[i][col]:
-                sel = i
                 break
-        if sel is None:
+        else:
             continue
-        work[rank], work[sel] = work[sel], work[rank]
-        inv = pow(work[rank][col], p - 2, p)
-        work[rank] = [(x * inv) % p for x in work[rank]]
-        for i in range(n_rows):
-            if i != rank and work[i][col]:
-                f = work[i][col]
-                work[i] = [(x - f * y) % p for x, y in zip(work[i], work[rank])]
+        row = work[i]
+        work[i] = work[rank]
+        inv = pow(row[col], p - 2, p)
+        zeros = row[:col]
+        tail = [(x * inv) % p for x in row[col:]]
+        work[rank] = zeros + tail
+        for i in range(rank + 1, n_rows):
+            f = work[i][col]
+            if f:
+                work[i] = zeros + [(x - f * y) % p for x, y in zip(work[i][col:], tail)]
         pivots.append(col)
         rank += 1
+        if rank == n_rows:
+            break
+    return pivots
+
+
+def _row_reduce(work, n_cols, p):
+    """Bring the residue rows in work to reduced row echelon form in place:
+    the forward pass _echelon, then back-substitution clearing each pivot
+    column above its pivot. Returns the pivot columns in order."""
+    pivots = _echelon(work, n_cols, p)
+    for k in range(len(pivots) - 1, 0, -1):
+        col = pivots[k]
+        tail = work[k][col:]
+        for i in range(k):
+            f = work[i][col]
+            if f:
+                row = work[i]
+                work[i] = row[:col] + [(x - f * y) % p for x, y in zip(row[col:], tail)]
     return pivots
 
 
@@ -61,7 +87,7 @@ def gaussian_rank(rows, p):
     n_cols = len(work[0]) if work else 0
     if any(len(row) != n_cols for row in work):
         raise InputError("ragged rows")
-    return len(_row_reduce(work, n_cols, p))
+    return len(_echelon(work, n_cols, p))
 
 
 def solve_linear_mod_p(rows, rhs, p):

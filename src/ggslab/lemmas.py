@@ -83,6 +83,8 @@ def exponent_profile(group, g):
     g = prod_k (b^{j_k})^{a^{l_k}} read off the normal form, which gives
     m_u = sum of j_k over k with l_k = u (the class sum B_{-u}, since
     l_k = -c_k for the walk class c_k) and n_u = sum_j e_j m_{u-j}.
+    The sections are full normal forms built by GgsGroup._section_uncached,
+    which leaves the group's section memo unchanged.
     """
     p = group.p
     ta, tb = g.abelianize()
@@ -91,9 +93,10 @@ def exponent_profile(group, g):
     if tb == 0:
         raise InputError("exponent profile needs g = b^t mod G' with t != 0")
 
-    # route 1: sections
+    # route 1: sections, kept out of the memo since a sweep profiles each draw
+    # once and never revisits it
     w = g.word
-    direct = [group.section_word(w, r)._ab for r in range(p)]
+    direct = [group._section_uncached(w, r)._ab for r in range(p)]
 
     # route 2: conjugate decomposition from the word
     sums = class_sums(w)

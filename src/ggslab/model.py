@@ -279,29 +279,30 @@ def reduce_mod(p, q):
 def all_subgroups(fm):
     """Every subgroup of the finite model.
 
-    Seeds with all cyclic subgroups and saturates under pairwise joins; since
-    any subgroup is the join of its cyclic subgroups, the result is complete.
-    Returns a list of (element frozenset, generating tuple) pairs in a
-    deterministic order.
+    Any subgroup is the join of its cyclic subgroups, so a worklist suffices:
+    start from the cyclic subgroups and join each subgroup found, once, with
+    each cyclic subgroup it does not contain; a subgroup C_1 v ... v C_k is
+    reached along the chain C_1, C_1 v C_2, .... Returns a list of (element
+    frozenset, generating tuple) pairs ordered by size, then by sorted
+    elements.
     """
-    seen = {}
+    cyclic = {}
     for i in range(fm.order):
         sub = fm.subgroup_closure((i,))
-        if sub not in seen:
-            seen[sub] = (i,) if i != fm.identity else ()
-    while True:
-        added = False
-        current = sorted(seen.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-        for (s, gs), (t, gt) in itertools.combinations(current, 2):
-            if s <= t or t <= s:
+        if sub not in cyclic:
+            cyclic[sub] = (i,) if i != fm.identity else ()
+    seen = dict(cyclic)
+    work = list(cyclic)
+    while work:
+        s = work.pop()
+        gens = seen[s]
+        for c, gc in cyclic.items():
+            if c <= s:
                 continue
-            gens = gs + gt
-            joined = fm.subgroup_closure(gens)
+            joined = fm.subgroup_closure(gens + gc)
             if joined not in seen:
-                seen[joined] = gens
-                added = True
-        if not added:
-            break
+                seen[joined] = gens + gc
+                work.append(joined)
     return sorted(seen.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
 
 

@@ -54,12 +54,15 @@ class GroupWord:
         return w
 
     def _fill(self, p, leading_a, body):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "leading_a", leading_a)
-        object.__setattr__(self, "body", body)
-        betas, alphas = zip(*body) if body else ((), ())
-        object.__setattr__(self, "_ab", ((leading_a + sum(alphas)) % p, sum(betas) % p))
-        object.__setattr__(self, "_hash", hash((p, leading_a, body)))
+        ta, tb = leading_a, 0
+        for beta, alpha in body:
+            tb += beta
+            ta += alpha
+        _set_p(self, p)
+        _set_leading_a(self, leading_a)
+        _set_body(self, body)
+        _set_ab(self, (ta % p, tb % p))
+        _set_hash(self, hash((p, leading_a, body)))
 
     def __setattr__(self, name, val):
         raise AttributeError("GroupWord is immutable")
@@ -113,6 +116,15 @@ class GroupWord:
 
     def __repr__(self):
         return f"GroupWord({format_word(self)!r}, p={self.p})"
+
+
+# The slots' own descriptors write past the immutability guard in __setattr__,
+# at half the cost of object.__setattr__ looking each name up.
+_set_p = GroupWord.p.__set__
+_set_leading_a = GroupWord.leading_a.__set__
+_set_body = GroupWord.body.__set__
+_set_ab = GroupWord._ab.__set__
+_set_hash = GroupWord._hash.__set__
 
 
 def normalize(raw, p):

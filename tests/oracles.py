@@ -5,7 +5,9 @@ enumeration of leaf permutations, depth-bounded recursive action
 comparison, the closed-form quotient order and circulant rank, the
 maximal-subgroup census on stabilizer chains built from nothing, and the
 length sieve on the full section-target system and its class sequences
-filtered from all p^m, and the class floor read off token lists.
+filtered from all p^m, the class floor read off token lists, Gauss-Jordan
+elimination to reduced row echelon form in one sweep per pivot, and the
+subgroup lattice of a finite model saturated under all-pairs joins.
 Fixtures frozen in the tests were derived with these functions.
 """
 
@@ -283,3 +285,82 @@ def class_floor(group, w):
                 sums[k] = (sums[k] + exp) % p
         floor.append(sum(1 for x in sums if x))
     return floor
+
+
+def rref(work, n_cols, p):
+    """Bring the residue rows in work to reduced row echelon form in place by
+    Gauss-Jordan elimination: each pivot row is scaled to 1 and its column
+    cleared in every other row at once. Pivots lie in the first n_cols
+    columns; later columns (an augmented right-hand side) are carried along.
+    Returns the pivot columns in order. This is the routine the package used
+    for rank and solving before it split off a forward-only pass."""
+    n_rows = len(work)
+    pivots = []
+    rank = 0
+    for col in range(n_cols):
+        sel = None
+        for i in range(rank, n_rows):
+            if work[i][col]:
+                sel = i
+                break
+        if sel is None:
+            continue
+        work[rank], work[sel] = work[sel], work[rank]
+        inv = pow(work[rank][col], p - 2, p)
+        work[rank] = [(x * inv) % p for x in work[rank]]
+        for i in range(n_rows):
+            if i != rank and work[i][col]:
+                f = work[i][col]
+                work[i] = [(x - f * y) % p for x, y in zip(work[i], work[rank])]
+        pivots.append(col)
+        rank += 1
+    return pivots
+
+
+def solve_by_rref(rows, rhs, p):
+    """Solution set of rows * x = rhs over F_p read off rref of the augmented
+    matrix, in the format of fp.solve_linear_mod_p: (particular, basis), or
+    None when inconsistent."""
+    n_cols = len(rows[0]) if rows else 0
+    aug = [[x % p for x in row] + [b % p] for row, b in zip(rows, rhs)]
+    pivots = rref(aug, n_cols, p)
+    if any(row[n_cols] for row in aug[len(pivots):]):
+        return None
+    particular = [0] * n_cols
+    for i, col in enumerate(pivots):
+        particular[col] = aug[i][n_cols]
+    basis = []
+    for free_col in range(n_cols):
+        if free_col in pivots:
+            continue
+        vec = [0] * n_cols
+        vec[free_col] = 1
+        for i, col in enumerate(pivots):
+            vec[col] = (-aug[i][free_col]) % p
+        basis.append(tuple(vec))
+    return tuple(particular), tuple(basis)
+
+
+def all_subgroups_by_rounds(fm):
+    """Every subgroup of a finite model, in the format of model.all_subgroups:
+    seed with the cyclic subgroups, then join every incomparable pair of the
+    subgroups found so far, round after round, until a round adds nothing."""
+    seen = {}
+    for i in range(fm.order):
+        sub = fm.subgroup_closure((i,))
+        if sub not in seen:
+            seen[sub] = (i,) if i != fm.identity else ()
+    while True:
+        added = False
+        current = sorted(seen.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+        for (s, gs), (t, gt) in itertools.combinations(current, 2):
+            if s <= t or t <= s:
+                continue
+            gens = gs + gt
+            joined = fm.subgroup_closure(gens)
+            if joined not in seen:
+                seen[joined] = gens
+                added = True
+        if not added:
+            break
+    return sorted(seen.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))

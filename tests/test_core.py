@@ -296,6 +296,13 @@ def test_element_algebra_sampled():
     assert g.b.root_permutation_power() == 0
 
 
+@pytest.mark.parametrize("name", Element.__slots__)
+def test_every_element_slot_refuses_assignment(name):
+    x = make_ggs(3, (1, 2)).b
+    with pytest.raises(AttributeError):
+        setattr(x, name, getattr(x, name))
+
+
 # fractality witnesses -------------------------------------------------------
 
 

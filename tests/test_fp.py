@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from ggslab.errors import InputError
 from ggslab.fp import (
+    _row_reduce,
     circulant,
     circulant_rank,
     gaussian_rank,
@@ -16,7 +17,7 @@ from ggslab.fp import (
     validate_odd_prime,
 )
 
-from oracles import circulant_rank_closed_form
+from oracles import circulant_rank_closed_form, rref, solve_by_rref
 
 
 def test_validate_odd_prime_accepts_small_primes():
@@ -88,6 +89,32 @@ def test_circulant_rank_matches_closed_form_p3_p5():
     for p in (3, 5):
         for row in itertools.product(range(p), repeat=p):
             assert circulant_rank(row, p) == circulant_rank_closed_form(row, p), row
+
+
+def _shifted_root_row(rng, p):
+    """First row of (x - 1)^k g(x) for k uniform in 0..p and g random of degree
+    below p - k: the multiplicity of the root x = 1, and so the rank, is spread
+    over its whole range, where uniform rows sit almost all at rank p or p - 1."""
+    k = rng.randint(0, p)
+    coeffs = [rng.randrange(p) for _ in range(p - k)]
+    for _ in range(k):  # multiply by x - 1
+        coeffs = [(lo - hi) % p for lo, hi in zip([0] + coeffs, coeffs + [0])]
+    return tuple(coeffs)
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_circulant_rank_matches_closed_form_sampled(p):
+    # the sweep's own check (rank < p iff the entries sum to 0) cannot see a
+    # rank that is too high below p, so compare with the closed form
+    rng = random.Random(p)
+    rows = [tuple(rng.randrange(p) for _ in range(p)) for _ in range(250)]
+    rows += [_shifted_root_row(rng, p) for _ in range(250)]
+    ranks = set()
+    for row in rows:
+        rank = circulant_rank(row, p)
+        assert rank == circulant_rank_closed_form(row, p), row
+        ranks.add(rank)
+    assert len(ranks) > p // 2
 
 
 def test_circulant_length_check():
@@ -205,3 +232,49 @@ def test_gaussian_rank_matches_row_space_size(system):
         for coeffs in itertools.product(range(p), repeat=len(rows))
     }
     assert p ** gaussian_rank(rows, p) == len(span)
+
+
+# against Gauss-Jordan elimination in one sweep per pivot ---------------------
+
+@st.composite
+def _sparse_matrices(draw):
+    """(p, rows, rhs): up to 9 x 9 over F_p, with some rows and some columns
+    forced to zero, and a right-hand side that is either arbitrary or the
+    image of a hidden vector (so consistent)."""
+    p = draw(st.sampled_from((3, 5, 7, 11, 13)))
+    m = draw(st.integers(1, 9))
+    n = draw(st.integers(1, 9))
+    rows = draw(st.lists(st.lists(st.integers(-p, 2 * p), min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    zero_rows = draw(st.sets(st.integers(0, m - 1)))
+    zero_cols = draw(st.sets(st.integers(0, n - 1)))
+    rows = [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+            for i, row in enumerate(rows)]
+    if draw(st.booleans()):
+        hidden = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+        rhs = [sum(r * x for r, x in zip(row, hidden)) for row in rows]
+    else:
+        rhs = draw(st.lists(st.integers(0, p - 1), min_size=m, max_size=m))
+    return p, rows, rhs
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_sparse_matrices())
+def test_elimination_matches_gauss_jordan(case):
+    p, rows, rhs = case
+    n = len(rows[0])
+
+    def augmented():
+        return [[x % p for x in row] + [b % p] for row, b in zip(rows, rhs)]
+
+    ref = augmented()
+    ref_pivots = rref(ref, n, p)
+    assert gaussian_rank(rows, p) == len(ref_pivots)
+    # the augmented rank: a pivot past the coefficient columns included
+    assert gaussian_rank(augmented(), p) == len(rref(augmented(), n + 1, p))
+    assert solve_linear_mod_p(rows, rhs, p) == solve_by_rref(rows, rhs, p)
+    # reduced row echelon form is unique, so the pivot rows agree entry by entry
+    work = augmented()
+    pivots = _row_reduce(work, n, p)
+    assert pivots == ref_pivots
+    assert work[:len(pivots)] == ref[:len(pivots)]

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from ggslab.core import make_ggs
-from ggslab.errors import InputError
+from ggslab.core import GgsGroup, make_ggs
+from ggslab.errors import CrossCheckError, InputError
 from ggslab.lemmas import (
     SWEEP_MAX_FACTORS,
     _case2_candidate,
@@ -72,6 +72,26 @@ def test_profile_requires_level_one_stabilizer():
     g = make_ggs(3, (1, 1))
     with pytest.raises(InputError):
         exponent_profile(g, g.a)
+
+
+def test_profile_leaves_the_section_memo_alone():
+    g = make_ggs(7, (1, 0, 0, 0, 0, 0))
+    rng = random.Random(5)
+    before = len(g._sections)
+    for _ in range(20):
+        exponent_profile(g, random_st1_element(g, rng, nonzero_t=True))
+    assert len(g._sections) == before
+
+
+def test_profile_route_through_sections_is_still_cross_checked(monkeypatch):
+    g = make_ggs(5, (1, 0, 2, 4))
+    x = random_st1_element(g, random.Random(79), nonzero_t=True)
+    real = GgsGroup._section_uncached
+    # sections read one letter off: the decomposition route must object
+    monkeypatch.setattr(GgsGroup, "_section_uncached",
+                        lambda self, w, r: real(self, w, (r + 1) % self.p))
+    with pytest.raises(CrossCheckError):
+        exponent_profile(g, x)
 
 
 def test_classify_case_examples():

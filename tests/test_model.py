@@ -1,6 +1,7 @@
 """The infinite semidirect-product model of the constant-vector group and its
 finite reductions."""
 
+import json
 import random
 from collections import Counter
 
@@ -22,6 +23,8 @@ from ggslab.model import (
     mq_membership,
     reduce_mod,
 )
+
+from oracles import all_subgroups_by_rounds
 
 
 # the action matrix ----------------------------------------------------------
@@ -196,3 +199,21 @@ def test_finite_model_normality_check():
     threes = [s for s, _ in all_subgroups(fm) if len(s) == 3]
     assert len(threes) == 4
     assert not any(fm.is_normal(s) for s in threes)
+
+
+@pytest.mark.parametrize("p,q", [(3, 2), (5, 2), (3, 4), (3, 5)])
+def test_worklist_lattice_matches_join_rounds(p, q):
+    fm = reduce_mod(p, q)
+    got = all_subgroups(fm)
+    assert [s for s, _ in got] == [s for s, _ in all_subgroups_by_rounds(fm)]
+    # each subgroup comes with generators that generate it
+    assert all(fm.subgroup_closure(gens) == s for s, gens in got)
+
+
+def test_worklist_lattice_keeps_the_census_json():
+    fm = reduce_mod(5, 2)
+    subs = [s for s, _ in all_subgroups_by_rounds(fm)]
+    proper = subs[:-1]
+    maximal = [s for s in proper if not any(s < t for t in proper)]
+    assert json.dumps(census_dict(fm, enumerate_maximal_subgroups(fm))) == json.dumps(
+        census_dict(fm, sorted(maximal, key=lambda s: (len(s), sorted(s)))))

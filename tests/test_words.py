@@ -51,6 +51,34 @@ def test_word_immutable_and_hashable():
     assert w != GroupWord(5, 1, ((2, 0),))
 
 
+@pytest.mark.parametrize("name", GroupWord.__slots__)
+def test_every_word_slot_refuses_assignment(name):
+    w = GroupWord(5, 1, ((2, 3), (4, 0)))
+    with pytest.raises(AttributeError):
+        setattr(w, name, getattr(w, name))
+    with pytest.raises(AttributeError):
+        setattr(GroupWord._reduced(5, 1, ((2, 3), (4, 0))), name, None)
+
+
+_normal_form_parts = st.sampled_from((3, 5, 7)).flatmap(lambda p: st.tuples(
+    st.just(p),
+    st.integers(0, p - 1),
+    st.lists(st.tuples(st.integers(1, p - 1), st.integers(1, p - 1)), max_size=8),
+    st.integers(0, p - 1),
+))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_normal_form_parts)
+def test_unchecked_word_matches_checked_word(parts):
+    p, lead, pairs, last_alpha = parts
+    body = tuple(pairs[:-1]) + ((pairs[-1][0], last_alpha),) if pairs else ()
+    w = GroupWord._reduced(p, lead, body)
+    checked = GroupWord(p, lead, body)
+    assert w == checked and hash(w) == hash(checked) and w._ab == checked._ab
+    assert w._ab == ((lead + sum(a for _, a in body)) % p, sum(b for b, _ in body) % p)
+
+
 def test_normalize_merges_adjacent_generators():
     # a a^2 collapses to a^0 and disappears
     assert normalize([("a", 1), ("a", 2)], 3).is_identity
