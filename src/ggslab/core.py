@@ -23,11 +23,14 @@ GgsGroup and Element are immutable; the group carries internal memo tables
 group and never shrink. They hold what later calls revisit: sections met by
 equal(), lengths and the class floor. A caller that needs sections of a
 throwaway word only once, such as lemmas.exponent_profile on a sweep draw,
-calls _section_uncached and leaves the table as it was. The equality and
-length tables sit behind a lock, so concurrent readers only ever contend on
-that shared memo. section_word reads and writes its table without the lock:
-each store is idempotent (a key always maps to the same section) and of an
-immutable word, so a race at worst computes one section twice.
+calls _section_uncached and leaves the table as it was. _section_uncached
+reduces tokens only for sections that hold a b-syllable; every section that is
+a pure a-power is one of the p words a^0, ..., a^{p-1} the group builds once.
+The equality and length tables sit behind a lock, so concurrent readers only
+ever contend on that shared memo. section_word reads and writes its table
+without the lock: each store is idempotent (a key always maps to the same
+section) and of an immutable word, so a race at worst computes one section
+twice.
 """
 
 import itertools
@@ -77,7 +80,9 @@ class GgsGroup:
             self.family = FAMILY_FABRYKOWSKI_GUPTA
         else:
             self.family = FAMILY_GENERIC
-        self._id_word = GroupWord.identity(p)
+        # a^0, ..., a^{p-1}, shared by every section that is a pure a-power
+        self._a_powers = tuple(GroupWord._reduced(p, k, ()) for k in range(p))
+        self._id_word = self._a_powers[0]
         self._sections = {}
         self._eq_true = set()
         self._eq_false = set()
@@ -163,18 +168,26 @@ class GgsGroup:
         Walk the syllables left to right tracking the image of the letter under
         the prefix so far: an a-syllable only moves the tracked letter, a
         b-syllable emits b^beta when the letter sits at residue 0 (the letter p)
-        and a^{beta * e_v} when it sits at residue v != 0.
+        and a^{beta * e_v} when it sits at residue v != 0. Until the first
+        b^beta the emitted a-powers are summed as the walk goes; a section with
+        no b^beta at all is that sum, the interned word _a_powers[sum % p], and
+        only the others are reduced from tokens.
         """
         p = self.p
+        e = self.e
         v = (r + w.leading_a) % p
-        toks = []
-        for beta, alpha in w.body:
+        run = 0
+        body = w.body
+        for k, (beta, alpha) in enumerate(body):
             if v == 0:
-                toks.append(("b", beta))
-            else:
-                toks.append(("a", beta * self.e[v - 1]))
+                toks = [("a", run)]
+                for beta, alpha in body[k:]:
+                    toks.append(("b", beta) if v == 0 else ("a", beta * e[v - 1]))
+                    v = (v + alpha) % p
+                return _reduce(toks, p)
+            run += beta * e[v - 1]
             v = (v + alpha) % p
-        return _reduce(toks, p)
+        return self._a_powers[run % p]
 
     def act_word(self, w, vertex):
         out = []

@@ -5,6 +5,16 @@ reduced to its canonical residue in {0, ..., p-1} before use, and no floating
 point enters anywhere. There is one elimination routine: rank runs only its
 forward pass to row echelon form (_echelon), and solving adds
 back-substitution to reduced row echelon form (_row_reduce).
+
+The routine holds residue rows in one of two encodings, chosen by p alone
+(_row_ops). Below p = 128 a row is a bytes object, one residue per byte, and
+a row operation works on the whole row at once: scaling is one translate
+through a multiplication table, and row - f * pivot adds the two rows read as
+big integers, the pivot first translated through the table of -f, then
+reduces every field by one more translate. The sum is exact because each
+field stays at or below 2p - 2, which fits in a byte, so no carry crosses
+into the next field, only while p < 128. From p = 128 on the rows stay lists
+of ints, reduced entry by entry. The tables are built on first use of each p.
 """
 
 from .errors import InputError
@@ -29,15 +39,61 @@ def validate_odd_prime(p):
     return p
 
 
-def _echelon(work, n_cols, p):
-    """Bring the residue rows in work to row echelon form in place, pivoting
-    only in the first n_cols columns; later columns (an augmented right-hand
-    side) are carried along. Each pivot row is scaled to lead with 1.
+BYTE_ROWS_BELOW = 128  # rows are bytes for p below this (see the module docstring)
 
-    Below the current pivot every row is zero left of the pivot column, so
-    only the tail row[col:] is scaled and eliminated, and the pass stops once
-    every row holds a pivot. Returns the pivot columns in order; their count
-    is the rank."""
+_row_ops_by_p = {}
+
+
+def _row_ops(p):
+    """(encode, scale, subtract) for residue rows over F_p, built on first use
+    of each p: encode(row) turns a list of residues into a row, scale(row, c)
+    is c * row and subtract(row, f, pivot) is row - f * pivot."""
+    ops = _row_ops_by_p.get(p)
+    if ops is not None:
+        return ops
+    if p < BYTE_ROWS_BELOW:
+        mul = [bytes((c * x) % p for x in range(256)) for c in range(p)]
+        mod = bytes(x % p for x in range(256))
+        from_bytes = int.from_bytes
+
+        def scale(row, c):
+            return row.translate(mul[c])
+
+        def subtract(row, f, pivot):
+            # fields of the sum stay at or below 2p - 2 < 256: no carries;
+            # the byte order is spelled out because Python 3.10 requires it
+            return (from_bytes(row, "big") + from_bytes(pivot.translate(mul[p - f]), "big")
+                    ).to_bytes(len(row), "big").translate(mod)
+
+        ops = (bytes, scale, subtract)
+    else:
+        def scale(row, c):
+            return [(x * c) % p for x in row]
+
+        def subtract(row, f, pivot):
+            return [(x - f * y) % p for x, y in zip(row, pivot)]
+
+        ops = (list, scale, subtract)
+    _row_ops_by_p[p] = ops
+    return ops
+
+
+def _encode_rows(rows, p):
+    """Lists of residues as the rows _echelon and _row_reduce work on."""
+    encode = _row_ops(p)[0]
+    return [encode(row) for row in rows]
+
+
+def _echelon(work, n_cols, p):
+    """Bring the rows in work (as _encode_rows gives them) to row echelon form
+    in place, pivoting only in the first n_cols columns; later columns (an
+    augmented right-hand side) are carried along. Each pivot row is scaled to
+    lead with 1.
+
+    Below the current pivot every row is zero left of the pivot column, and
+    the pass stops once every row holds a pivot. Returns the pivot columns in
+    order; their count is the rank."""
+    _, scale, subtract = _row_ops(p)
     n_rows = len(work)
     pivots = []
     rank = 0
@@ -49,14 +105,11 @@ def _echelon(work, n_cols, p):
             continue
         row = work[i]
         work[i] = work[rank]
-        inv = pow(row[col], p - 2, p)
-        zeros = row[:col]
-        tail = [(x * inv) % p for x in row[col:]]
-        work[rank] = zeros + tail
+        pivot = work[rank] = scale(row, pow(row[col], p - 2, p))
         for i in range(rank + 1, n_rows):
             f = work[i][col]
             if f:
-                work[i] = zeros + [(x - f * y) % p for x, y in zip(work[i][col:], tail)]
+                work[i] = subtract(work[i], f, pivot)
         pivots.append(col)
         rank += 1
         if rank == n_rows:
@@ -65,18 +118,19 @@ def _echelon(work, n_cols, p):
 
 
 def _row_reduce(work, n_cols, p):
-    """Bring the residue rows in work to reduced row echelon form in place:
-    the forward pass _echelon, then back-substitution clearing each pivot
-    column above its pivot. Returns the pivot columns in order."""
+    """Bring the rows in work (as _encode_rows gives them) to reduced row
+    echelon form in place: the forward pass _echelon, then back-substitution
+    clearing each pivot column above its pivot. Returns the pivot columns in
+    order."""
     pivots = _echelon(work, n_cols, p)
+    subtract = _row_ops(p)[2]
     for k in range(len(pivots) - 1, 0, -1):
         col = pivots[k]
-        tail = work[k][col:]
+        pivot = work[k]
         for i in range(k):
             f = work[i][col]
             if f:
-                row = work[i]
-                work[i] = row[:col] + [(x - f * y) % p for x, y in zip(row[col:], tail)]
+                work[i] = subtract(work[i], f, pivot)
     return pivots
 
 
@@ -87,7 +141,7 @@ def gaussian_rank(rows, p):
     n_cols = len(work[0]) if work else 0
     if any(len(row) != n_cols for row in work):
         raise InputError("ragged rows")
-    return len(_echelon(work, n_cols, p))
+    return len(_echelon(_encode_rows(work, p), n_cols, p))
 
 
 def solve_linear_mod_p(rows, rhs, p):
@@ -102,7 +156,7 @@ def solve_linear_mod_p(rows, rhs, p):
     n_cols = len(rows[0]) if rows else 0
     if len(rhs) != len(rows) or any(len(row) != n_cols for row in rows):
         raise InputError("a linear system needs equal-length rows and one right-hand side per row")
-    aug = [[int(x) % p for x in row] + [int(b) % p] for row, b in zip(rows, rhs)]
+    aug = _encode_rows([[int(x) % p for x in row] + [int(b) % p] for row, b in zip(rows, rhs)], p)
     pivots = _row_reduce(aug, n_cols, p)
     if any(row[n_cols] for row in aug[len(pivots):]):
         return None

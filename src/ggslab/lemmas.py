@@ -16,14 +16,20 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .errors import CrossCheckError, InputError
+from .errors import CrossCheckError, InputError, ResourceLimitError
 from .fp import circulant_rank
-from .words import class_sums, normalize, format_word, random_word
+from .words import class_sums, format_word, random_word
+from .words import _reduce
 from .core import FAMILY_CONSTANT, make_ggs
 from .quotients import maximal_subgroups_census
 from . import model as _model
 
 SWEEP_MAX_FACTORS = 6  # conjugate factors (b^j)^(a^l) per random element
+# Largest p each scan of fixed size runs at before it raises ResourceLimitError.
+# The interval scan grows like p^6 (3-5 s at p = 19 on a 2-vCPU VM); the
+# circulant sweep ranks 10,000 p x p circulants (5-8 s at p = 31).
+INTERVAL_MAX_P = 19
+CIRCULANT_MAX_P = 31
 
 
 @dataclass(frozen=True)
@@ -310,7 +316,7 @@ def random_st1_element(group, rng, max_factors=SWEEP_MAX_FACTORS, nonzero_t=Fals
             j = rng.randrange(1, p)
             l = rng.randrange(p)
             toks += [("a", -l), ("b", j), ("a", l)]
-        w = normalize(toks, p)
+        w = _reduce(toks, p)
         if not nonzero_t or w.exponent_sums()[1] != 0:
             return group.element(w)
 
@@ -337,7 +343,7 @@ def _case2_candidate(group, rng):
     toks = []
     for _ in range(mu):
         toks += [("b", rng.randrange(1, p)), ("a", -v), ("b", rng.randrange(1, p)), ("a", v)]
-    return group.element(normalize(toks, p))
+    return group.element(_reduce(toks, p))
 
 
 # sweeps ---------------------------------------------------------------------
@@ -354,6 +360,11 @@ def _report(lemma, seed, cases_run=0, passed=0, skipped=0, counterexamples=None,
     }
     rep.update(extra)
     return rep
+
+
+def _guard_p(lemma, p, bound):
+    if p > bound:
+        raise ResourceLimitError(f"{lemma} check at p={p} is past its bound p <= {bound}")
 
 
 def sweep_commutator_tuple(group, seed=0):
@@ -502,7 +513,9 @@ def sweep_length_contraction(group, cases, seed, gen_factors=4, length_cap=4):
 
 def sweep_circulant(p, seed, sample_cap=10000):
     """Circulant rank criterion: rank < p iff the entries sum to zero.
-    Exhaustive when p^p is small, sampled otherwise."""
+    Exhaustive when p^p is small, sampled otherwise; past CIRCULANT_MAX_P it
+    raises ResourceLimitError before ranking anything."""
+    _guard_p("circulant", p, CIRCULANT_MAX_P)
     rng = random.Random(seed)
     exhaustive = p ** p <= sample_cap
     if exhaustive:
@@ -521,9 +534,12 @@ def sweep_circulant(p, seed, sample_cap=10000):
 
 
 def sweep_interval(p, seed=0):
+    """The interval criterion over F_p, scanned exhaustively; past
+    INTERVAL_MAX_P it raises ResourceLimitError before scanning."""
     if p < 5:
         return _report("interval-lemma", seed, skipped=1,
                        note="needs p >= 5; the inner interval range is empty below that")
+    _guard_p("interval-lemma", p, INTERVAL_MAX_P)
     violations = interval_lemma_scan(p)
     total = (p - 1) * (p - 3) * p * (p - 1)  # (i, k, i1, i2) quadruples scanned
     return _report("interval-lemma", seed, cases_run=total, passed=total - len(violations),

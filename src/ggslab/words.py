@@ -10,9 +10,10 @@ word's syllable length. GroupWord stores exactly this shape and is immutable
 and hashable, so words serve directly as memo keys elsewhere.
 
 GroupWord(...), normalize and parse_word validate their input. The package's
-own reductions (concat, invert, and sections in core) start from tokens of
-words that are already valid, so they reduce with _reduce and build the
-result with GroupWord._reduced, which checks nothing.
+own reductions (concat, invert, sections in core and the sweep draws in
+lemmas) start from tokens they built themselves, with valid generators and
+int exponents, so they reduce with _reduce and build the result with
+GroupWord._reduced, which checks nothing.
 """
 
 import random

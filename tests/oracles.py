@@ -5,9 +5,10 @@ enumeration of leaf permutations, depth-bounded recursive action
 comparison, the closed-form quotient order and circulant rank, the
 maximal-subgroup census on stabilizer chains built from nothing, and the
 length sieve on the full section-target system and its class sequences
-filtered from all p^m, the class floor read off token lists, Gauss-Jordan
-elimination to reduced row echelon form in one sweep per pivot, and the
-subgroup lattice of a finite model saturated under all-pairs joins.
+filtered from all p^m, the class floor read off token lists, first-level
+sections as token walks reduced by normalize, Gauss-Jordan elimination to
+reduced row echelon form in one sweep per pivot, and the subgroup lattice of
+a finite model saturated under all-pairs joins.
 Fixtures frozen in the tests were derived with these functions.
 """
 
@@ -15,7 +16,7 @@ import itertools
 
 from ggslab.fp import solve_linear_mod_p
 from ggslab.quotients import _StabilizerChain, _compose, _inverse, _perm_power, level_quotient
-from ggslab.words import GroupWord
+from ggslab.words import GroupWord, normalize
 
 
 def leaf_action(group, w, n):
@@ -285,6 +286,20 @@ def class_floor(group, w):
                 sums[k] = (sums[k] + exp) % p
         floor.append(sum(1 for x in sums if x))
     return floor
+
+
+def section_by_tokens(group, w, r):
+    """Section of the normal form w at the letter with residue r: walk the
+    syllables tracking the letter, emit b^beta at residue 0 and a^{beta e_v}
+    at residue v != 0, and reduce every token list with words.normalize. This
+    is how the package built each section before it summed pure a-powers."""
+    p = group.p
+    v = (r + w.leading_a) % p
+    toks = []
+    for beta, alpha in w.body:
+        toks.append(("b", beta) if v == 0 else ("a", beta * group.e[v - 1]))
+        v = (v + alpha) % p
+    return normalize(toks, p)
 
 
 def rref(work, n_cols, p):

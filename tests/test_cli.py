@@ -305,6 +305,18 @@ def test_resource_guard_exits_4(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("check", ["interval-lemma", "circulant"])
+def test_fixed_size_scans_refuse_large_p_at_once(capsys, check):
+    spec = "p=101;e=" + ",".join(["1"] + ["0"] * 99)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--group", spec, check)
+    assert time.perf_counter() - start < 1.0
+    assert code == 4
+    assert out == ""
+    assert err.startswith(f"resource guard: {check} check at p=101")
+    assert "p <= " in err
+
+
 def test_missing_group_flag_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify"])

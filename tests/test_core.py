@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ggslab import core
@@ -29,6 +29,7 @@ from oracles import (
     class_floor,
     leaf_action,
     product_class_sequences,
+    section_by_tokens,
     section_target_candidates,
     walk_class_counts,
 )
@@ -162,6 +163,48 @@ def test_section_cocycle_sampled():
                 lhs = (x * y).section(u)
                 rhs = x.section(u) * y.section(x.act((u,))[0])
                 assert lhs.word == rhs.word
+
+
+_SECTION_GROUPS = (
+    (3, (1, 2)), (3, (1, 1)), (5, (1, 0, 2, 4)), (5, (0, 0, 2, 0)),
+    (7, (1, 0, 0, 0, 0, 0)), (7, (2, 5, 0, 1, 3, 3)),
+)
+
+
+@st.composite
+def _section_case(draw):
+    p, e = draw(st.sampled_from(_SECTION_GROUPS))
+    return make_ggs(p, e), _draw_word(draw, p, 6)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_section_case())
+# at letter 3 the token walk reads b a a^2 b: an interior a-run 2 + 1 = 0 mod 3
+@example((make_ggs(3, (1, 2)), parse_word("b a b a b a b", 3)))
+# at letter 5 it reads b a^0 b, since e_2 = 0
+@example((make_ggs(5, (1, 0, 2, 4)), parse_word("b a^2 b a^3 b", 5)))
+def test_uncached_sections_match_the_token_walk(case):
+    g, w = case
+    for r in range(g.p):
+        got = g._section_uncached(w, r)
+        want = section_by_tokens(g, w, r)
+        assert got == want
+        assert (got._ab, hash(got)) == (want._ab, hash(want))
+
+
+@pytest.mark.parametrize("p,e", _SECTION_GROUPS)
+def test_pure_a_power_sections_are_the_interned_words(p, e):
+    g = make_ggs(p, e)
+    assert len(g._a_powers) == p
+    for k, word in enumerate(g._a_powers):
+        fresh = GroupWord(p, k, ())
+        assert word == fresh
+        assert (word._ab, hash(word)) == (fresh._ab, hash(fresh))
+    assert g._id_word is g._a_powers[0]
+    # b has section a^{e_r} at every letter r != p
+    for r in range(1, p):
+        assert g._section_uncached(g.b.word, r) is g._a_powers[e[r - 1]]
+        assert g.section_word(g.b.word, r) is g._a_powers[e[r - 1]]
 
 
 # the tree action ------------------------------------------------------------

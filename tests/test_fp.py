@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from ggslab.errors import InputError
 from ggslab.fp import (
+    BYTE_ROWS_BELOW,
+    _encode_rows,
     _row_reduce,
     circulant,
     circulant_rank,
@@ -237,11 +239,11 @@ def test_gaussian_rank_matches_row_space_size(system):
 # against Gauss-Jordan elimination in one sweep per pivot ---------------------
 
 @st.composite
-def _sparse_matrices(draw):
-    """(p, rows, rhs): up to 9 x 9 over F_p, with some rows and some columns
-    forced to zero, and a right-hand side that is either arbitrary or the
-    image of a hidden vector (so consistent)."""
-    p = draw(st.sampled_from((3, 5, 7, 11, 13)))
+def _sparse_matrices(draw, primes=(3, 5, 7, 11, 13, 127, 131)):
+    """(p, rows, rhs): up to 9 x 9 over F_p for p drawn from primes, with some
+    rows and some columns forced to zero, and a right-hand side that is either
+    arbitrary or the image of a hidden vector (so consistent)."""
+    p = draw(st.sampled_from(primes))
     m = draw(st.integers(1, 9))
     n = draw(st.integers(1, 9))
     rows = draw(st.lists(st.lists(st.integers(-p, 2 * p), min_size=n, max_size=n),
@@ -261,7 +263,17 @@ def _sparse_matrices(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_sparse_matrices())
 def test_elimination_matches_gauss_jordan(case):
-    p, rows, rhs = case
+    _check_against_gauss_jordan(*case)
+
+
+# the last prime with byte rows and the first with list rows, 200 draws each
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_sparse_matrices(primes=(127, 131)))
+def test_elimination_matches_gauss_jordan_at_the_row_encoding_line(case):
+    _check_against_gauss_jordan(*case)
+
+
+def _check_against_gauss_jordan(p, rows, rhs):
     n = len(rows[0])
 
     def augmented():
@@ -274,7 +286,24 @@ def test_elimination_matches_gauss_jordan(case):
     assert gaussian_rank(augmented(), p) == len(rref(augmented(), n + 1, p))
     assert solve_linear_mod_p(rows, rhs, p) == solve_by_rref(rows, rhs, p)
     # reduced row echelon form is unique, so the pivot rows agree entry by entry
-    work = augmented()
+    work = _encode_rows(augmented(), p)
+    assert all(type(row) is (bytes if p < BYTE_ROWS_BELOW else list) for row in work)
     pivots = _row_reduce(work, n, p)
     assert pivots == ref_pivots
-    assert work[:len(pivots)] == ref[:len(pivots)]
+    assert [list(row) for row in work[:len(pivots)]] == ref[:len(pivots)]
+
+
+@pytest.mark.parametrize("p", [113, 127])
+def test_byte_rows_hold_the_largest_field_sums(p):
+    # row 2 minus row 1 adds (p - 1) + (p - 1) = 2p - 2 in every field after
+    # the first, the most a byte row ever holds before it is reduced
+    n = 9
+    rows = [[1] * n, [1] + [p - 1] * (n - 1), [2] + [p - 2] * (n - 1)]
+    rhs = [1, p - 1, 0]
+    ref = [list(row) + [b] for row, b in zip(rows, rhs)]
+    ref_pivots = rref(ref, n, p)
+    assert gaussian_rank(rows, p) == len(ref_pivots) == 2
+    assert solve_linear_mod_p(rows, rhs, p) == solve_by_rref(rows, rhs, p)
+    work = _encode_rows([list(row) + [b] for row, b in zip(rows, rhs)], p)
+    assert _row_reduce(work, n, p) == ref_pivots
+    assert [list(row) for row in work] == ref

@@ -5,8 +5,10 @@ import random
 import pytest
 
 from ggslab.core import GgsGroup, make_ggs
-from ggslab.errors import CrossCheckError, InputError
+from ggslab.errors import CrossCheckError, InputError, ResourceLimitError
 from ggslab.lemmas import (
+    CIRCULANT_MAX_P,
+    INTERVAL_MAX_P,
     SWEEP_MAX_FACTORS,
     _case2_candidate,
     check_derived_product,
@@ -282,6 +284,15 @@ def test_interval_sweep():
     rep = _clean(sweep_interval(5, seed=8))
     assert rep["cases_run"] == 4 * 2 * 5 * 4
     assert sweep_interval(3)["skipped"] == 1
+
+
+def test_fixed_size_scans_stop_past_their_bounds():
+    # the bounds admit the largest p each scan finishes in seconds
+    assert INTERVAL_MAX_P >= 19 and CIRCULANT_MAX_P >= 31
+    with pytest.raises(ResourceLimitError, match=f"interval-lemma check at p=23 .* p <= {INTERVAL_MAX_P}"):
+        sweep_interval(23)
+    with pytest.raises(ResourceLimitError, match=f"circulant check at p=37 .* p <= {CIRCULANT_MAX_P}"):
+        sweep_circulant(37, seed=0)
 
 
 def test_k_generator_sweep():
