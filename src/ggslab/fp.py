@@ -134,10 +134,12 @@ def _row_reduce(work, n_cols, p):
     return pivots
 
 
-def gaussian_rank(rows, p):
-    """Rank over F_p of the matrix with the given rows."""
+def gaussian_rank(rows, p, *, reduced=False):
+    """Rank over F_p of the matrix with the given rows. With reduced=True the
+    caller guarantees every entry is already in {0, ..., p-1}, as circulant
+    gives them, and the entries are used as they are."""
     validate_odd_prime(p)
-    work = [[int(x) % p for x in row] for row in rows]
+    work = rows if reduced else [[int(x) % p for x in row] for row in rows]
     n_cols = len(work[0]) if work else 0
     if any(len(row) != n_cols for row in work):
         raise InputError("ragged rows")
@@ -188,4 +190,4 @@ def circulant(first_row, p):
 
 def circulant_rank(first_row, p):
     """Rank over F_p of the circulant with the given first row (length p)."""
-    return gaussian_rank(circulant(first_row, p), p)
+    return gaussian_rank(circulant(first_row, p), p, reduced=True)

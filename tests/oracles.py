@@ -79,11 +79,17 @@ def agree_to_depth(group, w1, w2, depth):
 
 
 def closed_form_log_order(p, e, n):
-    """log_p |G : St_G(n)| for a non-constant defining vector e and n >= 2,
-    by the theorem of Fernandez-Alcober and Zugadi-Reizabal (Trans. AMS 366,
-    2014): t p^(n-2) + 1 - delta (p^(n-2) - 1)/(p - 1), where t is the rank
-    over F_p of the circulant matrix with first row (e, 0) and delta is 1
-    exactly when e is symmetric."""
+    """log_p |G : St_G(n)| for n >= 2.
+
+    For a non-constant defining vector e, by the theorem of Fernandez-Alcober
+    and Zugadi-Reizabal (Trans. AMS 366, 2014): t p^(n-2) + 1 - delta
+    (p^(n-2) - 1)/(p - 1), where t is the rank over F_p of the circulant
+    matrix with first row (e, 0) and delta is 1 exactly when e is symmetric.
+
+    For a constant vector, the empirical fit of `closed_form_order` with the
+    sum over levels done: p + 1 + ((p - 2) (p^n - p^2)/(p - 1) + n - 2)/(p - 1)."""
+    if len(set(e)) == 1:
+        return p + 1 + ((p - 2) * (p ** n - p * p) // (p - 1) + n - 2) // (p - 1)
     first = list(e) + [0]
     rows = [first[-k:] + first[:-k] for k in range(p)]
     rank = 0

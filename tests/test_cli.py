@@ -187,9 +187,11 @@ def test_quotient_order_against_closed_form_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "closed form 27" in err
-    # constant vectors are outside the theorem, so they are not compared
-    code, _, _ = run(capsys, "quotient", "--group", "p=3;e=2,2", "2")
-    assert code == 0
+    # constant vectors are compared with their own closed form
+    code, out, err = run(capsys, "quotient", "--group", "p=3;e=2,2", "2")
+    assert code == 3
+    assert out == ""
+    assert "closed form 81" in err
 
 
 # verify ---------------------------------------------------------------------

@@ -71,6 +71,9 @@ def test_circulant_rank_examples():
     # single 1: a permutation matrix, full rank
     assert circulant_rank((1, 0, 0), 3) == 3
     assert circulant_rank((1, 0, 2, 4, 0), 5) == 5
+    # entries are reduced mod p first, on both row encodings
+    assert circulant_rank((4, -1, 3), 3) == circulant_rank((1, 2, 0), 3)
+    assert circulant_rank((132, -1) + (0,) * 129, 131) == 130
 
 
 def test_circulant_rank_full_iff_nonzero_sum_p3():

@@ -174,8 +174,9 @@ def test_entry_points_accept_tuples_and_tables(p, e, n):
 
 # quotient orders ------------------------------------------------------------
 
-# orders frozen from the breadth-first closure oracle; the small rows are
-# re-derived against it live in test_chain_matches_bfs_oracle
+# orders frozen from the breadth-first closure oracle, except the last, which
+# the stabilizer chain gave; the small rows are re-derived against the oracle
+# live in test_chain_matches_bfs_oracle
 QUOTIENT_ORDERS = [
     (3, (1, 2), 1, 3),
     (3, (1, 1), 1, 3),
@@ -196,6 +197,7 @@ QUOTIENT_ORDERS = [
     (5, (1, 2, 3, 4), 2, 125),
     (5, (1, 0, 2, 4), 2, 15625),
     (5, (0, 0, 0, 1), 2, 15625),
+    (3, (1, 1), 4, 3 ** 23),
 ]
 
 
@@ -212,7 +214,7 @@ def test_chain_matches_bfs_oracle():
         assert level_quotient(g, n).order == bfs_quotient_order(g, n)
 
 
-# non-constant vectors only: the theorem excludes the constant vector
+# non-constant vectors, the theorem's hypothesis
 CLOSED_FORM_CASES = (
     [(3, e, n) for e in ((1, 0), (2, 0), (0, 1), (0, 2), (1, 2), (2, 1)) for n in (2, 3, 4)]
     + [(5, e, n) for e in ((1, 0, 2, 4), (1, 2, 3, 4), (0, 0, 0, 1)) for n in (2, 3)])
@@ -372,8 +374,8 @@ def test_census_guards():
 
 
 # every vector at p=3 for n = 2, 3, and three at n = 4; six vectors at p=5 for
-# n = 2 and two for n = 3; two at p=7 for n = 2. The suite runs the rows with
-# n <= 3; the n = 4 rows (about 2 s more on the oracle) are for full checks.
+# n = 2 and two for n = 3; two at p=7 for n = 2. The oracle takes about 0.4 s
+# for the three n = 4 rows together.
 CENSUS_ORACLE_CASES = (
     [(3, e, n) for n in (2, 3)
      for e in ((0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2))]
@@ -389,7 +391,7 @@ def _case_id(case):
     return f"{p}-{''.join(map(str, e))}-{n}"
 
 
-@pytest.mark.parametrize("case", [c for c in CENSUS_ORACLE_CASES if c[2] <= 3], ids=_case_id)
+@pytest.mark.parametrize("case", CENSUS_ORACLE_CASES, ids=_case_id)
 def test_census_matches_sifting_oracle(case):
     p, e, n = case
     g = make_ggs(p, e)
@@ -407,6 +409,21 @@ def test_census_rejects_layered_order_mismatch(monkeypatch):
 
     monkeypatch.setattr(quotients, "level_quotient", wrong_order)
     with pytest.raises(CrossCheckError, match="layered order"):
+        maximal_subgroups_census(make_ggs(3, (1, 2)), 2)
+
+
+def test_census_rejects_wrong_frattini_index(monkeypatch):
+    # the records are read off |Q : Q'| = p^2, so a Q' of the wrong order must
+    # stop the census
+    real = _LayeredBasis.closure
+
+    def short_normal_closure(self, seeds, conjugators=()):
+        real(self, seeds, conjugators)
+        if conjugators:
+            self.elements.pop()
+
+    monkeypatch.setattr(_LayeredBasis, "closure", short_normal_closure)
+    with pytest.raises(CrossCheckError, match="does not apply"):
         maximal_subgroups_census(make_ggs(3, (1, 2)), 2)
 
 
@@ -467,17 +484,19 @@ def test_layered_sift_matches_chain_contains(case):
         assert basis.contains(x) == (basis.sift(x) == basis.identity)
 
 
-@pytest.mark.parametrize("p,e,n", CLOSED_FORM_CASES)
+# constant vectors, outside the theorem, against the fit in closed_form_order
+CONSTANT_CASES = (
+    [(3, e, n) for e in ((1, 1), (2, 2)) for n in (2, 3, 4, 5)]
+    + [(5, e, n) for e in ((1, 1, 1, 1), (2, 2, 2, 2)) for n in (2, 3)]
+    + [(7, (1,) * 6, n) for n in (2, 3)] + [(11, (2,) * 10, 2)])
+
+
+@pytest.mark.parametrize("p,e,n", CLOSED_FORM_CASES + CONSTANT_CASES)
 def test_layered_order_matches_closed_form(p, e, n):
     g = make_ggs(p, e)
     gens = [project(g.a, n).images, project(g.b, n).images]
-    assert _closed(gens, p, n).order() == p ** closed_form_log_order(p, e, n)
-
-
-def test_layered_order_of_constant_vector_level_four():
-    # frozen from the stabilizer chain; the closed form excludes constant vectors
-    g = make_ggs(3, (1, 1))
-    assert _closed([project(g.a, 4).images, project(g.b, 4).images], 3, 4).order() == 3 ** 23
+    order = _closed(gens, p, n).order()
+    assert order == p ** closed_form_log_order(p, e, n) == closed_form_order(g, n)
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (3, 3), (5, 2)])
