@@ -134,12 +134,10 @@ def _row_reduce(work, n_cols, p):
     return pivots
 
 
-def gaussian_rank(rows, p, *, reduced=False):
-    """Rank over F_p of the matrix with the given rows. With reduced=True the
-    caller guarantees every entry is already in {0, ..., p-1}, as circulant
-    gives them, and the entries are used as they are."""
+def gaussian_rank(rows, p):
+    """Rank over F_p of the matrix with the given rows."""
     validate_odd_prime(p)
-    work = rows if reduced else [[int(x) % p for x in row] for row in rows]
+    work = [[int(x) % p for x in row] for row in rows]
     n_cols = len(work[0]) if work else 0
     if any(len(row) != n_cols for row in work):
         raise InputError("ragged rows")
@@ -178,16 +176,23 @@ def solve_linear_mod_p(rows, rhs, p):
     return tuple(particular), tuple(basis)
 
 
+def _rotations(row, p):
+    """The p rows whose row k is the list row (of length p) cyclically shifted
+    k steps to the right."""
+    if len(row) != p:
+        raise InputError(f"a circulant over F_{p} needs exactly {p} entries, got {len(row)}")
+    return [row[-k:] + row[:-k] for k in range(p)]
+
+
 def circulant(first_row, p):
     """The p x p circulant over F_p whose row k is first_row cyclically shifted
     k steps to the right, as a list of rows."""
     validate_odd_prime(p)
-    vals = [int(x) % p for x in first_row]
-    if len(vals) != p:
-        raise InputError(f"a circulant over F_{p} needs exactly {p} entries, got {len(vals)}")
-    return [vals[-k:] + vals[:-k] for k in range(p)]
+    return _rotations([int(x) % p for x in first_row], p)
 
 
 def circulant_rank(first_row, p):
     """Rank over F_p of the circulant with the given first row (length p)."""
-    return gaussian_rank(circulant(first_row, p), p, reduced=True)
+    validate_odd_prime(p)
+    # gaussian_rank reduces each entry once, so the rotations keep the raw entries
+    return gaussian_rank(_rotations(list(first_row), p), p)

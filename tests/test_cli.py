@@ -186,12 +186,12 @@ def test_quotient_order_against_closed_form_exits_3(capsys, monkeypatch):
     code, out, err = run(capsys, "quotient", "--group", "p=3;e=1,2", "2")
     assert code == 3
     assert out == ""
-    assert "closed form 27" in err
-    # constant vectors are compared with their own closed form
+    assert "!= closed form 27" in err
+    # constant vectors are compared with their own closed form, an empirical fit
     code, out, err = run(capsys, "quotient", "--group", "p=3;e=2,2", "2")
     assert code == 3
     assert out == ""
-    assert "closed form 81" in err
+    assert "!= empirical closed form 81" in err
 
 
 # verify ---------------------------------------------------------------------
