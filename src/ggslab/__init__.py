@@ -13,7 +13,7 @@ from .core import (DEFAULT_DEPTH_CAP, DEFAULT_LENGTH_CAP, FAMILY_CONSTANT,
                    Element, GgsGroup, format_vertex, make_ggs,
                    parse_group_spec, parse_vertex)
 from .errors import CrossCheckError, GgsLabError, InputError, ResourceLimitError
-from .quotients import (DEFAULT_LEAF_GUARD, LeafPermutation, level_quotient,
+from .quotients import (LEAF_GUARD, LeafPermutation, level_quotient,
                         maximal_subgroups_census, project)
 from .words import GroupWord, format_word, parse_word
 
@@ -21,7 +21,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_DEPTH_CAP",
-    "DEFAULT_LEAF_GUARD",
     "DEFAULT_LENGTH_CAP",
     "FAMILY_CONSTANT",
     "FAMILY_FABRYKOWSKI_GUPTA",
@@ -33,6 +32,7 @@ __all__ = [
     "GgsLabError",
     "GroupWord",
     "InputError",
+    "LEAF_GUARD",
     "LeafPermutation",
     "ResourceLimitError",
     "format_vertex",

@@ -7,58 +7,48 @@ counterexample or failed cross-check, 4 resource guard tripped.
 
 import argparse
 import json
-import os
 import sys
 
 from . import lemmas
 from .core import (DEFAULT_DEPTH_CAP, DEFAULT_LENGTH_CAP, FAMILY_CONSTANT,
                    format_vertex, parse_group_spec, parse_vertex)
 from .errors import CrossCheckError, InputError, ResourceLimitError
-from .quotients import (DEFAULT_LEAF_GUARD, closed_form_order, level_quotient,
-                        maximal_subgroups_census)
+from .quotients import closed_form_order, level_quotient, maximal_subgroups_census
 from .words import format_word, parse_word
 
 # sweep sizes mirror the property-suite counts the checks were designed around
 VERIFY_REGISTRY = (
-    ("commutator-tuple", lambda group, seed, cfg: lemmas.sweep_commutator_tuple(group, seed)),
-    ("derived-product", lambda group, seed, cfg: lemmas.sweep_derived_product(group, 100, seed)),
-    ("split-case", lambda group, seed, cfg: lemmas.sweep_split_case(group, 1000, seed)),
-    ("propagation", lambda group, seed, cfg: lemmas.sweep_propagation(group, 200, seed)),
-    ("short-section", lambda group, seed, cfg: lemmas.sweep_short_section(group, 50, seed)),
-    ("length-contraction", lambda group, seed, cfg: lemmas.sweep_length_contraction(group, 200, seed)),
-    ("circulant", lambda group, seed, cfg: lemmas.sweep_circulant(group.p, seed)),
-    ("interval-lemma", lambda group, seed, cfg: lemmas.sweep_interval(group.p, seed)),
-    ("k-generator", lambda group, seed, cfg: lemmas.sweep_k_generator(group, seed)),
-    ("infinite-order", lambda group, seed, cfg: lemmas.sweep_infinite_order(group, seed)),
-    ("maximal-census", lambda group, seed, cfg: lemmas.sweep_maximal_census(
-        group, seed, n=2, leaf_guard=cfg["quotient_guard"])),
-    ("constant-model", lambda group, seed, cfg: lemmas.sweep_constant_model(group, seed)),
+    ("commutator-tuple", lambda group, seed: lemmas.sweep_commutator_tuple(group, seed)),
+    ("derived-product", lambda group, seed: lemmas.sweep_derived_product(group, 100, seed)),
+    ("split-case", lambda group, seed: lemmas.sweep_split_case(group, 1000, seed)),
+    ("propagation", lambda group, seed: lemmas.sweep_propagation(group, 200, seed)),
+    ("short-section", lambda group, seed: lemmas.sweep_short_section(group, 50, seed)),
+    ("length-contraction", lambda group, seed: lemmas.sweep_length_contraction(group, 200, seed)),
+    ("circulant", lambda group, seed: lemmas.sweep_circulant(group.p, seed)),
+    ("interval-lemma", lambda group, seed: lemmas.sweep_interval(group.p, seed)),
+    ("k-generator", lambda group, seed: lemmas.sweep_k_generator(group, seed)),
+    ("infinite-order", lambda group, seed: lemmas.sweep_infinite_order(group, seed)),
+    ("maximal-census", lambda group, seed: lemmas.sweep_maximal_census(group, seed, n=2)),
+    ("constant-model", lambda group, seed: lemmas.sweep_constant_model(group, seed)),
 )
 VERIFY_NAMES = tuple(name for name, _ in VERIFY_REGISTRY)
 
 
-def _default_seed():
-    raw = os.environ.get("GGSLAB_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"GGSLAB_SEED must be an integer, got {raw!r}")
-
-
-def _common_flags(sub):
+def _add_command(subs, name, help_text, *, seed=False, depth_cap=False, length_cap=False):
+    """A subcommand with --group and --json, plus only the flags it reads."""
+    sub = subs.add_parser(name, help=help_text)
     sub.add_argument("--group", required=True, metavar="SPEC",
                      help="group spec, e.g. 'p=3;e=1,2'")
     sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="sweep seed (default: GGSLAB_SEED or 0)")
-    sub.add_argument("--length-cap", type=int, default=DEFAULT_LENGTH_CAP, metavar="N",
-                     help="syllable cap for length certification")
-    sub.add_argument("--depth-cap", type=int, default=DEFAULT_DEPTH_CAP, metavar="N",
-                     help="recursion cap for word comparison")
-    sub.add_argument("--quotient-guard", type=int, default=DEFAULT_LEAF_GUARD, metavar="N",
-                     help="max leaf count for level quotients")
+    if seed:
+        sub.add_argument("--seed", type=int, default=0, help="sweep seed (default: 0)")
+    if length_cap:
+        sub.add_argument("--length-cap", type=int, default=DEFAULT_LENGTH_CAP, metavar="N",
+                         help="syllable cap for length certification")
+    if depth_cap:
+        sub.add_argument("--depth-cap", type=int, default=DEFAULT_DEPTH_CAP, metavar="N",
+                         help="recursion cap for word comparison")
+    return sub
 
 
 def build_parser():
@@ -67,40 +57,34 @@ def build_parser():
         description="GGS-groups on the p-adic tree: computation and lemma verification.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sp = subs.add_parser("classify", help="defining-vector family and branch status")
-    _common_flags(sp)
+    _add_command(subs, "classify", "defining-vector family and branch status")
 
-    sp = subs.add_parser("act", help="image of a vertex under a word")
+    sp = _add_command(subs, "act", "image of a vertex under a word")
     sp.add_argument("word")
     sp.add_argument("vertex", help="dot-separated letters in 1..p, empty for the root")
-    _common_flags(sp)
 
-    sp = subs.add_parser("section", help="section of a word at a vertex")
+    sp = _add_command(subs, "section", "section of a word at a vertex")
     sp.add_argument("word")
     sp.add_argument("vertex")
-    _common_flags(sp)
 
-    sp = subs.add_parser("equal", help="decide equality of two words in the group")
+    sp = _add_command(subs, "equal", "decide equality of two words in the group",
+                      depth_cap=True)
     sp.add_argument("word1")
     sp.add_argument("word2")
-    _common_flags(sp)
 
-    sp = subs.add_parser("length", help="certified syllable length, or unknown at the cap")
+    sp = _add_command(subs, "length", "certified syllable length, or unknown at the cap",
+                      depth_cap=True, length_cap=True)
     sp.add_argument("word")
-    _common_flags(sp)
 
-    sp = subs.add_parser("abelianize", help="exponent-sum pair in G/G'")
+    sp = _add_command(subs, "abelianize", "exponent-sum pair in G/G'")
     sp.add_argument("word")
-    _common_flags(sp)
 
-    sp = subs.add_parser("quotient", help="level-n congruence quotient order (census for n >= 2)")
+    sp = _add_command(subs, "quotient", "level-n congruence quotient order (census for n >= 2)")
     sp.add_argument("level", type=int)
-    _common_flags(sp)
 
-    sp = subs.add_parser("verify", help="run named lemma checks ('all' for every one)")
+    sp = _add_command(subs, "verify", "run named lemma checks ('all' for every one)", seed=True)
     sp.add_argument("checks", nargs="+", metavar="CHECK",
                     help="one of: " + ", ".join(VERIFY_NAMES) + ", all")
-    _common_flags(sp)
 
     return parser
 
@@ -183,7 +167,7 @@ def cmd_quotient(args, group):
     n = args.level
     if n >= 2:
         # the census builds the level quotient and reports its order
-        census = maximal_subgroups_census(group, n, leaf_guard=args.quotient_guard)
+        census = maximal_subgroups_census(group, n)
         order = census["order"]
         want = closed_form_order(group, n)
         if order != want:
@@ -198,14 +182,14 @@ def cmd_quotient(args, group):
             lines.append(f"  functional ({s},{t}): index {rec['index']}, "
                          + ("normal" if rec["normal"] else "not normal"))
     else:
-        order = level_quotient(group, n, leaf_guard=args.quotient_guard).order
+        order = level_quotient(group, n).order
         data = {"p": group.p, "e": list(group.e), "n": n, "order": order}
         lines = [f"level = {n}", f"order = {order}"]
     _emit(args, data, lines)
     return 0
 
 
-def cmd_verify(args, group, seed):
+def cmd_verify(args, group):
     names = list(args.checks)
     if "all" in names:
         names = list(VERIFY_NAMES)
@@ -214,9 +198,8 @@ def cmd_verify(args, group, seed):
         if unknown:
             raise InputError("unknown check(s): " + ", ".join(sorted(unknown))
                              + "; valid: " + ", ".join(VERIFY_NAMES) + ", all")
-    cfg = {"quotient_guard": args.quotient_guard}
     registry = dict(VERIFY_REGISTRY)
-    reports = [registry[name](group, seed, cfg) for name in names]
+    reports = [registry[name](group, args.seed) for name in names]
     failures = sum(len(rep["counterexamples"]) for rep in reports)
     if args.json:
         print(json.dumps(reports, sort_keys=True, indent=2))
@@ -237,7 +220,6 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        seed = args.seed if args.seed is not None else _default_seed()
         group = parse_group_spec(args.group)
         if args.command == "classify":
             return cmd_classify(args, group)
@@ -254,7 +236,7 @@ def main(argv=None):
         if args.command == "quotient":
             return cmd_quotient(args, group)
         if args.command == "verify":
-            return cmd_verify(args, group, seed)
+            return cmd_verify(args, group)
         raise InputError(f"unknown command {args.command!r}")
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

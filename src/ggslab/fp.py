@@ -1,4 +1,4 @@
-"""Exact linear algebra over the prime field F_p: rank, linear solving, circulants.
+"""Exact linear algebra over the prime field F_p: rank, linear solving, circulant rank.
 
 A matrix is a plain sequence of equal-length integer rows; every entry is
 reduced to its canonical residue in {0, ..., p-1} before use, and no floating
@@ -182,13 +182,6 @@ def _rotations(row, p):
     if len(row) != p:
         raise InputError(f"a circulant over F_{p} needs exactly {p} entries, got {len(row)}")
     return [row[-k:] + row[:-k] for k in range(p)]
-
-
-def circulant(first_row, p):
-    """The p x p circulant over F_p whose row k is first_row cyclically shifted
-    k steps to the right, as a list of rows."""
-    validate_odd_prime(p)
-    return _rotations([int(x) % p for x in first_row], p)
 
 
 def circulant_rank(first_row, p):

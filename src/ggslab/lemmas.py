@@ -48,16 +48,6 @@ class ExponentProfile:
         if sum(m for _, m in self.pairs) % self.p != self.t % self.p:
             raise CrossCheckError("profile m-column does not sum to t")
 
-    def n(self, letter):
-        return self.pairs[letter % self.p][0]
-
-    def m(self, letter):
-        return self.pairs[letter % self.p][1]
-
-    def by_letter(self):
-        """Pairs listed for letters 1, ..., p."""
-        return [self.pairs[u % self.p] for u in range(1, self.p + 1)]
-
 
 @dataclass(frozen=True)
 class CaseVerdict:
@@ -568,9 +558,9 @@ def sweep_infinite_order(group, seed=0, steps=5):
                    counterexamples=bad, trace=[list(v) for v in trace])
 
 
-def sweep_maximal_census(group, seed=0, n=2, leaf_guard=729):
+def sweep_maximal_census(group, seed=0, n=2):
     # the census raises CrossCheckError unless |Q : Q'| = p^2, which fixes its records
-    census = maximal_subgroups_census(group, n, leaf_guard)
+    census = maximal_subgroups_census(group, n)
     return _report("maximal-census", seed, cases_run=census["count"],
                    passed=census["count"], census=census)
 

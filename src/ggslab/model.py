@@ -18,7 +18,6 @@ maximal subgroups become visible, unlike in any congruence quotient.
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .errors import CrossCheckError, InputError, ResourceLimitError
 from .fp import validate_odd_prime
@@ -39,10 +38,6 @@ def _mat_mul(a, b):
 
 def _mat_add(a, b):
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _vec_mat(v, m):
-    return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0])))
 
 
 class ActionMatrix:
@@ -82,17 +77,6 @@ class ActionMatrix:
     def power(self, k):
         return self.powers[k % self.p]
 
-    def __eq__(self, other):
-        if not isinstance(other, ActionMatrix):
-            return NotImplemented
-        return self.p == other.p
-
-    def __hash__(self):
-        return hash(("ActionMatrix", self.p))
-
-    def __repr__(self):
-        return f"ActionMatrix(p={self.p}, rows={[list(r) for r in self.rows]})"
-
 
 _MATRICES = {}
 
@@ -104,64 +88,6 @@ def model_matrix(p):
         m = ActionMatrix(p)
         _MATRICES[p] = m
     return m
-
-
-@dataclass(frozen=True)
-class ModelElement:
-    """A model element (c, v): c mod p with p = len(v) + 1, v exact integers."""
-
-    c: int
-    v: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "v", tuple(int(x) for x in self.v))
-        p = len(self.v) + 1
-        validate_odd_prime(p)
-        object.__setattr__(self, "c", self.c % p)
-
-    @property
-    def p(self):
-        return len(self.v) + 1
-
-
-def model_identity(p):
-    validate_odd_prime(p)
-    return ModelElement(0, (0,) * (p - 1))
-
-
-def model_mul(x, y):
-    """(c1, v1) * (c2, v2) = (c1 + c2 mod p, v1 A^{c2} + v2)."""
-    if x.p != y.p:
-        raise InputError(f"model elements over different p: {x.p} vs {y.p}")
-    mat = model_matrix(x.p)
-    return ModelElement(x.c + y.c, tuple(a + b for a, b in zip(_vec_mat(x.v, mat.power(y.c)), y.v)))
-
-
-def model_inverse(x):
-    mat = model_matrix(x.p)
-    c_inv = (-x.c) % x.p
-    return ModelElement(c_inv, tuple(-t for t in _vec_mat(x.v, mat.power(c_inv))))
-
-
-def model_power(x, k):
-    out = model_identity(x.p)
-    base = x if k >= 0 else model_inverse(x)
-    k = abs(k)
-    while k:
-        if k & 1:
-            out = model_mul(out, base)
-        k >>= 1
-        if k:
-            base = model_mul(base, base)
-    return out
-
-
-def mq_membership(x, q):
-    """Whether x lies in M_q = (Z/pZ) |x (qZ)^{p-1}: every lattice coordinate
-    divisible by q."""
-    if not isinstance(q, int) or q < 2:
-        raise InputError(f"q must be an integer >= 2, got {q!r}")
-    return all(t % q == 0 for t in x.v)
 
 
 def distinct_mq_witness(q1, q2, p):
@@ -176,8 +102,9 @@ def distinct_mq_witness(q1, q2, p):
     validate_odd_prime(p)
     if math.gcd(q1, q2) != 1:
         raise CrossCheckError("distinct primes with gcd != 1")
-    witness = ModelElement(0, (q1,) + (0,) * (p - 2))
-    return mq_membership(witness, q1) and not mq_membership(witness, q2)
+    # (0, v) lies in M_q exactly when q divides every coordinate of v
+    witness = (q1,) + (0,) * (p - 2)
+    return all(t % q1 == 0 for t in witness) and not all(t % q2 == 0 for t in witness)
 
 
 class FiniteModel:

@@ -9,11 +9,11 @@ for byte.
 Internally a permutation of degree p^n <= 256 is a 256-byte `bytes` table
 whose entries past p^n are the identity: composing is `bytes.translate`,
 inverting is `bytes.maketrans`, comparing is a memcmp and the hash is cached.
-Degrees above 256 (343, 625 and 729 leaves under the default guard) keep
-tuples, composed with `operator.itemgetter`, because a translate table has 256
-entries. `_as_perm` converts to the internal format at every entry point, and
-`_identity`, `_compose`, `_inverse` and `_perm_power` work on either format;
-`LeafPermutation.images` stays a tuple.
+Degrees above 256 (289 to 529 leaves at level 2 for p = 17 to 23, and 343 at
+p = 7, level 3) keep tuples, composed with `operator.itemgetter`, because a
+translate table has 256 entries. `_as_perm` converts to the internal format at
+every entry point, and `_identity`, `_compose`, `_inverse` and `_perm_power`
+work on either format; `LeafPermutation.images` stays a tuple.
 
 The maximal-subgroup census runs on layered bases instead (`_LayeredBasis`):
 induced polycyclic sequences of subgroups of the iterated wreath product
@@ -37,7 +37,11 @@ from .core import FAMILY_CONSTANT
 from .errors import CrossCheckError, InputError, ResourceLimitError
 from .fp import circulant_rank
 
-DEFAULT_LEAF_GUARD = 729  # 3^6 leaves
+# Largest leaf count a level quotient is built on. It admits level 2 for every
+# p <= 23 (p = 23 in about 4 s on a 2-vCPU VM), level 3 for p <= 7 and level 5
+# for p = 3; it refuses p = 5 at level 4 and p = 3 at level 6, whose 625 and
+# 729 leaves the stabilizer chain does not finish in a minute.
+LEAF_GUARD = 529  # 23^2 leaves
 
 _TABLE = 256  # largest degree stored as a bytes translate table
 _IDENTITY_TABLE = bytes(range(_TABLE))
@@ -107,34 +111,6 @@ class LeafPermutation:
 
     def __setattr__(self, name, val):
         raise AttributeError("LeafPermutation is immutable")
-
-    @classmethod
-    def identity(cls, p, n):
-        return cls(p, n, range(p ** n))
-
-    def _check(self, other):
-        if not isinstance(other, LeafPermutation):
-            raise InputError("expected a LeafPermutation")
-        if (self.p, self.n) != (other.p, other.n):
-            raise InputError("leaf permutations live on different levels")
-
-    def __mul__(self, other):
-        """self then other, matching the right action of element products."""
-        self._check(other)
-        return LeafPermutation(self.p, self.n, _compose(self.images, other.images))
-
-    def inverse(self):
-        return LeafPermutation(self.p, self.n, _inverse(self.images))
-
-    __invert__ = inverse
-
-    def __pow__(self, k):
-        images = self.images if k >= 0 else _inverse(self.images)
-        return LeafPermutation(self.p, self.n, _perm_power(images, abs(k)))
-
-    @property
-    def is_identity(self):
-        return all(i == x for i, x in enumerate(self.images))
 
     def __eq__(self, other):
         if not isinstance(other, LeafPermutation):
@@ -321,7 +297,7 @@ class PermQuotient:
         return f"PermQuotient({self.group.spec_string()}, n={self.n}, order={self.order})"
 
 
-def level_quotient(group, n, leaf_guard=DEFAULT_LEAF_GUARD):
+def level_quotient(group, n):
     """Build G / st_G(n) as a permutation group on the p^n leaves."""
     if n < 1:
         raise InputError("level must be >= 1")
@@ -330,9 +306,9 @@ def level_quotient(group, n, leaf_guard=DEFAULT_LEAF_GUARD):
     leaves = 1
     for _ in range(n):
         leaves *= p
-        if leaves > leaf_guard:
+        if leaves > LEAF_GUARD:
             raise ResourceLimitError(
-                f"level {n} at p = {p} has more than {leaf_guard} leaves, the guard")
+                f"level {n} at p = {p} has more than {LEAF_GUARD} leaves, the guard")
     gen_a = project(group.a, n)
     gen_b = project(group.b, n)
     chain = _StabilizerChain(p ** n)
@@ -485,7 +461,7 @@ class _LayeredBasis:
             self._inverses.append(b_inv)
 
 
-def maximal_subgroups_census(group, n, leaf_guard=DEFAULT_LEAF_GUARD):
+def maximal_subgroups_census(group, n):
     """Census of the maximal subgroups of G / st_G(n) for n >= 2.
 
     Returns a dict (JSON-ready): p, e, n, order, |Q : Q'| and one record per
@@ -500,7 +476,7 @@ def maximal_subgroups_census(group, n, leaf_guard=DEFAULT_LEAF_GUARD):
     """
     if n < 2:
         raise InputError("the census needs level n >= 2")
-    q = level_quotient(group, n, leaf_guard)
+    q = level_quotient(group, n)
     p = group.p
     a_img = _as_perm(q.gen_a.images, p ** n)
     b_img = _as_perm(q.gen_b.images, p ** n)

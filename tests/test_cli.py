@@ -163,22 +163,23 @@ def test_quotient_builds_the_level_quotient_once(capsys, monkeypatch, level):
     assert calls == [int(level)]
 
 
-@pytest.mark.parametrize("level", ["10000", "100000000"])
+@pytest.mark.parametrize("level", ["6", "10000", "100000000"])
 def test_quotient_leaf_guard_refuses_deep_levels_at_once(capsys, level):
-    # 3^10000 has too many digits to print; 3^100000000 took over 20 s to compute
+    # 3^10000 has too many digits to print; 3^100000000 took over 20 s to
+    # compute; at 3^6 = 729 leaves the stabilizer chain ran for over a minute
     start = time.perf_counter()
     code, out, err = run(capsys, "quotient", "--group", "p=3;e=1,2", level)
     assert code == 4
     assert out == ""
-    assert "more than 729 leaves" in err
-    assert time.perf_counter() - start < 10
+    assert "more than 529 leaves" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_quotient_order_against_closed_form_exits_3(capsys, monkeypatch):
     real = cli.maximal_subgroups_census
 
-    def wrong_order(group, n, leaf_guard):
-        census = real(group, n, leaf_guard)
+    def wrong_order(group, n):
+        census = real(group, n)
         census["order"] *= group.p
         return census
 
@@ -232,18 +233,13 @@ def test_verify_json_deterministic(capsys):
     assert all(r["seed"] == 9 for r in reports)
 
 
-def test_verify_seed_from_environment(capsys, monkeypatch):
-    monkeypatch.setenv("GGSLAB_SEED", "33")
-    code, out, _ = run(capsys, "verify", "--group", "p=3;e=1,2", "--json", "derived-product")
-    assert code == 0
-    assert json.loads(out)[0]["seed"] == 33
-
-
-def test_verify_bad_environment_seed(capsys, monkeypatch):
-    monkeypatch.setenv("GGSLAB_SEED", "many")
-    code, _, err = run(capsys, "verify", "--group", "p=3;e=1,2", "circulant")
-    assert code == 2
-    assert "GGSLAB_SEED" in err
+def test_verify_seed_defaults_to_zero(capsys, monkeypatch):
+    # the seed comes from --seed alone; the environment is not read
+    for raw in ("33", "many"):
+        monkeypatch.setenv("GGSLAB_SEED", raw)
+        code, out, _ = run(capsys, "verify", "--group", "p=3;e=1,2", "--json", "derived-product")
+        assert code == 0
+        assert json.loads(out)[0]["seed"] == 0
 
 
 def test_verify_flag_seed_beats_environment(capsys, monkeypatch):
@@ -302,9 +298,10 @@ def test_resource_guard_exits_4(capsys):
     code, _, err = run(capsys, "quotient", "--group", "p=3;e=1,2", "7")
     assert code == 4
     assert err.startswith("resource guard:")
-    code, _, _ = run(capsys, "quotient", "--group", "p=3;e=1,2", "2",
-                     "--quotient-guard", "5")
+    # 625 leaves, the first level past the guard at p = 5
+    code, _, err = run(capsys, "quotient", "--group", "p=5;e=1,0,2,4", "4")
     assert code == 4
+    assert "level 4 at p = 5 has more than 529 leaves" in err
 
 
 @pytest.mark.parametrize("check", ["interval-lemma", "circulant"])
@@ -324,6 +321,31 @@ def test_missing_group_flag_is_an_argparse_error(capsys):
         main(["classify"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+# flags every command used to accept, with a value for each; a command now
+# takes only those it reads (COMMAND_FLAGS)
+DROPPED_FLAGS = {
+    "--seed": "1", "--length-cap": "8", "--depth-cap": "8", "--quotient-guard": "729",
+}
+COMMAND_ARGS = {
+    "classify": [], "act": ["a", "1"], "section": ["a", "1"], "equal": ["a", "b"],
+    "length": ["a"], "abelianize": ["a"], "quotient": ["1"], "verify": ["circulant"],
+}
+COMMAND_FLAGS = {"verify": {"--seed"}, "equal": {"--depth-cap"},
+                 "length": {"--depth-cap", "--length-cap"}}
+# the 28 (command, flag) pairs that were accepted and ignored
+UNREAD_FLAGS = [(cmd, flag) for cmd in COMMAND_ARGS for flag in DROPPED_FLAGS
+                if flag not in COMMAND_FLAGS.get(cmd, ())]
+
+
+@pytest.mark.parametrize("command,flag", UNREAD_FLAGS)
+def test_unread_flag_is_an_argparse_error(capsys, command, flag):
+    argv = [command, "--group", "p=3;e=1,2", *COMMAND_ARGS[command], flag, DROPPED_FLAGS[flag]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + flag in capsys.readouterr().err
 
 
 def test_unknown_command_is_an_argparse_error(capsys):

@@ -1,4 +1,4 @@
-"""Linear algebra over F_p: rank, linear solving, circulants."""
+"""Linear algebra over F_p: rank, linear solving, circulant rank."""
 
 import itertools
 import random
@@ -11,8 +11,8 @@ from ggslab.errors import InputError
 from ggslab.fp import (
     BYTE_ROWS_BELOW,
     _encode_rows,
+    _rotations,
     _row_reduce,
-    circulant,
     circulant_rank,
     gaussian_rank,
     solve_linear_mod_p,
@@ -53,14 +53,17 @@ def test_gaussian_rank_input_checks():
 
 
 def test_circulant_row_structure():
-    assert circulant((1, 2, 0), 3) == [[1, 2, 0], [0, 1, 2], [2, 0, 1]]
-    assert circulant((4, 0, -1, 0, 0), 5) == [
-        [4, 0, 4, 0, 0],
-        [0, 4, 0, 4, 0],
-        [0, 0, 4, 0, 4],
-        [4, 0, 0, 4, 0],
-        [0, 4, 0, 0, 4],
+    # the rows circulant_rank eliminates: row k is the first row shifted k steps
+    # right, entries kept raw since the elimination reduces each one once
+    assert _rotations([1, 2, 0], 3) == [[1, 2, 0], [0, 1, 2], [2, 0, 1]]
+    assert _rotations([4, 0, -1, 0, 0], 5) == [
+        [4, 0, -1, 0, 0],
+        [0, 4, 0, -1, 0],
+        [0, 0, 4, 0, -1],
+        [-1, 0, 0, 4, 0],
+        [0, -1, 0, 0, 4],
     ]
+    assert circulant_rank((4, 0, -1, 0, 0), 5) == circulant_rank((4, 0, 4, 0, 0), 5)
 
 
 def test_circulant_rank_examples():
@@ -124,9 +127,9 @@ def test_circulant_rank_matches_closed_form_sampled(p):
 
 def test_circulant_length_check():
     with pytest.raises(InputError):
-        circulant((1, 2), 3)
+        circulant_rank((1, 2), 3)
     with pytest.raises(InputError):
-        circulant((1, 2, 0, 0), 4)
+        circulant_rank((1, 2, 0, 0), 4)
 
 
 def _check_solution(rows, rhs, sol, p):

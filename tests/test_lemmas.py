@@ -47,16 +47,15 @@ def test_profile_hand_example():
     x = g.b * g.b.conjugate(g.a)
     prof = exponent_profile(g, x)
     assert prof.t == 2
-    assert prof.by_letter() == [(1, 1), (2, 0), (1, 1)]
-    assert prof.n(1) == 1 and prof.m(1) == 1
-    assert prof.n(3) == 1 and prof.m(3) == 1  # letter p sits at residue 0
+    # pairs by residue: letter p sits at residue 0, letters 1 and 2 at 1 and 2
+    assert prof.pairs == ((1, 1), (1, 1), (2, 0))
 
 
 def test_profile_of_b():
     g = make_ggs(3, (1, 1))
     prof = exponent_profile(g, g.b)
     assert prof.t == 1
-    assert prof.by_letter() == [(1, 0), (1, 0), (0, 1)]
+    assert prof.pairs == ((0, 1), (1, 0), (1, 0))
 
 
 def test_profile_shifts_under_conjugation_by_a():

@@ -7,20 +7,14 @@ from collections import Counter
 
 import pytest
 
-from ggslab.errors import CrossCheckError, InputError, ResourceLimitError
+from ggslab.errors import InputError, ResourceLimitError
 from ggslab.model import (
     FiniteModel,
-    ModelElement,
     all_subgroups,
     census_dict,
     distinct_mq_witness,
     enumerate_maximal_subgroups,
-    model_identity,
-    model_inverse,
     model_matrix,
-    model_mul,
-    model_power,
-    mq_membership,
     reduce_mod,
 )
 
@@ -56,73 +50,29 @@ def test_matrix_power_cycle(p):
 # element arithmetic ---------------------------------------------------------
 
 
-def test_element_validation():
-    x = ModelElement(4, (1, 2))
-    assert x.c == 1  # reduced mod p = 3
-    assert x.p == 3
-    with pytest.raises(InputError):
-        ModelElement(0, (1,))  # p = 2 is not odd
-    with pytest.raises(InputError):
-        ModelElement(0, (1, 2, 3))  # p = 4 composite
-
-
 def test_group_axioms_sampled():
+    # the product (c1, v1) * (c2, v2) = (c1 + c2, v1 A^{c2} + v2) on the
+    # lattice reduced mod q
     rng = random.Random(101)
-    for p in (3, 5):
-        ident = model_identity(p)
+    for p, q in ((3, 4), (5, 2)):
+        fm = FiniteModel(p, q)
+        ident = fm.identity
         for _ in range(60):
-            x = ModelElement(rng.randrange(p), tuple(rng.randrange(-9, 9) for _ in range(p - 1)))
-            y = ModelElement(rng.randrange(p), tuple(rng.randrange(-9, 9) for _ in range(p - 1)))
-            z = ModelElement(rng.randrange(p), tuple(rng.randrange(-9, 9) for _ in range(p - 1)))
-            assert model_mul(model_mul(x, y), z) == model_mul(x, model_mul(y, z))
-            assert model_mul(x, ident) == x
-            assert model_mul(ident, x) == x
-            assert model_mul(x, model_inverse(x)) == ident
-            assert model_mul(model_inverse(x), x) == ident
-
-
-def test_power_matches_repeated_mul():
-    rng = random.Random(103)
-    x = ModelElement(1, (2, -1, 0, 3))
-    acc = model_identity(5)
-    for k in range(12):
-        assert model_power(x, k) == acc
-        acc = model_mul(acc, x)
-    assert model_power(x, -3) == model_inverse(model_power(x, 3))
-    # anything outside the lattice has order exactly p: the vanishing power
-    # sum of the action matrix wipes the lattice part of a p-th power
-    assert model_power(x, 5) == model_identity(5)
-    # inside the lattice nothing is torsion
-    y = ModelElement(0, (1, 0, 0, 0))
-    assert model_power(y, 5) == ModelElement(0, (5, 0, 0, 0))
-    assert model_power(y, 5) != model_identity(5)
-
-
-def test_mul_rejects_mismatched_p():
-    with pytest.raises(InputError):
-        model_mul(ModelElement(0, (1, 2)), ModelElement(0, (1, 2, 3, 4)))
+            x, y, z = (rng.randrange(fm.order) for _ in range(3))
+            assert fm.mul(fm.mul(x, y), z) == fm.mul(x, fm.mul(y, z))
+            assert fm.mul(x, ident) == x
+            assert fm.mul(ident, x) == x
+            assert fm.mul(x, fm.inverse(x)) == ident
+            assert fm.mul(fm.inverse(x), x) == ident
+            # anything outside the lattice has order exactly p: the vanishing
+            # power sum of the action matrix wipes the lattice part of a p-th power
+            if fm.elements[x][0]:
+                assert fm.element_order(x) == p
+        # inside the lattice nothing is p-torsion: e_1 has order q
+        assert fm.element_order(fm.gen_b) == q
 
 
 # the lattice filtration -----------------------------------------------------
-
-
-def test_mq_membership():
-    x = ModelElement(1, (2, 4))
-    assert mq_membership(x, 2)
-    assert not mq_membership(x, 4)
-    assert mq_membership(ModelElement(2, (0, 0)), 7)
-    with pytest.raises(InputError):
-        mq_membership(x, 1)
-
-
-def test_mq_closed_under_multiplication():
-    # the lattice part transforms linearly, so divisibility by q survives
-    rng = random.Random(107)
-    for _ in range(40):
-        x = ModelElement(rng.randrange(3), (2 * rng.randrange(-5, 5), 2 * rng.randrange(-5, 5)))
-        y = ModelElement(rng.randrange(3), (2 * rng.randrange(-5, 5), 2 * rng.randrange(-5, 5)))
-        assert mq_membership(model_mul(x, y), 2)
-        assert mq_membership(model_inverse(x), 2)
 
 
 def test_distinct_mq_witnesses():

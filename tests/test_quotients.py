@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from ggslab.core import make_ggs, parse_group_spec
 from ggslab.errors import CrossCheckError, InputError, ResourceLimitError
 from ggslab.quotients import (
     _IDENTITY_TABLE,
+    LEAF_GUARD,
     LeafPermutation,
     _as_perm,
     _compose,
@@ -54,29 +56,14 @@ def test_permutation_validation():
         LeafPermutation(3, 0, (0,))  # level 0 has a single leaf
     with pytest.raises(InputError):
         LeafPermutation(1, 1, (0,))  # p below 3
-
-
-def test_permutation_algebra():
-    s = LeafPermutation(3, 1, (1, 2, 0))
-    t = LeafPermutation(3, 1, (0, 2, 1))
-    # s then t: 0 -> 1 -> 2
-    assert (s * t).images == (2, 1, 0)
-    assert (s * s.inverse()).is_identity
-    assert (s ** 3).is_identity
-    assert s ** -1 == s.inverse()
-    assert (~s) == s.inverse()
-    assert s ** 2 == s * s
-    u = LeafPermutation(3, 2, range(9))
-    with pytest.raises(InputError):
-        s * u  # level mismatch
     with pytest.raises(AttributeError):
-        s.images = (0, 1, 2)
+        LeafPermutation(3, 1, (1, 2, 0)).images = (0, 1, 2)
 
 
 def test_project_generators_level_one():
     g = make_ggs(3, (1, 2))
     assert project(g.a, 1).images == (1, 2, 0)
-    assert project(g.b, 1).is_identity
+    assert project(g.b, 1).images == (0, 1, 2)
 
 
 def test_project_b_level_two():
@@ -101,7 +88,8 @@ def test_project_is_a_homomorphism():
     for _ in range(30):
         x = g.element(random_word(5, 4, rng))
         y = g.element(random_word(5, 4, rng))
-        assert project(x * y, 2) == project(x, 2) * project(y, 2)
+        # x then y, matching the right action of element products
+        assert project(x * y, 2).images == _compose(project(x, 2).images, project(y, 2).images)
     with pytest.raises(InputError):
         project(g.a, 0)
 
@@ -110,8 +98,10 @@ def test_generator_images_have_order_p():
     for p, e in ((3, (1, 2)), (5, (1, 2, 3, 4))):
         g = make_ggs(p, e)
         for n in (1, 2):
-            assert (project(g.a, n) ** p).is_identity
-            assert (project(g.b, n) ** p).is_identity
+            identity = tuple(range(p ** n))
+            assert project(g.a, n).images != identity
+            assert _perm_power(project(g.a, n).images, p) == identity
+            assert _perm_power(project(g.b, n).images, p) == identity
 
 
 # the internal permutation format ---------------------------------------------
@@ -293,12 +283,20 @@ def test_quotient_guards():
     with pytest.raises(InputError):
         level_quotient(g, 0)
     with pytest.raises(ResourceLimitError):
-        level_quotient(g, 7)  # 3^7 leaves over the default guard
-    with pytest.raises(ResourceLimitError, match="more than 729 leaves"):
+        level_quotient(g, 7)  # 3^7 leaves over the guard
+    with pytest.raises(ResourceLimitError, match="more than 529 leaves"):
         level_quotient(g, 10 ** 8)  # refused without computing 3^(10^8)
-    with pytest.raises(ResourceLimitError):
-        level_quotient(g, 4, leaf_guard=30)  # custom guard tightens the bound
-    assert level_quotient(g, 3, leaf_guard=27).order == 2187
+    assert LEAF_GUARD == 23 ** 2
+    # the first levels past the guard: 841, 729 and 625 leaves, refused before
+    # any projection, census included
+    for p, e, n in ((29, (1,) + (0,) * 27, 2), (3, (1, 0), 6), (5, (1, 0, 2, 4), 4)):
+        for build in (level_quotient, maximal_subgroups_census):
+            start = time.perf_counter()
+            with pytest.raises(ResourceLimitError,
+                               match=f"level {n} at p = {p} has more than 529 leaves"):
+                build(make_ggs(p, e), n)
+            assert time.perf_counter() - start < 1.0
+    assert level_quotient(g, 3).order == 2187
 
 
 # membership -----------------------------------------------------------------
@@ -402,8 +400,8 @@ def test_census_matches_sifting_oracle(case):
 def test_census_rejects_layered_order_mismatch(monkeypatch):
     real = quotients.level_quotient
 
-    def wrong_order(group, n, leaf_guard=quotients.DEFAULT_LEAF_GUARD):
-        q = real(group, n, leaf_guard)
+    def wrong_order(group, n):
+        q = real(group, n)
         q.order *= group.p
         return q
 
