@@ -28,7 +28,7 @@ VERIFY_REGISTRY = (
     ("interval-lemma", lambda group, seed: lemmas.sweep_interval(group.p, seed)),
     ("k-generator", lambda group, seed: lemmas.sweep_k_generator(group, seed)),
     ("infinite-order", lambda group, seed: lemmas.sweep_infinite_order(group, seed)),
-    ("maximal-census", lambda group, seed: lemmas.sweep_maximal_census(group, seed, n=2)),
+    ("maximal-census", lambda group, seed: lemmas.sweep_maximal_census(group, seed)),
     ("constant-model", lambda group, seed: lemmas.sweep_constant_model(group, seed)),
 )
 VERIFY_NAMES = tuple(name for name, _ in VERIFY_REGISTRY)

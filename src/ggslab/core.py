@@ -64,7 +64,9 @@ class GgsGroup:
         if len(e) != p - 1:
             raise InputError(f"defining vector needs p-1={p - 1} entries, got {len(e)}")
         validate_odd_prime(p)
-        e = tuple(int(c) % p for c in e)
+        if any(not isinstance(c, int) or isinstance(c, bool) for c in e):
+            raise InputError(f"defining vector entries must be integers, got {e!r}")
+        e = tuple(c % p for c in e)
         if not any(e):
             raise InputError("defining vector must be nonzero mod p")
         self.p = p

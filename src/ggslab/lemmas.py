@@ -2,7 +2,8 @@
 
 Each check_* function examines one concrete input and reports exactly what it
 found; each sweep_* function drives a seeded random sweep (or an exhaustive
-scan) and returns a JSON-ready report dict
+scan), sized by the module constants below apart from its case count, and
+returns a JSON-ready report dict
 
     {"lemma", "seed", "cases_run", "passed", "skipped", "counterexamples"}
 
@@ -20,11 +21,20 @@ from .errors import CrossCheckError, InputError, ResourceLimitError
 from .fp import circulant_rank
 from .words import class_sums, format_word, random_word
 from .words import _reduce
-from .core import FAMILY_CONSTANT, make_ggs
+from .core import DEFAULT_LENGTH_CAP, FAMILY_CONSTANT, make_ggs
 from .quotients import maximal_subgroups_census
 from . import model as _model
 
 SWEEP_MAX_FACTORS = 6  # conjugate factors (b^j)^(a^l) per random element
+DERIVED_MAX_FACTORS = 3  # conjugated commutators per random element of G'
+DERIVED_CONJ_SYLLABLES = 3  # syllables of each random conjugator
+SHORT_SECTION_ATTEMPTS = 400  # draws allowed per short-section case
+CONTRACTION_MAX_FACTORS = 4  # conjugate factors per length-contraction draw
+CONTRACTION_LENGTH_CAP = 4  # length cap for a draw and for its sections
+CIRCULANT_SAMPLES = 10000  # vectors ranked, every one when p^p is no larger
+TRACE_STEPS = 5  # steps of the infinite-order trace
+CENSUS_LEVEL = 2  # level of the maximal-subgroup census
+MODEL_CENSUS_ORDER_CAP = 100  # largest finite model the census enumerates
 # Largest p each scan of fixed size runs at before it raises ResourceLimitError.
 # The interval scan grows like p^6 (3-5 s at p = 19 on a 2-vCPU VM); the
 # circulant sweep ranks 10,000 p x p circulants (5-8 s at p = 31).
@@ -47,28 +57,6 @@ class ExponentProfile:
     def __post_init__(self):
         if sum(m for _, m in self.pairs) % self.p != self.t % self.p:
             raise CrossCheckError("profile m-column does not sum to t")
-
-
-@dataclass(frozen=True)
-class CaseVerdict:
-    """Outcome of the split-case classification.
-
-    Case 1: some section is congruent to a pure nonzero b-power; `letter`
-    holds the witness u and `j0` its exponent. Case 2: `a_witnesses` are two
-    letters with n_u != lambda * m_u and `m_witnesses` two letters with
-    m_u != 0.
-    """
-
-    case: int
-    letter: int = None
-    j0: int = None
-    a_witnesses: tuple = None
-    m_witnesses: tuple = None
-
-
-def _letters_in_order(p):
-    """Letters 1, ..., p as residues (p last, as residue 0)."""
-    return [u % p for u in range(1, p + 1)]
 
 
 def exponent_profile(group, g):
@@ -103,23 +91,22 @@ def exponent_profile(group, g):
             for j in range(1, p):
                 ns[(v + j) % p] += group.e[j - 1] * m_v
 
+    # derived columns sum to t and lambda * t by construction: equality checks both sums
     derived = [(n % p, ms[r]) for r, n in enumerate(ns)]
     if derived != direct:
         raise CrossCheckError(
             f"exponent profile mismatch for {format_word(w)!r}: "
             f"sections gave {direct}, decomposition gave {derived}")
-    if sum(n for n, _ in direct) % p != (group.lam * tb) % p:
-        raise CrossCheckError("profile n-column does not sum to lambda * t")
     return ExponentProfile(p, tb, tuple(direct))
 
 
 def classify_case(profile, lam):
-    """Split a valid profile into the two-case dichotomy.
+    """The case, 1 or 2, of a valid profile in the two-case dichotomy.
 
     Case 1 holds when some letter has n_u = 0 and m_u != 0 (that section is a
     pure b-power mod G'). Otherwise every letter with m_u != 0 has n_u != 0
-    (the per-letter reading) and the verdict must exhibit at least two letters
-    with n_u != lambda * m_u and at least two with m_u != 0; if either set of
+    (the per-letter reading), and Case 2 needs at least two letters with
+    n_u != lambda * m_u and at least two with m_u != 0; if either set of
     witnesses is short, something mathematically forced has failed.
     """
     p = profile.p
@@ -128,18 +115,15 @@ def classify_case(profile, lam):
         raise InputError("the case split needs a non-torsion group (lambda != 0)")
     if profile.t % p == 0:
         raise InputError("the case split needs t != 0")
-    for r in _letters_in_order(p):
-        n_u, m_u = profile.pairs[r]
-        if n_u == 0 and m_u != 0:
-            return CaseVerdict(case=1, letter=p if r == 0 else r, j0=m_u)
-    a_wit = [p if r == 0 else r
-             for r in _letters_in_order(p)
-             if profile.pairs[r][0] != (lam * profile.pairs[r][1]) % p]
-    m_wit = [p if r == 0 else r for r in _letters_in_order(p) if profile.pairs[r][1] != 0]
+    if any(n_u == 0 and m_u != 0 for n_u, m_u in profile.pairs):
+        return 1
+    pairs = [profile.pairs[u % p] for u in range(1, p + 1)]
+    a_wit = [u for u, (n_u, m_u) in enumerate(pairs, 1) if n_u != (lam * m_u) % p]
+    m_wit = [u for u, (_, m_u) in enumerate(pairs, 1) if m_u != 0]
     if len(a_wit) < 2 or len(m_wit) < 2:
         raise CrossCheckError(
             f"Case 2 witness shortfall: a-witnesses {a_wit}, m-witnesses {m_wit}")
-    return CaseVerdict(case=2, a_witnesses=tuple(a_wit[:2]), m_witnesses=tuple(m_wit[:2]))
+    return 2
 
 
 def check_derived_product(group, g):
@@ -198,25 +182,24 @@ def check_propagates(group, g, length_cap=None):
     return report
 
 
-def check_section_less_than_half(group, x, cap=6):
+def check_section_less_than_half(group, x):
     """Short-section lemma: x = b^t mod G' (t != 0) of exact even length 2*mu
     and Case 2 profile has a section x_u with x_u != 1 and |x_u| < mu.
 
     Three-valued: returns status 'pass', 'fail', or 'skipped' (hypotheses not
-    met or length not certified within cap)."""
+    met or length not certified within DEFAULT_LENGTH_CAP)."""
     p = group.p
     ta, tb = x.abelianize()
     if ta != 0 or tb == 0:
         return {"status": "skipped", "reason": "needs x = b^t mod G' with t != 0"}
     if group.lam == 0:
         return {"status": "skipped", "reason": "needs a non-torsion group"}
-    verdict = classify_case(exponent_profile(group, x), group.lam)
-    if verdict.case != 2:
+    if classify_case(exponent_profile(group, x), group.lam) != 2:
         return {"status": "skipped", "reason": "profile falls in Case 1"}
-    # the handed-in normal form bounds the length, so never search past it
-    lx = x.length(min(cap, x.word.syllables))
+    lx = x.length()
     if lx is None:
-        return {"status": "skipped", "reason": f"length not certified within cap {cap}"}
+        return {"status": "skipped",
+                "reason": f"length not certified within cap {DEFAULT_LENGTH_CAP}"}
     if lx % 2 or lx == 0:
         return {"status": "skipped", "reason": f"length {lx} is not of the form 2*mu, mu >= 1"}
     mu = lx // 2
@@ -272,7 +255,7 @@ def k_generator_identity(p):
     return all(s.equals(t) for s, t in zip(sections, expected))
 
 
-def infinite_order_trace(group, g, steps=5):
+def infinite_order_trace(group, g, steps=TRACE_STEPS):
     """Iterate g -> section(g^p, 1) and record abelianizations.
 
     Needs lambda != 0 and abelianization (i, j) with i, j both nonzero; then
@@ -311,13 +294,13 @@ def random_st1_element(group, rng, max_factors=SWEEP_MAX_FACTORS, nonzero_t=Fals
             return group.element(w)
 
 
-def random_derived_element(group, rng, max_factors=3, max_conj_syllables=3):
+def random_derived_element(group, rng):
     """A random member of G': a product of commutators [a, b] conjugated by
     random words."""
     comm = group.a.commutator(group.b)
     out = group.identity
-    for _ in range(rng.randint(1, max_factors)):
-        h = group.element(random_word(group.p, max_conj_syllables, rng))
+    for _ in range(rng.randint(1, DERIVED_MAX_FACTORS)):
+        h = group.element(random_word(group.p, DERIVED_CONJ_SYLLABLES, rng))
         out = out * comm.conjugate(h)
     return out
 
@@ -388,37 +371,20 @@ def sweep_derived_product(group, cases, seed):
 def sweep_split_case(group, cases, seed):
     """Exponent-profile dichotomy on random st(1) elements with t != 0.
 
-    Each case cross-checks the profile twice, classifies it, and re-verifies
-    the witnesses the verdict names. Skipped entirely on torsion groups."""
+    Each case computes the profile two ways and classifies it; a failed
+    cross-check or a Case 2 witness shortfall is a counterexample. Skipped
+    entirely on torsion groups."""
     if group.lam == 0:
         return _report("split-case", seed, skipped=1,
                        note="case split undefined for torsion groups (lambda = 0)")
     rng = random.Random(seed)
-    p = group.p
     bad = []
     for idx in range(cases):
         g = random_st1_element(group, rng, nonzero_t=True)
         try:
-            profile = exponent_profile(group, g)
-            verdict = classify_case(profile, group.lam)
+            classify_case(exponent_profile(group, g), group.lam)
         except CrossCheckError as exc:
             bad.append({"case": idx, "word": format_word(g.word), "error": str(exc)})
-            continue
-        ok = True
-        if verdict.case == 1:
-            r = verdict.letter % p
-            ok = profile.pairs[r] == (0, verdict.j0) and verdict.j0 != 0
-        else:
-            for u in verdict.a_witnesses:
-                n_u, m_u = profile.pairs[u % p]
-                ok = ok and n_u != (group.lam * m_u) % p
-            for v in verdict.m_witnesses:
-                ok = ok and profile.pairs[v % p][1] != 0
-            # per-letter reading: m_u != 0 forces n_u != 0 at every letter
-            ok = ok and all(n != 0 for n, m in profile.pairs if m != 0)
-        if not ok:
-            bad.append({"case": idx, "word": format_word(g.word),
-                        "verdict": verdict.case, "profile": list(profile.pairs)})
     return _report("split-case", seed, cases_run=cases, passed=cases - len(bad),
                    counterexamples=bad)
 
@@ -443,7 +409,7 @@ def sweep_propagation(group, cases, seed):
                    counterexamples=bad)
 
 
-def sweep_short_section(group, cases, seed, cap=6, max_attempts_factor=400):
+def sweep_short_section(group, cases, seed):
     """Confirm the short-section conclusion on `cases` hypothesis-satisfying
     elements; draws that miss the hypotheses count as skipped. When e has a
     single nonzero entry e_j, n_u = e_j m_{u-j} and Case 2 needs all p class
@@ -456,10 +422,10 @@ def sweep_short_section(group, cases, seed, cap=6, max_attempts_factor=400):
     skipped = 0
     bad = []
     attempts = 0
-    while confirmed + len(bad) < cases and attempts < cases * max_attempts_factor:
+    while confirmed + len(bad) < cases and attempts < cases * SHORT_SECTION_ATTEMPTS:
         attempts += 1
         x = _case2_candidate(group, rng)
-        rep = check_section_less_than_half(group, x, cap)
+        rep = check_section_less_than_half(group, x)
         if rep["status"] == "skipped":
             skipped += 1
         elif rep["status"] == "pass":
@@ -470,23 +436,23 @@ def sweep_short_section(group, cases, seed, cap=6, max_attempts_factor=400):
                    passed=confirmed, skipped=skipped, counterexamples=bad)
 
 
-def sweep_length_contraction(group, cases, seed, gen_factors=4, length_cap=4):
+def sweep_length_contraction(group, cases, seed):
     """First-level contraction on random st(1) elements of certified length
-    l <= 4: sum of section lengths <= l, each section <= (l+1)/2, and l > 1
-    forces every section strictly shorter."""
+    l <= CONTRACTION_LENGTH_CAP: sum of section lengths <= l, each section
+    <= (l+1)/2, and l > 1 forces every section strictly shorter."""
     rng = random.Random(seed)
     p = group.p
     bad = []
     skipped = 0
     done = 0
     while done < cases:
-        g = random_st1_element(group, rng, max_factors=gen_factors)
-        l = g.length(length_cap)
+        g = random_st1_element(group, rng, max_factors=CONTRACTION_MAX_FACTORS)
+        l = g.length(CONTRACTION_LENGTH_CAP)
         if l is None:
             skipped += 1
             continue
         done += 1
-        sec_lengths = [g.section(u).length(length_cap) for u in range(1, p + 1)]
+        sec_lengths = [g.section(u).length(CONTRACTION_LENGTH_CAP) for u in range(1, p + 1)]
         entry = {"word": format_word(g.word), "length": l, "sections": sec_lengths}
         if None in sec_lengths:
             bad.append({**entry, "detail": "section length not certified within cap"})
@@ -501,19 +467,19 @@ def sweep_length_contraction(group, cases, seed, gen_factors=4, length_cap=4):
                    skipped=skipped, counterexamples=bad)
 
 
-def sweep_circulant(p, seed, sample_cap=10000):
+def sweep_circulant(p, seed):
     """Circulant rank criterion: rank < p iff the entries sum to zero.
     Exhaustive when p^p is small, sampled otherwise; past CIRCULANT_MAX_P it
     raises ResourceLimitError before ranking anything."""
     _guard_p("circulant", p, CIRCULANT_MAX_P)
     rng = random.Random(seed)
-    exhaustive = p ** p <= sample_cap
+    exhaustive = p ** p <= CIRCULANT_SAMPLES
     if exhaustive:
         vectors = itertools.product(range(p), repeat=p)
         total = p ** p
     else:
-        vectors = (tuple(rng.randrange(p) for _ in range(p)) for _ in range(sample_cap))
-        total = sample_cap
+        vectors = (tuple(rng.randrange(p) for _ in range(p)) for _ in range(CIRCULANT_SAMPLES))
+        total = CIRCULANT_SAMPLES
     bad = []
     for m in vectors:
         rank = circulant_rank(m, p)
@@ -545,27 +511,26 @@ def sweep_k_generator(group, seed=0):
                    counterexamples=[] if ok else [{"detail": "coordinate mismatch"}])
 
 
-def sweep_infinite_order(group, seed=0, steps=5):
+def sweep_infinite_order(group, seed=0):
     if group.lam == 0:
         return _report("infinite-order", seed, skipped=1,
                        note="trace needs a non-torsion group")
-    g = group.a * group.b
-    trace = infinite_order_trace(group, g, steps)
+    trace = infinite_order_trace(group, group.a * group.b)
     expected = ((group.lam * 1) % group.p, 1)
     bad = [{"step": k + 1, "got": list(v)}
            for k, v in enumerate(trace[1:]) if v != expected]
-    return _report("infinite-order", seed, cases_run=steps, passed=steps - len(bad),
+    return _report("infinite-order", seed, cases_run=TRACE_STEPS, passed=TRACE_STEPS - len(bad),
                    counterexamples=bad, trace=[list(v) for v in trace])
 
 
-def sweep_maximal_census(group, seed=0, n=2):
+def sweep_maximal_census(group, seed=0):
     # the census raises CrossCheckError unless |Q : Q'| = p^2, which fixes its records
-    census = maximal_subgroups_census(group, n)
+    census = maximal_subgroups_census(group, CENSUS_LEVEL)
     return _report("maximal-census", seed, cases_run=census["count"],
                    passed=census["count"], census=census)
 
 
-def sweep_constant_model(group, seed=0, census_order_cap=100):
+def sweep_constant_model(group, seed=0):
     """Constant-group contrast checks on the semidirect-product model."""
     if group.family != FAMILY_CONSTANT:
         return _report("constant-model", seed, skipped=1,
@@ -583,7 +548,7 @@ def sweep_constant_model(group, seed=0, census_order_cap=100):
             bad.append({"detail": f"M_{q1} and M_{q2} not seen distinct"})
     finite_census = None
     model_order = p * 2 ** (p - 1)
-    if model_order <= census_order_cap:
+    if model_order <= MODEL_CENSUS_ORDER_CAP:
         cases += 1
         fm = _model.reduce_mod(p, 2)
         maximal = _model.enumerate_maximal_subgroups(fm)

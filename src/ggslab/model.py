@@ -100,8 +100,6 @@ def distinct_mq_witness(q1, q2, p):
         if not (isinstance(q, int) and q == 2):
             validate_odd_prime(q)
     validate_odd_prime(p)
-    if math.gcd(q1, q2) != 1:
-        raise CrossCheckError("distinct primes with gcd != 1")
     # (0, v) lies in M_q exactly when q divides every coordinate of v
     witness = (q1,) + (0,) * (p - 2)
     return all(t % q1 == 0 for t in witness) and not all(t % q2 == 0 for t in witness)

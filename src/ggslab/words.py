@@ -16,7 +16,6 @@ int exponents, so they reduce with _reduce and build the result with
 GroupWord._reduced, which checks nothing.
 """
 
-import random
 import re
 
 from .errors import InputError
@@ -33,9 +32,12 @@ class GroupWord:
 
     def __init__(self, p, leading_a, body):
         validate_odd_prime(p)
+        body = tuple((b, a) for b, a in body)
+        for x in (leading_a, *(c for pair in body for c in pair)):
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise InputError(f"exponent must be an integer, got {x!r}")
         if not 0 <= leading_a < p:
             raise InputError(f"leading a-exponent {leading_a} out of range for p={p}")
-        body = tuple((int(b), int(a)) for b, a in body)
         last = len(body) - 1
         for k, (b, a) in enumerate(body):
             if not 1 <= b < p:
@@ -227,13 +229,11 @@ def random_word(p, max_syllables, rng):
 
     Within each shape every exponent is uniform over its allowed range:
     beta and interior alpha over F_p \\ {0}, leading and trailing alpha over F_p.
-    Deterministic given the rng (an int seed is also accepted).
+    Deterministic given the rng, a random.Random.
     """
     validate_odd_prime(p)
     if max_syllables < 0:
         raise InputError("max_syllables must be >= 0")
-    if isinstance(rng, int):
-        rng = random.Random(rng)
     m = rng.randint(0, max_syllables)
     lead = rng.randrange(p)
     body = []

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from ggslab import cli, quotients
+from ggslab.core import GgsGroup
 from ggslab.cli import VERIFY_NAMES, main
 
 
@@ -260,6 +261,15 @@ def test_verify_counterexamples_exit_code(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--group", "p=3;e=1,2", "commutator-tuple")
     assert code == 3
     assert "commutator-tuple: FAIL cases=3 passed=2 skipped=0 counterexamples=1" in out
+
+
+def test_verify_split_case_exits_3_on_a_broken_section_route(capsys, monkeypatch):
+    real = GgsGroup._section_uncached
+    monkeypatch.setattr(GgsGroup, "_section_uncached",
+                        lambda self, w, r: real(self, w, (r + 1) % self.p))
+    code, out, _ = run(capsys, "verify", "--group", "p=3;e=1,1", "split-case")
+    assert code == 3
+    assert out == "split-case: FAIL cases=1000 passed=0 skipped=0 counterexamples=1000\n"
 
 
 def test_verify_unknown_check(capsys):

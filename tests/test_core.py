@@ -73,6 +73,10 @@ def test_defining_vector_validation():
     for p in (3.0, "3", True, None):
         with pytest.raises(InputError):
             make_ggs(p, (1, 1))
+    # entries must be integers, never truncated or read as 0/1
+    for e in ((1.5, 0.9), (1, 2.0), (True, 1), (1, False), ("1", 1)):
+        with pytest.raises(InputError):
+            make_ggs(3, e)
     # entries reduce mod p
     assert make_ggs(3, (4, 5)).e == (1, 2)
 

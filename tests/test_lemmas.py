@@ -8,8 +8,10 @@ from ggslab.core import GgsGroup, make_ggs
 from ggslab.errors import CrossCheckError, InputError, ResourceLimitError
 from ggslab.lemmas import (
     CIRCULANT_MAX_P,
+    CIRCULANT_SAMPLES,
     INTERVAL_MAX_P,
     SWEEP_MAX_FACTORS,
+    ExponentProfile,
     _case2_candidate,
     check_derived_product,
     check_propagates,
@@ -97,14 +99,20 @@ def test_profile_route_through_sections_is_still_cross_checked(monkeypatch):
 
 def test_classify_case_examples():
     g = make_ggs(3, (1, 1))
-    v1 = classify_case(exponent_profile(g, g.b), g.lam)
-    assert v1.case == 1
-    assert v1.letter == 3
-    assert v1.j0 == 1
-    v2 = classify_case(exponent_profile(g, g.b * g.b.conjugate(g.a)), g.lam)
-    assert v2.case == 2
-    assert v2.a_witnesses == (1, 2)
-    assert v2.m_witnesses == (1, 3)
+    # b: the section at letter 3 is b itself, a pure b-power
+    assert classify_case(exponent_profile(g, g.b), g.lam) == 1
+    # b * b^a: profile ((1, 1), (1, 1), (2, 0)) has no pure b-power section
+    assert classify_case(exponent_profile(g, g.b * g.b.conjugate(g.a)), g.lam) == 2
+    # hand-built profiles, pairs by residue (letter p at residue 0)
+    assert classify_case(ExponentProfile(5, 4, ((2, 1), (0, 3), (0, 0), (0, 0), (0, 0))), 2) == 1
+    assert classify_case(ExponentProfile(5, 4, ((1, 1), (1, 3), (3, 0), (0, 0), (0, 0))), 2) == 2
+    # lambda = 2: no pure b-power section, yet only letter 3 has n_u != lambda * m_u
+    with pytest.raises(CrossCheckError, match="Case 2 witness shortfall"):
+        classify_case(ExponentProfile(3, 1, ((1, 1), (0, 0), (0, 0))), 2)
+    with pytest.raises(InputError):
+        classify_case(ExponentProfile(3, 1, ((0, 1), (1, 0), (1, 0))), 3)  # lambda = 0
+    with pytest.raises(InputError):
+        classify_case(ExponentProfile(3, 0, ((1, 1), (1, 2), (0, 0))), 2)  # t = 0
 
 
 # single checks --------------------------------------------------------------
@@ -167,7 +175,7 @@ def test_short_section_draws_never_reach_case_2_at_p7_single_entry():
         x = _case2_candidate(g, rng)
         if x.abelianize()[1] == 0:
             continue  # the interleaved shape can draw t = 0, which has no profile
-        assert classify_case(exponent_profile(g, x), g.lam).case == 1
+        assert classify_case(exponent_profile(g, x), g.lam) == 1
         classified += 1
     assert classified > 400
 
@@ -253,6 +261,19 @@ def test_split_case_sweep():
     assert "note" in skip
 
 
+def test_split_case_sweep_reports_a_broken_section_route(monkeypatch):
+    g = make_ggs(3, (1, 1))
+    real = GgsGroup._section_uncached
+    # sections read one letter off: every profile cross-check must object
+    monkeypatch.setattr(GgsGroup, "_section_uncached",
+                        lambda self, w, r: real(self, w, (r + 1) % self.p))
+    rep = sweep_split_case(g, 20, seed=3)
+    assert rep["cases_run"] == 20
+    assert rep["passed"] == 0
+    assert [bad["case"] for bad in rep["counterexamples"]] == list(range(20))
+    assert all("profile mismatch" in bad["error"] for bad in rep["counterexamples"])
+
+
 def test_propagation_sweep():
     rep = _clean(sweep_propagation(make_ggs(3, (1, 1)), 40, seed=4))
     assert rep["cases_run"] == 40
@@ -274,9 +295,9 @@ def test_circulant_sweep_exhaustive():
     rep = _clean(sweep_circulant(3, seed=7))
     assert rep["exhaustive"] is True
     assert rep["cases_run"] == 27
-    sampled = _clean(sweep_circulant(7, seed=7, sample_cap=500))
+    sampled = _clean(sweep_circulant(7, seed=7))  # 7^7 vectors, past the sample size
     assert sampled["exhaustive"] is False
-    assert sampled["cases_run"] == 500
+    assert sampled["cases_run"] == CIRCULANT_SAMPLES
 
 
 def test_interval_sweep():

@@ -40,6 +40,11 @@ def test_constructor_validation():
         GroupWord(3, 0, ((1, 0), (1, 0)))  # interior alpha must be nonzero
     with pytest.raises(InputError):
         GroupWord(4, 0, ())  # composite modulus
+    # exponents must be integers, never truncated or read as 0/1
+    for lead, body in ((2.0, ((1, 0),)), (0, ((1.5, 0),)), (0, ((1, 1.0),)),
+                       (True, ()), (0, ((True, 0),)), ("1", ())):
+        with pytest.raises(InputError):
+            GroupWord(3, lead, body)
 
 
 def test_word_immutable_and_hashable():
@@ -199,13 +204,12 @@ def test_sort_key_orders_by_syllables_first():
     assert ordered[-1].syllables == 2
 
 
-def test_random_word_deterministic_and_int_seed():
+def test_random_word_deterministic_for_a_seeded_rng():
     w1 = random_word(5, 6, random.Random(42))
     w2 = random_word(5, 6, random.Random(42))
     assert w1 == w2
-    assert random_word(5, 6, 42) == w1
     with pytest.raises(InputError):
-        random_word(5, -1, 42)
+        random_word(5, -1, random.Random(42))
 
 
 # the unchecked construction path -------------------------------------------------
