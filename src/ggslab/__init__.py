@@ -8,10 +8,9 @@ computations rest on, including the semidirect-product model that separates
 the constant-vector group from the rest of the family.
 """
 
-from .core import (DEFAULT_DEPTH_CAP, DEFAULT_LENGTH_CAP, FAMILY_CONSTANT,
-                   FAMILY_FABRYKOWSKI_GUPTA, FAMILY_GENERIC, FAMILY_TORSION,
-                   Element, GgsGroup, format_vertex, make_ggs,
-                   parse_group_spec, parse_vertex)
+from .core import (DEFAULT_LENGTH_CAP, FAMILY_CONSTANT, FAMILY_FABRYKOWSKI_GUPTA,
+                   FAMILY_GENERIC, FAMILY_TORSION, Element, GgsGroup, format_vertex,
+                   make_ggs, parse_group_spec, parse_vertex)
 from .errors import CrossCheckError, GgsLabError, InputError, ResourceLimitError
 from .quotients import (LEAF_GUARD, LeafPermutation, level_quotient,
                         maximal_subgroups_census, project)
@@ -20,7 +19,6 @@ from .words import GroupWord, format_word, parse_word
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_DEPTH_CAP",
     "DEFAULT_LENGTH_CAP",
     "FAMILY_CONSTANT",
     "FAMILY_FABRYKOWSKI_GUPTA",

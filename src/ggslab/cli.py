@@ -10,8 +10,8 @@ import json
 import sys
 
 from . import lemmas
-from .core import (DEFAULT_DEPTH_CAP, DEFAULT_LENGTH_CAP, FAMILY_CONSTANT,
-                   format_vertex, parse_group_spec, parse_vertex)
+from .core import (DEFAULT_LENGTH_CAP, FAMILY_CONSTANT, format_vertex, parse_group_spec,
+                   parse_vertex)
 from .errors import CrossCheckError, InputError, ResourceLimitError
 from .quotients import closed_form_order, level_quotient, maximal_subgroups_census
 from .words import format_word, parse_word
@@ -34,7 +34,7 @@ VERIFY_REGISTRY = (
 VERIFY_NAMES = tuple(name for name, _ in VERIFY_REGISTRY)
 
 
-def _add_command(subs, name, help_text, *, seed=False, depth_cap=False, length_cap=False):
+def _add_command(subs, name, help_text, *, seed=False, length_cap=False):
     """A subcommand with --group and --json, plus only the flags it reads."""
     sub = subs.add_parser(name, help=help_text)
     sub.add_argument("--group", required=True, metavar="SPEC",
@@ -45,9 +45,6 @@ def _add_command(subs, name, help_text, *, seed=False, depth_cap=False, length_c
     if length_cap:
         sub.add_argument("--length-cap", type=int, default=DEFAULT_LENGTH_CAP, metavar="N",
                          help="syllable cap for length certification")
-    if depth_cap:
-        sub.add_argument("--depth-cap", type=int, default=DEFAULT_DEPTH_CAP, metavar="N",
-                         help="recursion cap for word comparison")
     return sub
 
 
@@ -67,13 +64,12 @@ def build_parser():
     sp.add_argument("word")
     sp.add_argument("vertex")
 
-    sp = _add_command(subs, "equal", "decide equality of two words in the group",
-                      depth_cap=True)
+    sp = _add_command(subs, "equal", "decide equality of two words in the group")
     sp.add_argument("word1")
     sp.add_argument("word2")
 
     sp = _add_command(subs, "length", "certified syllable length, or unknown at the cap",
-                      depth_cap=True, length_cap=True)
+                      length_cap=True)
     sp.add_argument("word")
 
     sp = _add_command(subs, "abelianize", "exponent-sum pair in G/G'")
@@ -140,14 +136,14 @@ def cmd_section(args, group):
 def cmd_equal(args, group):
     g = group.element(parse_word(args.word1, group.p))
     h = group.element(parse_word(args.word2, group.p))
-    verdict = g.equals(h, depth_cap=args.depth_cap)
+    verdict = g.equals(h)
     _emit(args, {"equal": verdict}, [str(verdict).lower()])
     return 0
 
 
 def cmd_length(args, group):
     g = group.element(parse_word(args.word, group.p))
-    val = g.length(cap=args.length_cap, depth_cap=args.depth_cap)
+    val = g.length(cap=args.length_cap)
     if val is None:
         _emit(args, {"length": None, "cap": args.length_cap},
               [f"unknown (cap={args.length_cap})"])

@@ -37,7 +37,7 @@ import itertools
 import re
 import threading
 
-from .errors import CrossCheckError, InputError, ResourceLimitError
+from .errors import CrossCheckError, InputError
 from .fp import solve_linear_mod_p, validate_odd_prime
 from .words import (GroupWord, class_counts, class_sums, concat, format_word, invert, normalize,
                     parse_word, power)
@@ -49,7 +49,6 @@ FAMILY_FABRYKOWSKI_GUPTA = "fabrykowski_gupta_type"
 FAMILY_GENERIC = "generic_nontorsion"
 
 DEFAULT_LENGTH_CAP = 6
-DEFAULT_DEPTH_CAP = 12
 
 
 class GgsGroup:
@@ -200,63 +199,59 @@ class GgsGroup:
             cur = self.section_word(cur, r)
         return tuple(out)
 
-    def equal_words(self, w1, w2, depth_cap=None):
+    def equal_words(self, w1, w2):
         """Decide whether two normal forms define the same tree automorphism.
 
         Coinductive bisimulation on word pairs: a pair passes when the root
-        powers match and all p section pairs pass, where pairs currently in
-        progress are assumed to pass (the set of equal pairs is the greatest
-        such relation, so the assumption is sound). Failures never rest on an
-        assumption, so they are cached unconditionally; successes are committed
-        to the shared memo only when the outermost call succeeds, since an
-        inner failure invalidates every assumption made below it.
+        powers match and all p section pairs pass, where pairs already assumed
+        in this call pass (the set of equal pairs is the greatest such
+        relation, so the assumption is sound). A failure never rests on an
+        assumption, so it is cached unconditionally and propagates to the
+        outermost call; the assumed pairs are committed to the shared memo only
+        when that call succeeds.
 
-        The depth cap is a safety net: the reachable pair space is finite, but
-        exceeding the cap raises ResourceLimitError rather than looping.
+        Contraction bounds the recursion. A section of an m-syllable normal
+        form takes its b-syllables from one walk class, and neighbouring
+        syllables differ in class, so it has at most ceil(m/2) syllables. When
+        both words have at most one syllable, every section is b^beta or a^x,
+        so each section pair is identical or differs in its exponent sums. So
+        no pair deeper than ceil(log2 M) = (M - 1).bit_length() recurses, for
+        M the larger syllable count; one that does raises CrossCheckError.
         """
         if w1.p != self.p or w2.p != self.p:
             raise InputError("word modulus does not match group")
-        cap = DEFAULT_DEPTH_CAP if depth_cap is None else depth_cap
-        if cap < 1:
-            raise InputError("depth cap must be >= 1")
+        bound = (max(w1.syllables, w2.syllables) - 1).bit_length()
         with self._lock:
-            provisional = set()
-            ok = self._bisim(w1, w2, 0, cap, set(), provisional)
+            assumed = set()
+            ok = self._bisim(w1, w2, 0, bound, assumed)
             if ok:
-                self._eq_true |= provisional
+                self._eq_true |= assumed
             return ok
 
-    def _bisim(self, w1, w2, depth, cap, in_progress, provisional):
+    def _bisim(self, w1, w2, depth, bound, assumed):
         if w1 == w2:
             return True
         if w1.sort_key() > w2.sort_key():
             w1, w2 = w2, w1
         pair = (w1, w2)
-        if pair in self._eq_true or pair in provisional:
+        if pair in self._eq_true or pair in assumed:
             return True
         if pair in self._eq_false:
             return False
-        if pair in in_progress:
-            return True
         if w1._ab != w2._ab:
             # exponent sums mod p are invariants of the element
             self._eq_false.add(pair)
             return False
-        if depth >= cap:
-            raise ResourceLimitError(f"equality recursion exceeded depth cap {cap}")
-        in_progress.add(pair)
-        ok = True
+        if depth > bound:
+            raise CrossCheckError(f"equality recursion at depth {depth} is past "
+                                  f"the contraction bound {bound}")
+        assumed.add(pair)
         for r in range(self.p):
             if not self._bisim(self.section_word(w1, r), self.section_word(w2, r),
-                               depth + 1, cap, in_progress, provisional):
-                ok = False
-                break
-        in_progress.discard(pair)
-        if ok:
-            provisional.add(pair)
-        else:
-            self._eq_false.add(pair)
-        return ok
+                               depth + 1, bound, assumed):
+                self._eq_false.add(pair)
+                return False
+        return True
 
     def _class_floor(self, w):
         """need[c] for c in F_p: how often walk class c occurs, at the least, in
@@ -310,7 +305,7 @@ class GgsGroup:
                     continue
                 yield GroupWord._reduced(p, cs[0], tuple(zip(betas, alphas)))
 
-    def length_word(self, w, cap=DEFAULT_LENGTH_CAP, depth_cap=None):
+    def length_word(self, w, cap=DEFAULT_LENGTH_CAP):
         """Minimal syllable length over all normal forms equal to w, or None if
         it exceeds cap.
 
@@ -322,8 +317,8 @@ class GgsGroup:
         always attainable. Results are memoized with the level up to which the
         search is exhaustive.
         """
-        if cap < 0:
-            raise InputError("length cap must be >= 0")
+        if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
+            raise InputError(f"length cap must be an integer >= 0, got {cap!r}")
         start = 0
         with self._lock:
             cached = self._lengths.get(w)
@@ -342,7 +337,7 @@ class GgsGroup:
                                   f"below its own floor {need}")
         for m in range(max(start, sum(need)), min(cap, w.syllables) + 1):
             for cand in self._candidate_words(m, w, need):
-                if self.equal_words(cand, w, depth_cap):
+                if self.equal_words(cand, w):
                     with self._lock:
                         self._lengths[w] = (m, cap)
                     return m
@@ -452,7 +447,7 @@ class Element:
     def section(self, u):
         """Section at a letter in 1..p or at a vertex (tuple of letters)."""
         g = self.group
-        if isinstance(u, int) and not isinstance(u, bool):
+        if not isinstance(u, tuple):
             u = (u,)
         w = self.word
         for x in u:
@@ -472,16 +467,16 @@ class Element:
 
     # decision procedures ------------------------------------------------------
 
-    def equals(self, other, depth_cap=None):
+    def equals(self, other):
         self._check_same_group(other)
-        return self.group.equal_words(self.word, other.word, depth_cap)
+        return self.group.equal_words(self.word, other.word)
 
-    def is_trivial(self, depth_cap=None):
-        return self.group.equal_words(self.word, self.group._id_word, depth_cap)
+    def is_trivial(self):
+        return self.group.equal_words(self.word, self.group._id_word)
 
-    def length(self, cap=DEFAULT_LENGTH_CAP, depth_cap=None):
+    def length(self, cap=DEFAULT_LENGTH_CAP):
         """Minimal syllable length, or None when not certified within cap."""
-        return self.group.length_word(self.word, cap, depth_cap)
+        return self.group.length_word(self.word, cap)
 
     def __repr__(self):
         return f"Element({format_word(self.word)!r}, {self.group.spec_string()})"

@@ -14,7 +14,7 @@ class InputError(GgsLabError, ValueError):
 
 
 class ResourceLimitError(GgsLabError):
-    """A configured scale guard was exceeded (quotient size, recursion depth, model order)."""
+    """A configured scale guard was exceeded (quotient size, scan size, model order)."""
 
 
 class CrossCheckError(GgsLabError):

@@ -211,6 +211,8 @@ def invert(w):
 
 
 def power(w, n):
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise InputError(f"exponent must be an integer, got {n!r}")
     if n < 0:
         return power(invert(w), -n)
     result = GroupWord.identity(w.p)

@@ -8,6 +8,7 @@ import pytest
 from ggslab import cli, quotients
 from ggslab.core import GgsGroup
 from ggslab.cli import VERIFY_NAMES, main
+from ggslab.words import concat
 
 
 def run(capsys, *argv):
@@ -97,6 +98,20 @@ def test_equal(capsys):
     assert out.strip() == "false"
     code, out, _ = run(capsys, "equal", "--group", "p=3;e=1,2", "a b", "b a", "--json")
     assert json.loads(out) == {"equal": False}
+
+
+def test_equal_exits_3_when_sections_stop_contracting(capsys, monkeypatch):
+    section = GgsGroup.section_word
+    # each section carries its whole word along, so no depth bound holds
+    monkeypatch.setattr(GgsGroup, "section_word",
+                        lambda self, w, r: concat(section(self, w, r), w))
+    # the relator [b, b^{(b^{a^6})^2}], trivial at this group
+    relator = "b^6 a b^5 a^6 b^6 a b^2 a^6 b a b^5 a^6 b a b^2 a^6"
+    code, out, err = run(capsys, "equal", "--group", "p=7;e=1,0,0,0,0,0", relator, "1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("cross-check failed: ")
+    assert "past the contraction bound 3" in err
 
 
 def test_length(capsys):
@@ -334,7 +349,7 @@ def test_missing_group_flag_is_an_argparse_error(capsys):
 
 
 # flags every command used to accept, with a value for each; a command now
-# takes only those it reads (COMMAND_FLAGS)
+# takes only those it reads (COMMAND_FLAGS), and --depth-cap none at all
 DROPPED_FLAGS = {
     "--seed": "1", "--length-cap": "8", "--depth-cap": "8", "--quotient-guard": "729",
 }
@@ -342,9 +357,8 @@ COMMAND_ARGS = {
     "classify": [], "act": ["a", "1"], "section": ["a", "1"], "equal": ["a", "b"],
     "length": ["a"], "abelianize": ["a"], "quotient": ["1"], "verify": ["circulant"],
 }
-COMMAND_FLAGS = {"verify": {"--seed"}, "equal": {"--depth-cap"},
-                 "length": {"--depth-cap", "--length-cap"}}
-# the 28 (command, flag) pairs that were accepted and ignored
+COMMAND_FLAGS = {"verify": {"--seed"}, "length": {"--length-cap"}}
+# the 30 (command, flag) pairs that are refused
 UNREAD_FLAGS = [(cmd, flag) for cmd in COMMAND_ARGS for flag in DROPPED_FLAGS
                 if flag not in COMMAND_FLAGS.get(cmd, ())]
 

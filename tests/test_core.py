@@ -20,9 +20,9 @@ from ggslab.core import (
     parse_group_spec,
     parse_vertex,
 )
-from ggslab.errors import CrossCheckError, InputError, ResourceLimitError
+from ggslab.errors import CrossCheckError, InputError
 from ggslab.quotients import level_quotient
-from ggslab.words import GroupWord, class_sums, normalize, parse_word, random_word
+from ggslab.words import GroupWord, class_sums, concat, normalize, parse_word, random_word
 
 from oracles import (
     agree_to_depth,
@@ -258,6 +258,12 @@ def test_act_rejects_bad_vertices():
     for bad in ((0,), (4,), (1, 0), ("1",), (True,)):
         with pytest.raises(InputError):
             g.a.act(bad)
+        with pytest.raises(InputError):
+            g.a.section(bad)
+    # a bare letter must be an int too, never iterated or read as 1
+    for bad in (1.0, True, "1"):
+        with pytest.raises(InputError):
+            g.b.section(bad)
 
 
 # equality -------------------------------------------------------------------
@@ -301,17 +307,84 @@ def test_equal_detects_rewritten_forms():
         assert x.equals(y)
 
 
-def test_equal_depth_cap():
+def test_equal_descends_where_exponent_sums_match(monkeypatch):
     # a pair whose first section pair shares exponent sums but differs, so
-    # the recursion has to descend at least one level
+    # that section pair recurses too before the pair fails
+    depths = _record_bisim_depths(monkeypatch)
     g = make_ggs(3, (1, 2))
     w1 = parse_word("a b a b a^2 b^2", 3)
     w2 = parse_word("b a^2 b a b^2 a", 3)
-    with pytest.raises(ResourceLimitError):
-        g.equal_words(w1, w2, depth_cap=1)
     assert g.equal_words(w1, w2) is False
-    with pytest.raises(InputError):
-        g.equal_words(w1, w2, depth_cap=0)
+    assert max(depths) >= 2
+
+
+# R2 = [b, b^{(b^{a^6})^2}] and R3 = [b, b^{E^2}] for E = b^{(b^{a^6})^6} are
+# trivial at p=7 e=(1,0,0,0,0,0): the section of R3 at the letter 7 is R2, that
+# of R2 is [b, b^{a^2}], and every other section is trivial, so comparing R3
+# with an equal word descends two levels below the first
+LIFTED_R2 = "b^6 a b^5 a^6 b^6 a b^2 a^6 b a b^5 a^6 b a b^2 a^6"
+LIFTED_R3 = ("b^6 a b a^6 b^5 a b^6 a^6 b^6 a b a^6 b^2 a b^6 a^6 "
+             "b a b a^6 b^5 a b^6 a^6 b a b a^6 b^2 a b^6 a^6")
+RELATORS = (
+    ((7, (1, 0, 0, 0, 0, 0)), "b a^2 b a^5 b^6 a^2 b^6 a^5"),
+    ((3, (1, 1)), "b a b^2 a b a b^2 a b a b^2 a"),
+    ((7, (1, 0, 0, 0, 0, 0)), LIFTED_R3),
+)
+
+
+def _record_bisim_depths(monkeypatch):
+    """Log the depth of every _bisim call; a call at depth d + 1 means a pair at
+    depth d recursed."""
+    depths = []
+    bisim = GgsGroup._bisim
+
+    def logged(self, w1, w2, depth, bound, assumed):
+        depths.append(depth)
+        return bisim(self, w1, w2, depth, bound, assumed)
+
+    monkeypatch.setattr(GgsGroup, "_bisim", logged)
+    return depths
+
+
+def _insert_every(w, relator, k):
+    """w with the relator's tokens inserted before every k-th b-syllable."""
+    toks = [("a", w.leading_a)]
+    for i, (beta, alpha) in enumerate(w.body):
+        if i and i % k == 0:
+            toks += relator.tokens()
+        toks += [("b", beta), ("a", alpha)]
+    return normalize(toks, w.p)
+
+
+def test_equal_recursion_stays_within_the_contraction_bound(monkeypatch):
+    depths = _record_bisim_depths(monkeypatch)
+    rng = random.Random(61)
+    deepest = -1
+    for (p, e), text in RELATORS:
+        relator = parse_word(text, p)
+        for _ in range(15):
+            w = random_word(p, 60, rng)
+            for other, want in ((random_word(p, 60, rng), None),
+                                (_insert_every(w, relator, 8), True)):
+                # cold memos, so no settled pair cuts the recursion short
+                g = make_ggs(p, e)
+                depths.clear()
+                got = g.equal_words(w, other)
+                assert want is None or got is want
+                bound = (max(w.syllables, other.syllables) - 1).bit_length()
+                assert max(depths) - 1 <= bound
+                deepest = max(deepest, max(depths) - 1)
+    assert deepest == 2
+
+
+def test_equal_raises_when_sections_stop_contracting(monkeypatch):
+    section = GgsGroup.section_word
+    # each section carries its whole word along, so no depth bound holds
+    monkeypatch.setattr(GgsGroup, "section_word",
+                        lambda self, w, r: concat(section(self, w, r), w))
+    g = make_ggs(7, (1, 0, 0, 0, 0, 0))
+    with pytest.raises(CrossCheckError, match="past the contraction bound 3"):
+        g.equal_words(parse_word(LIFTED_R2, 7), g.identity.word)
 
 
 def test_equal_group_mismatch():
@@ -387,6 +460,9 @@ def test_length_cap_and_memo_restart():
     assert x.length(cap=2) == 2
     # after an uncapped answer the capped calls stay consistent
     assert x.length(cap=6) == 2
+    for bad in (-1, 2.5, True, None):
+        with pytest.raises(InputError):
+            x.length(cap=bad)
 
 
 def test_length_is_bounded_by_syllable_count():

@@ -112,6 +112,13 @@ def test_normalize_rejects_bad_tokens():
         normalize([("c", 1)], 3)
     with pytest.raises(InputError):
         normalize([("a", "x")], 3)
+    # power takes the same integer exponents, never truncated or read as 0/1
+    w = parse_word("a b", 3)
+    for n in (1.5, True, False, "2"):
+        with pytest.raises(InputError):
+            power(w, n)
+        with pytest.raises(InputError):
+            w ** n
 
 
 def test_parse_format_round_trip_examples():
