@@ -38,9 +38,9 @@ from .errors import CrossCheckError, InputError, ResourceLimitError
 from .fp import circulant_rank
 
 # Largest leaf count a level quotient is built on. It admits level 2 for every
-# p <= 23 (p = 23 in about 4 s on a 2-vCPU VM), level 3 for p <= 7 and level 5
-# for p = 3; it refuses p = 5 at level 4 and p = 3 at level 6, whose 625 and
-# 729 leaves the stabilizer chain does not finish in a minute.
+# p <= 23 (p = 23 in about 2.5 s on a 2-vCPU VM), level 3 for p <= 7 (1.2 s at
+# 343 leaves) and level 5 for p = 3; it refuses p = 5 at level 4 and p = 3 at
+# level 6, whose 625 and 729 leaves take the stabilizer chain 37 s and 47 s.
 LEAF_GUARD = 529  # 23^2 leaves
 
 _TABLE = 256  # largest degree stored as a bytes translate table
@@ -157,6 +157,11 @@ class _StabilizerChain:
     generators fed in a fixed order makes the whole chain (and hence the order
     and every sift) reproducible. Each (orbit point, generator) pair is
     processed exactly once; only non-tree Schreier generators are sifted.
+    `done[i]` keys a processed pair by ints, (point, level, position in
+    gens[level]), stable because `gens` lists only grow; a permutation in the
+    key would be rehashed in full on every lookup, as tuples cache no hash.
+    `sift` and the Schreier step share `_strip`, which composes with a
+    representative's inverse only where the base point moves.
 
     A level's orbit is closed under the generators of that level and every
     deeper one: a generator stored deeper fixes this level's base by
@@ -169,9 +174,8 @@ class _StabilizerChain:
     always has the same keys as `transversals[i]`.
 
     Every stored permutation is in the internal format of `_as_perm`: a
-    256-byte translate table for degree <= 256, so the (point, generator) keys
-    of `done` hash in constant time, and a tuple above 256. `add_generator`,
-    `sift` and `contains` accept any sequence of images.
+    256-byte translate table for degree <= 256 and a tuple above 256.
+    `add_generator`, `sift` and `contains` accept any sequence of images.
     """
 
     def __init__(self, degree):
@@ -182,7 +186,7 @@ class _StabilizerChain:
         self.orbits = []        # per level: orbit points in discovery order
         self.transversals = []  # per level: point -> perm mapping base to point
         self.inverses = []      # per level: point -> inverse of that perm
-        self.done = []          # per level: processed (point, gen) pairs
+        self.done = []          # per level: (point, level, position) processed
 
     def order(self):
         result = 1
@@ -190,17 +194,23 @@ class _StabilizerChain:
             result *= len(t)
         return result
 
+    def _strip(self, perm, level):
+        """Factor out transversal parts from `level` on where the base point
+        moves; returns (residue, level where stripping stopped)."""
+        bases = self.bases
+        while level < len(bases):
+            t = perm[bases[level]]
+            if t != bases[level]:
+                inv = self.inverses[level].get(t)
+                if inv is None:
+                    break
+                perm = _compose(perm, inv)
+            level += 1
+        return perm, level
+
     def sift(self, perm):
         """Factor out transversal parts; returns the residue permutation."""
-        res = _as_perm(perm, self.degree)
-        for base, inverses in zip(self.bases, self.inverses):
-            t = res[base]
-            inv = inverses.get(t)
-            if inv is None:
-                return res
-            if t != base:
-                res = _compose(res, inv)
-        return res
+        return self._strip(_as_perm(perm, self.degree), 0)[0]
 
     def contains(self, perm):
         return self.sift(perm) == self.identity
@@ -214,14 +224,7 @@ class _StabilizerChain:
 
     def _ingest(self, g, level):
         # g fixes the bases of all levels below `level`
-        res = g
-        i = level
-        while i < len(self.bases):
-            inv = self.inverses[i].get(res[self.bases[i]])
-            if inv is None:
-                break
-            res = _compose(res, inv)
-            i += 1
+        res, i = self._strip(g, level)
         if res == self.identity:
             return
         if i == len(self.bases):
@@ -237,7 +240,9 @@ class _StabilizerChain:
         self._close_level(i)
 
     def _level_generators(self, i):
-        return [s for level_gens in self.gens[i:] for s in level_gens]
+        # (level, position, perm) of every generator of level i and deeper
+        return [(k, pos, s) for k in range(i, len(self.gens))
+                for pos, s in enumerate(self.gens[k])]
 
     def _close_level(self, i):
         """Process pending (orbit point, generator) pairs of level i once;
@@ -253,10 +258,11 @@ class _StabilizerChain:
             j = 0
             while j < len(orbit):
                 beta = orbit[j]
-                for s in gens:
-                    if (beta, s) in done:
+                for k, pos, s in gens:
+                    key = (beta, k, pos)
+                    if key in done:
                         continue
-                    done.add((beta, s))
+                    done.add(key)
                     advanced = True
                     progressed = True
                     gamma = s[beta]

@@ -133,10 +133,17 @@ def test_as_perm_formats():
         _StabilizerChain(9).add_generator((1, 2, 0))
 
 
-@pytest.mark.parametrize("p,e,n", [(3, (1, 2), 3), (3, (1, 0), 2), (5, (1, 0, 2, 4), 2)])
+# CI's p=23 defining vector cut to p - 1 = 16 entries: 289 leaves at level 2,
+# the smallest degree past the byte tables
+P17_E = (1, 0, 2, 4, 3, 5, 1, 2, 0, 3, 1, 2, 6, 0, 7, 1)
+
+
+@pytest.mark.parametrize("p,e,n", [(3, (1, 2), 3), (3, (1, 0), 2), (5, (1, 0, 2, 4), 2),
+                                   (17, P17_E, 2)])
 def test_entry_points_accept_tuples_and_tables(p, e, n):
     # unconverted, a tuple reaching a table-format chain would compose into a
-    # tuple that never equals the identity table
+    # tuple that never equals the identity table; past 256 leaves both formats
+    # are tuples, and the chain must agree with the layered basis there too
     g = make_ggs(p, e)
     degree = p ** n
     gens = [project(g.a, n).images, project(g.b, n).images]
@@ -156,6 +163,9 @@ def test_entry_points_accept_tuples_and_tables(p, e, n):
     rng.shuffle(shuffled)
     for c in chains + bases[:2]:
         assert all(c.contains(x) for x in members)
+    non_members = [tuple(rng.sample(range(degree), degree)) for _ in range(3)]
+    for x in members + non_members:
+        assert chains[0].contains(x) == bases[0].contains(x) == (x in members)
     for x in members + [tuple(shuffled), comm]:
         for c in chains + bases:
             assert c.contains(x) == c.contains(_as_perm(x, degree))
@@ -276,6 +286,34 @@ def test_chain_shape_frozen(spec, n):
     assert tuple(chain.bases) == bases
     assert tuple(len(o) for o in chain.orbits) == orbit_sizes
     assert tuple(len(d) for d in chain.done) == pairs
+
+
+# the same shape on the tuple path, frozen from the chain before its sift
+# skipped unmoved base points and `done` was keyed by generator position
+P17_SHAPE = (
+    (0, 17, 34, 51, 68, 85, 102, 119, 136, 153, 170, 187, 204, 238, 221, 255, 272),
+    (289,) + (17,) * 16,
+    (5202, 272, 255, 238, 221, 204, 187, 170, 153, 136, 119, 102, 85, 68, 51, 34, 17))
+
+
+def test_chain_shape_frozen_on_tuples():
+    chain = level_quotient(make_ggs(17, P17_E), 2)._chain
+    bases, orbit_sizes, pairs = P17_SHAPE
+    assert type(chain.identity) is tuple
+    assert tuple(chain.bases) == bases
+    assert tuple(len(o) for o in chain.orbits) == orbit_sizes
+    assert tuple(len(d) for d in chain.done) == pairs
+    assert (len(bases), sum(orbit_sizes), sum(pairs)) == (17, 561, 7514)
+
+
+@pytest.mark.parametrize("p,e,n", [(3, (1, 0), 4), (17, P17_E, 2)])
+def test_chain_done_keys_hold_no_permutation(p, e, n):
+    # a permutation in a key costs a hash over every entry on each lookup,
+    # since tuples do not cache their hash
+    chain = level_quotient(make_ggs(p, e), n)._chain
+    for done in chain.done:
+        for key in done:
+            assert type(key) is tuple and all(type(x) is int for x in key)
 
 
 def test_quotient_guards():
