@@ -2,11 +2,13 @@
 finite quotients, and run the lemma verification sweeps.
 
 Exit codes: 0 success, 2 bad input or precondition, 3 verification
-counterexample or failed cross-check, 4 resource guard tripped.
+counterexample or failed cross-check, 4 resource guard tripped, 141 stdout
+closed by its reader before the output was written.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from . import lemmas
@@ -212,28 +214,27 @@ def cmd_verify(args, group):
     return 3 if failures else 0
 
 
+COMMANDS = {
+    "classify": cmd_classify,
+    "act": cmd_act,
+    "section": cmd_section,
+    "equal": cmd_equal,
+    "length": cmd_length,
+    "abelianize": cmd_abelianize,
+    "quotient": cmd_quotient,
+    "verify": cmd_verify,
+}
+EXIT_STDOUT_CLOSED = 141  # what a shell reports for a filter ended by SIGPIPE
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        group = parse_group_spec(args.group)
-        if args.command == "classify":
-            return cmd_classify(args, group)
-        if args.command == "act":
-            return cmd_act(args, group)
-        if args.command == "section":
-            return cmd_section(args, group)
-        if args.command == "equal":
-            return cmd_equal(args, group)
-        if args.command == "length":
-            return cmd_length(args, group)
-        if args.command == "abelianize":
-            return cmd_abelianize(args, group)
-        if args.command == "quotient":
-            return cmd_quotient(args, group)
-        if args.command == "verify":
-            return cmd_verify(args, group)
-        raise InputError(f"unknown command {args.command!r}")
+        code = COMMANDS[args.command](args, parse_group_spec(args.group))
+        # flushed here, not at exit, so that a closed stdout raises in the try
+        sys.stdout.flush()
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -243,6 +244,10 @@ def main(argv=None):
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 4
+    except BrokenPipeError:
+        # stdout points at devnull from here, so the final flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_STDOUT_CLOSED
 
 
 if __name__ == "__main__":

@@ -21,27 +21,21 @@ Sanity anchor for the sign conventions: psi([a, b]) computes to
 GgsGroup and Element are immutable; the group carries internal memo tables
 (sections, settled equality pairs, certified lengths) that live as long as the
 group and never shrink. They hold what later calls revisit: sections met by
-equal(), lengths and the class floor. A caller that needs sections of a
-throwaway word only once, such as lemmas.exponent_profile on a sweep draw,
-calls _section_uncached and leaves the table as it was. _section_uncached
-reduces tokens only for sections that hold a b-syllable; every section that is
-a pure a-power is one of the p words a^0, ..., a^{p-1} the group builds once.
-The equality and length tables sit behind a lock, so concurrent readers only
-ever contend on that shared memo. section_word reads and writes its table
-without the lock: each store is idempotent (a key always maps to the same
-section) and of an immutable word, so a race at worst computes one section
-twice.
+equal(), lengths and the class floor. The sweeps' random draws repeat (10,497
+distinct words among the 20,000 short-section draws at p=7), but holding their
+sections costs memory, 14 MB in the table for those draws alone, so
+lemmas.exponent_profile calls _section_uncached and leaves the table as it
+was. _section_uncached reduces as it walks; every section that is a pure
+a-power is one of the p words a^0, ..., a^{p-1} the group builds once.
 """
 
 import itertools
 import re
-import threading
 
 from .errors import CrossCheckError, InputError
 from .fp import solve_linear_mod_p, validate_odd_prime
 from .words import (GroupWord, class_counts, class_sums, concat, format_word, invert, normalize,
                     parse_word, power)
-from .words import _reduce
 
 FAMILY_TORSION = "torsion"
 FAMILY_CONSTANT = "constant"
@@ -88,7 +82,6 @@ class GgsGroup:
         self._eq_true = set()
         self._eq_false = set()
         self._lengths = {}
-        self._lock = threading.RLock()
 
     # classification --------------------------------------------------------
 
@@ -169,26 +162,36 @@ class GgsGroup:
         Walk the syllables left to right tracking the image of the letter under
         the prefix so far: an a-syllable only moves the tracked letter, a
         b-syllable emits b^beta when the letter sits at residue 0 (the letter p)
-        and a^{beta * e_v} when it sits at residue v != 0. Until the first
-        b^beta the emitted a-powers are summed as the walk goes; a section with
-        no b^beta at all is that sum, the interned word _a_powers[sum % p], and
-        only the others are reduced from tokens.
+        and a^{beta * e_v} when it sits at residue v != 0. The walk keeps the
+        reduced prefix as exps = [a_0, b_1, a_1, ..., b_k] plus the a-sum run
+        emitted since b_k. A b^beta after a run of 0 mod p merges into b_k, and
+        when that cancels b_k the walk pops back to a_{k-1} as its run. A
+        section with no b-syllable left is the interned word _a_powers[run % p].
         """
         p = self.p
         e = self.e
         v = (r + w.leading_a) % p
         run = 0
-        body = w.body
-        for k, (beta, alpha) in enumerate(body):
-            if v == 0:
-                toks = [("a", run)]
-                for beta, alpha in body[k:]:
-                    toks.append(("b", beta) if v == 0 else ("a", beta * e[v - 1]))
-                    v = (v + alpha) % p
-                return _reduce(toks, p)
-            run += beta * e[v - 1]
+        exps = []
+        for beta, alpha in w.body:
+            if v:
+                run += beta * e[v - 1]
+            elif exps and not run % p:
+                b = (exps[-1] + beta) % p
+                if b:
+                    exps[-1] = b
+                else:
+                    exps.pop()
+                    run = exps.pop()
+            else:
+                exps.append(run % p)
+                exps.append(beta)
+                run = 0
             v = (v + alpha) % p
-        return self._a_powers[run % p]
+        if not exps:
+            return self._a_powers[run % p]
+        exps.append(run % p)
+        return GroupWord._reduced(p, exps[0], tuple(zip(exps[1::2], exps[2::2])))
 
     def act_word(self, w, vertex):
         out = []
@@ -221,12 +224,11 @@ class GgsGroup:
         if w1.p != self.p or w2.p != self.p:
             raise InputError("word modulus does not match group")
         bound = (max(w1.syllables, w2.syllables) - 1).bit_length()
-        with self._lock:
-            assumed = set()
-            ok = self._bisim(w1, w2, 0, bound, assumed)
-            if ok:
-                self._eq_true |= assumed
-            return ok
+        assumed = set()
+        ok = self._bisim(w1, w2, 0, bound, assumed)
+        if ok:
+            self._eq_true |= assumed
+        return ok
 
     def _bisim(self, w1, w2, depth, bound, assumed):
         if w1 == w2:
@@ -320,8 +322,7 @@ class GgsGroup:
         if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
             raise InputError(f"length cap must be an integer >= 0, got {cap!r}")
         start = 0
-        with self._lock:
-            cached = self._lengths.get(w)
+        cached = self._lengths.get(w)
         if cached is not None:
             found, upto = cached
             if found is not None:
@@ -338,11 +339,9 @@ class GgsGroup:
         for m in range(max(start, sum(need)), min(cap, w.syllables) + 1):
             for cand in self._candidate_words(m, w, need):
                 if self.equal_words(cand, w):
-                    with self._lock:
-                        self._lengths[w] = (m, cap)
+                    self._lengths[w] = (m, cap)
                     return m
-        with self._lock:
-            self._lengths[w] = (None, cap)
+        self._lengths[w] = (None, cap)
         return None
 
 
@@ -495,8 +494,11 @@ def parse_group_spec(text):
     m = _GROUP_SPEC_RE.match(text.strip())
     if m is None:
         raise InputError(f"cannot parse group spec {text!r}; expected p=<prime>;e=<c1>,...,<c_(p-1)>")
-    p = int(m.group(1))
-    e = [int(x) for x in m.group(2).split(",")]
+    try:
+        p = int(m.group(1))
+        e = [int(x) for x in m.group(2).split(",")]
+    except ValueError:  # past the interpreter's limit on digits in int text
+        raise InputError("group spec has an integer with too many digits") from None
     return make_ggs(p, e)
 
 

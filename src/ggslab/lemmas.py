@@ -77,19 +77,20 @@ def exponent_profile(group, g):
     if tb == 0:
         raise InputError("exponent profile needs g = b^t mod G' with t != 0")
 
-    # route 1: sections, kept out of the memo since a sweep profiles each draw
-    # once and never revisits it
+    # route 1: sections, kept out of the memo: the draws do repeat, but holding
+    # their sections costs memory (see core)
     w = g.word
     direct = [group._section_uncached(w, r)._ab for r in range(p)]
 
-    # route 2: conjugate decomposition from the word
+    # route 2: conjugate decomposition from the word, over the support of e
     sums = class_sums(w)
     ms = [sums[-r] for r in range(p)]
     ns = [0] * p
+    supp = [(j, c) for j, c in enumerate(group.e, 1) if c]
     for v, m_v in enumerate(ms):
         if m_v:
-            for j in range(1, p):
-                ns[(v + j) % p] += group.e[j - 1] * m_v
+            for j, c in supp:
+                ns[(v + j) % p] += c * m_v
 
     # derived columns sum to t and lambda * t by construction: equality checks both sums
     derived = [(n % p, ms[r]) for r, n in enumerate(ns)]

@@ -131,25 +131,27 @@ class FiniteModel:
         # images of the two group generators; they generate the whole model
         self.gen_a = self._index[(1, (0,) * (p - 1))]
         self.gen_b = self._index[(0, (1,) + (0,) * (p - 2))]
-        self._table = {}
+        self._rows = [None] * order
         if self.subgroup_closure((self.gen_a, self.gen_b)) != frozenset(range(order)):
             raise CrossCheckError("generator images fail to generate the finite model")
 
+    def _right(self, j):
+        """The row [x * j for every index x], built on first use of j."""
+        row = self._rows[j]
+        if row is None:
+            c2, v2 = self.elements[j]
+            p, q = self.p, self.q
+            cols = tuple(zip(*self._powers[c2]))  # column t of A^{c2}
+            row = [self._index[((c1 + c2) % p,
+                                tuple((sum(x * y for x, y in zip(v1, col)) + t) % q
+                                      for col, t in zip(cols, v2)))]
+                   for c1, v1 in self.elements]
+            self._rows[j] = row
+        return row
+
     def mul(self, i, j):
-        """Product of elements by index, memoized."""
-        key = (i, j)
-        hit = self._table.get(key)
-        if hit is not None:
-            return hit
-        c1, v1 = self.elements[i]
-        c2, v2 = self.elements[j]
-        q = self.q
-        m = self._powers[c2]
-        moved = tuple((sum(v1[r] * m[r][t] for r in range(len(v1))) + v2[t]) % q
-                      for t in range(len(v2)))
-        out = self._index[((c1 + c2) % self.p, moved)]
-        self._table[key] = out
-        return out
+        """Product of elements by index, read off the row of j."""
+        return self._right(j)[i]
 
     def inverse(self, i):
         c, v = self.elements[i]
@@ -172,11 +174,11 @@ class FiniteModel:
         """Indices of the subgroup generated by the seed indices."""
         closed = {self.identity}
         frontier = [self.identity]
-        gens = [s for s in seeds if s != self.identity]
+        rows = [self._right(s) for s in seeds if s != self.identity]
         while frontier:
             x = frontier.pop()
-            for s in gens:
-                y = self.mul(x, s)
+            for row in rows:
+                y = row[x]
                 if y not in closed:
                     closed.add(y)
                     frontier.append(y)

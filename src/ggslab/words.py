@@ -148,27 +148,28 @@ def _reduce(tokens, p):
 
     A single left-to-right pass over a stack reaches the fixpoint: merging two
     adjacent same-generator runs can only expose one earlier run, which the
-    stack top already is. The stack alternates generators, so after an optional
-    leading a-run its exponents read beta_1, alpha_2, beta_2, ...
+    stack top already is. The stack alternates generators, so its top's follows
+    from its length and first, its bottom's. After an optional leading a-run
+    its exponents read beta_1, alpha_2, beta_2, ...
     """
-    gens = []
     exps = []  # nonzero residues, one per run
+    first = None
     for gen, exp in tokens:
         e = exp % p
         if not e:
             continue
-        if gens and gens[-1] == gen:
+        if exps and (gen == first) == len(exps) % 2:
             e = (exps[-1] + e) % p
             if e:
                 exps[-1] = e
             else:
-                gens.pop()
                 exps.pop()
         else:
-            gens.append(gen)
+            if not exps:
+                first = gen
             exps.append(e)
     lead = 0
-    if gens and gens[0] == "a":
+    if first == "a" and exps:
         lead = exps[0]
         del exps[0]
     if len(exps) % 2:
@@ -260,7 +261,10 @@ def parse_word(text, p):
         m = _TOKEN_RE.match(piece)
         if m is None:
             raise InputError(f"cannot parse word token {piece!r}")
-        exp = int(m.group(2)) if m.group(2) is not None else 1
+        try:
+            exp = int(m.group(2)) if m.group(2) is not None else 1
+        except ValueError:  # past the interpreter's limit on digits in int text
+            raise InputError(f"exponent of {piece[:12]}... has too many digits") from None
         toks.append((m.group(1), exp))
     return normalize(toks, p)
 

@@ -6,7 +6,8 @@ comparison, the closed-form quotient order and circulant rank, the
 maximal-subgroup census on stabilizer chains built from nothing, and the
 length sieve on the full section-target system and its class sequences
 filtered from all p^m, the class floor read off token lists, first-level
-sections as token walks reduced by normalize, Gauss-Jordan elimination to
+sections as token walks reduced by normalize, token lists rewritten to a
+fixpoint one merge at a time, Gauss-Jordan elimination to
 reduced row echelon form in one sweep per pivot, and the subgroup lattice of
 a finite model saturated under all-pairs joins.
 Fixtures frozen in the tests were derived with these functions.
@@ -297,8 +298,9 @@ def class_floor(group, w):
 def section_by_tokens(group, w, r):
     """Section of the normal form w at the letter with residue r: walk the
     syllables tracking the letter, emit b^beta at residue 0 and a^{beta e_v}
-    at residue v != 0, and reduce every token list with words.normalize. This
-    is how the package built each section before it summed pure a-powers."""
+    at residue v != 0, and reduce the whole token list with words.normalize.
+    This is how the package built each section before it reduced during the
+    walk."""
     p = group.p
     v = (r + w.leading_a) % p
     toks = []
@@ -306,6 +308,28 @@ def section_by_tokens(group, w, r):
         toks.append(("b", beta) if v == 0 else ("a", beta * group.e[v - 1]))
         v = (v + alpha) % p
     return normalize(toks, p)
+
+
+def reduce_to_fixpoint(tokens, p):
+    """Normal form of (gen, exp) tokens by rewriting until nothing changes:
+    drop a token whose exponent is 0 mod p, or merge the first two neighbours
+    with the same generator. The result goes through the checked GroupWord
+    constructor."""
+    toks = [(gen, exp % p) for gen, exp in tokens]
+    while True:
+        zero = next((i for i, (_, x) in enumerate(toks) if x == 0), None)
+        if zero is not None:
+            del toks[zero]
+            continue
+        same = next((i for i in range(len(toks) - 1) if toks[i][0] == toks[i + 1][0]), None)
+        if same is None:
+            break
+        toks[same:same + 2] = [(toks[same][0], (toks[same][1] + toks[same + 1][1]) % p)]
+    lead = toks.pop(0)[1] if toks and toks[0][0] == "a" else 0
+    betas = [x for gen, x in toks if gen == "b"]
+    alphas = [x for gen, x in toks if gen == "a"]
+    alphas += [0] * (len(betas) - len(alphas))
+    return GroupWord(p, lead, tuple(zip(betas, alphas)))
 
 
 def rref(work, n_cols, p):

@@ -1,6 +1,9 @@
 """The ggslab command-line interface, driven in process."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -9,6 +12,8 @@ from ggslab import cli, quotients
 from ggslab.core import GgsGroup
 from ggslab.cli import VERIFY_NAMES, main
 from ggslab.words import concat
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
@@ -317,6 +322,39 @@ def test_bad_word_and_vertex_exit_2(capsys):
     code, _, err = run(capsys, "act", "--group", "p=3;e=1,2", "a", "4.1")
     assert code == 2
     assert "vertex" in err
+
+
+# past the interpreter's 4,300-digit limit on converting text to int
+LONG_INT = "7" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ("act", "--group", "p=3;e=1,0", f"a^{LONG_INT}", "1"),
+    ("equal", "--group", "p=3;e=1,0", "a", f"b^-{LONG_INT}"),
+    ("classify", "--group", f"p={LONG_INT};e=1,0"),
+    ("classify", "--group", f"p=3;e=1,{LONG_INT}"),
+], ids=["act-word", "equal-word", "spec-p", "spec-e"])
+def test_too_many_digits_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "too many digits" in err
+    assert len(err) < 200
+
+
+def test_closed_stdout_exits_with_its_code():
+    # the read end is closed before the child starts, so its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "ggslab", "quotient", "--group",
+                               "p=5;e=1,0,2,4", "3", "--json"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_STDOUT_CLOSED == 141
+    assert proc.stderr == b""
 
 
 def test_resource_guard_exits_4(capsys):

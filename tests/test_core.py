@@ -187,6 +187,15 @@ def _section_case(draw):
 @example((make_ggs(3, (1, 2)), parse_word("b a b a b a b", 3)))
 # at letter 5 it reads b a^0 b, since e_2 = 0
 @example((make_ggs(5, (1, 0, 2, 4)), parse_word("b a^2 b a^3 b", 5)))
+# the walk pops back past a cancelled b-power: at letter 5 it reads b a^0 b^4,
+# so b b^4 cancels and the section is the leading a^0 alone
+@example((make_ggs(5, (1, 0, 2, 4)), parse_word("b a^2 b a^3 b^4", 5)))
+# at letter 3 it reads a b a a^2 b^2 a: b and b^2 meet across a^3 and cancel,
+# and the a-runs either side merge
+@example((make_ggs(3, (1, 1)), parse_word("a b a^2 b a b a b^2 a b^2 a b", 3)))
+# at letter 5 it reads b a b^2 a^0 b^3 a: b^2 b^3 cancels, and the walk pops
+# back to the interior a, to which the last a adds
+@example((make_ggs(5, (1, 0, 2, 4)), parse_word("b a b a^4 b^2 a^2 b a^3 b^3 a b", 5)))
 def test_uncached_sections_match_the_token_walk(case):
     g, w = case
     for r in range(g.p):

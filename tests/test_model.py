@@ -72,6 +72,25 @@ def test_group_axioms_sampled():
         assert fm.element_order(fm.gen_b) == q
 
 
+def _times_matrix(v, q):
+    """v A mod q for the action matrix in its block form: column t < p-2 of A
+    picks row t+1, and the last column is all -1."""
+    return tuple(x % q for x in v[1:]) + (-sum(v) % q,)
+
+
+@pytest.mark.parametrize("p,q", [(3, 2), (5, 2)])
+def test_mul_matches_the_product_formula_on_every_pair(p, q):
+    # (c1, v1) * (c2, v2) = (c1 + c2, v1 A^{c2} + v2), A applied c2 times by hand
+    fm = FiniteModel(p, q)
+    for i, (c1, v1) in enumerate(fm.elements):
+        for j, (c2, v2) in enumerate(fm.elements):
+            moved = v1
+            for _ in range(c2):
+                moved = _times_matrix(moved, q)
+            want = ((c1 + c2) % p, tuple((x + y) % q for x, y in zip(moved, v2)))
+            assert fm.elements[fm.mul(i, j)] == want
+
+
 # the lattice filtration -----------------------------------------------------
 
 

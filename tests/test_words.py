@@ -18,6 +18,9 @@ from ggslab.words import (
     power,
     random_word,
 )
+from ggslab.words import _reduce
+
+from oracles import reduce_to_fixpoint
 
 
 def test_identity_word():
@@ -260,3 +263,37 @@ def test_unchecked_reductions_build_valid_words(case):
         for cand in g._candidate_words(m, w1, g._class_floor(w1)):
             assert cand.syllables == m
             _assert_revalidates(cand, w1._ab)
+
+
+# the one-stack reduction against rewriting to a fixpoint ---------------------------
+
+
+_exponents = st.one_of(
+    st.integers(-3, 3),  # zero and small negatives
+    st.integers(-10 ** 12, 10 ** 12),  # multi-digit, either sign
+    st.integers(-4, 4).map(lambda k: 7 * k),  # 0 mod 7, and mod p for p = 7
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from((3, 5, 7)),
+       st.lists(st.tuples(st.sampled_from("ab"), _exponents), max_size=16))
+def test_reduce_matches_the_fixpoint_rewrite(p, toks):
+    got = _reduce(toks, p)
+    want = reduce_to_fixpoint(toks, p)
+    assert got == want
+    assert (got._ab, hash(got)) == (want._ab, hash(want))
+
+
+@pytest.mark.parametrize("toks,text", [
+    # every run cancels, down to an empty stack
+    ([("a", 1), ("b", 2), ("b", 1), ("a", 2)], "1"),
+    # the stack empties on a b and restarts on an a, and the other way round
+    ([("b", 1), ("b", -1), ("a", 1), ("b", 1)], "a b"),
+    ([("a", 2), ("a", 1), ("b", 1), ("a", 1)], "b a"),
+    # a cascade that exposes the bottom entry and merges into it
+    ([("a", 1), ("b", 1), ("a", 1), ("a", 2), ("b", 2), ("a", 1)], "a^2"),
+])
+def test_reduce_stack_empties_and_restarts(toks, text):
+    assert format_word(_reduce(toks, 3)) == text
+    assert format_word(reduce_to_fixpoint(toks, 3)) == text
