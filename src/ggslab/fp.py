@@ -15,6 +15,10 @@ reduces every field by one more translate. The sum is exact because each
 field stays at or below 2p - 2, which fits in a byte, so no carry crosses
 into the next field, only while p < 128. From p = 128 on the rows stay lists
 of ints, reduced entry by entry. The tables are built on first use of each p.
+
+Entries must be ints (_residue_rows): a bool, float or string raises InputError.
+A circulant's first row is reduced and encoded once, and _echelon eliminates
+its p rotations, slices of that one encoded row.
 """
 
 from .errors import InputError
@@ -134,10 +138,22 @@ def _row_reduce(work, n_cols, p):
     return pivots
 
 
+def _residue_rows(rows, p):
+    """The rows as lists of canonical residues mod p; InputError unless every
+    entry is an int (a bool is not). Only the set of entry types is tested."""
+    types = set()
+    for row in rows:
+        types.update(map(type, row))
+    for t in types:
+        if not issubclass(t, int) or t is bool:
+            raise InputError(f"entries over F_{p} must be integers, got a {t.__name__}")
+    return [[x % p for x in row] for row in rows]
+
+
 def gaussian_rank(rows, p):
     """Rank over F_p of the matrix with the given rows."""
     validate_odd_prime(p)
-    work = [[int(x) % p for x in row] for row in rows]
+    work = _residue_rows(rows, p)
     n_cols = len(work[0]) if work else 0
     if any(len(row) != n_cols for row in work):
         raise InputError("ragged rows")
@@ -156,7 +172,7 @@ def solve_linear_mod_p(rows, rhs, p):
     n_cols = len(rows[0]) if rows else 0
     if len(rhs) != len(rows) or any(len(row) != n_cols for row in rows):
         raise InputError("a linear system needs equal-length rows and one right-hand side per row")
-    aug = _encode_rows([[int(x) % p for x in row] + [int(b) % p] for row, b in zip(rows, rhs)], p)
+    aug = _encode_rows(_residue_rows([[*row, b] for row, b in zip(rows, rhs)], p), p)
     pivots = _row_reduce(aug, n_cols, p)
     if any(row[n_cols] for row in aug[len(pivots):]):
         return None
@@ -177,8 +193,8 @@ def solve_linear_mod_p(rows, rhs, p):
 
 
 def _rotations(row, p):
-    """The p rows whose row k is the list row (of length p) cyclically shifted
-    k steps to the right."""
+    """The p rows whose row k is row (of length p, a list or a bytes row)
+    cyclically shifted k steps to the right."""
     if len(row) != p:
         raise InputError(f"a circulant over F_{p} needs exactly {p} entries, got {len(row)}")
     return [row[-k:] + row[:-k] for k in range(p)]
@@ -187,5 +203,5 @@ def _rotations(row, p):
 def circulant_rank(first_row, p):
     """Rank over F_p of the circulant with the given first row (length p)."""
     validate_odd_prime(p)
-    # gaussian_rank reduces each entry once, so the rotations keep the raw entries
-    return gaussian_rank(_rotations(list(first_row), p), p)
+    row = _encode_rows(_residue_rows([first_row], p), p)[0]
+    return len(_echelon(_rotations(row, p), p, p))

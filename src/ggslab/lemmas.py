@@ -37,7 +37,8 @@ CENSUS_LEVEL = 2  # level of the maximal-subgroup census
 MODEL_CENSUS_ORDER_CAP = 100  # largest finite model the census enumerates
 # Largest p each scan of fixed size runs at before it raises ResourceLimitError.
 # The interval scan grows like p^6 (3-5 s at p = 19 on a 2-vCPU VM); the
-# circulant sweep ranks 10,000 p x p circulants (5-8 s at p = 31).
+# circulant sweep ranks 10,000 p x p circulants (about 5 s at p = 31, from
+# 7-7.5 s when each rank reduced and encoded all p^2 entries).
 INTERVAL_MAX_P = 19
 CIRCULANT_MAX_P = 31
 

@@ -52,10 +52,27 @@ def test_gaussian_rank_input_checks():
         gaussian_rank([[1, 0]], 4)
 
 
+def test_entries_must_be_integers_not_bools_floats_or_strings():
+    # none of these may be read as a number: int() would give (1.5, 0, 0)
+    # rank 3 at p=3, truncate 2.9 to 2 and parse "2" as a right-hand side
+    for bad in (1.5, 2.9, True, False, "2", None):
+        with pytest.raises(InputError):
+            circulant_rank((bad, 0, 0), 3)
+        with pytest.raises(InputError):
+            circulant_rank([0] * 130 + [bad], 131)
+        with pytest.raises(InputError):
+            gaussian_rank([[bad, 0], [0, 1]], 3)
+        with pytest.raises(InputError):
+            solve_linear_mod_p([[bad, 0]], [2], 3)
+        with pytest.raises(InputError):
+            solve_linear_mod_p([[1, 0]], [bad], 3)
+
+
 def test_circulant_row_structure():
-    # the rows circulant_rank eliminates: row k is the first row shifted k steps
-    # right, entries kept raw since the elimination reduces each one once
+    # row k is the first row shifted k steps right; circulant_rank rotates its
+    # one encoded row, a bytes row below p = 128 and a list from there on
     assert _rotations([1, 2, 0], 3) == [[1, 2, 0], [0, 1, 2], [2, 0, 1]]
+    assert _rotations(b"\x01\x02\x00", 3) == [b"\x01\x02\x00", b"\x00\x01\x02", b"\x02\x00\x01"]
     assert _rotations([4, 0, -1, 0, 0], 5) == [
         [4, 0, -1, 0, 0],
         [0, 4, 0, -1, 0],
@@ -99,15 +116,19 @@ def test_circulant_rank_matches_closed_form_p3_p5():
             assert circulant_rank(row, p) == circulant_rank_closed_form(row, p), row
 
 
+def _times_root_power(coeffs, k, p):
+    """The coefficients (constant term first) of g(x) (x - 1)^k over F_p."""
+    for _ in range(k):
+        coeffs = [(lo - hi) % p for lo, hi in zip([0] + coeffs, coeffs + [0])]
+    return coeffs
+
+
 def _shifted_root_row(rng, p):
     """First row of (x - 1)^k g(x) for k uniform in 0..p and g random of degree
     below p - k: the multiplicity of the root x = 1, and so the rank, is spread
     over its whole range, where uniform rows sit almost all at rank p or p - 1."""
     k = rng.randint(0, p)
-    coeffs = [rng.randrange(p) for _ in range(p - k)]
-    for _ in range(k):  # multiply by x - 1
-        coeffs = [(lo - hi) % p for lo, hi in zip([0] + coeffs, coeffs + [0])]
-    return tuple(coeffs)
+    return tuple(_times_root_power([rng.randrange(p) for _ in range(p - k)], k, p))
 
 
 @pytest.mark.parametrize("p", [7, 11, 13])
@@ -123,6 +144,29 @@ def test_circulant_rank_matches_closed_form_sampled(p):
         assert rank == circulant_rank_closed_form(row, p), row
         ranks.add(rank)
     assert len(ranks) > p // 2
+
+
+@st.composite
+def _raw_circulant_row(draw, p):
+    """p raw entries in [-2p, 3p) whose residues are the first row of
+    (x - 1)^k g(x), k drawn from 0..p, so the rank spreads over its range."""
+    k = draw(st.integers(0, p))
+    g = draw(st.lists(st.integers(0, p - 1), min_size=p - k, max_size=p - k))
+    lifts = draw(st.lists(st.integers(-2, 2), min_size=p, max_size=p))
+    return [c + lift * p for c, lift in zip(_times_root_power(g, k, p), lifts)]
+
+
+# byte rows up to p = 127, list rows from p = 131 on
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 31, 127, 131])
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_circulant_rank_matches_the_rank_of_its_rotations(p, data):
+    # the one reduced, encoded row against the p raw rows gaussian_rank reduces
+    # entry by entry, and against the closed form, which eliminates nothing
+    row = data.draw(_raw_circulant_row(p))
+    rank = circulant_rank(row, p)
+    assert rank == gaussian_rank(_rotations(row, p), p)
+    assert rank == circulant_rank_closed_form(row, p)
 
 
 def test_circulant_length_check():
