@@ -398,7 +398,7 @@ class Element:
     def _check_same_group(self, other):
         if not isinstance(other, Element):
             raise InputError(f"expected an Element, got {other!r}")
-        if other.group.p != self.group.p or other.group.e != self.group.e:
+        if other.group != self.group:
             raise InputError("elements belong to different groups")
 
     # arithmetic -------------------------------------------------------------

@@ -1,14 +1,14 @@
-"""Semidirect-product model (Z/pZ) |x Z^{p-1} of the constant-vector group
-modulo the derived subgroup of its level-1 kernel.
+"""Semidirect-product model (Z/pZ) |x Z^{p-1}, set beside the constant-vector
+group for contrast. The two elements (1, 0) and (0, e_1) generate it; no
+homomorphism from the group onto it is established ((0, e_1) has infinite
+order, while b has order p).
 
 Elements are pairs (c, v) with c mod p and v an exact integer row vector of
-length p-1; the cyclic part acts through the integer matrix
-
-    A = [ 0      | -1 ]
-        [ I_{p-2}| -1 ]      (block form, last column all -1)
-
-which satisfies A^p = I, A != I and sum_{k=0}^{p-1} A^k = 0. Products follow
-the right action: (c1, v1) * (c2, v2) = (c1 + c2, v1 A^{c2} + v2).
+length p-1. The cyclic part acts through the companion matrix A of
+1 + x + ... + x^{p-1}, which is never built: v A is v shifted one coordinate
+left with -sum(v) appended (`shift`). A != I, A^p = I and
+sum_{k=0}^{p-1} A^k = 0. Products follow the right action:
+(c1, v1) * (c2, v2) = (c1 + c2, v1 A^{c2} + v2).
 
 M_q denotes the subgroup (Z/pZ) |x (q Z)^{p-1}; reducing the lattice mod q
 (gcd(q, p) = 1) gives a finite shadow of order p * q^{p-1} small enough to
@@ -25,69 +25,12 @@ from .fp import validate_odd_prime
 MODEL_ORDER_GUARD = 5000
 
 
-def _mat_identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    cols = len(b[0])
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols))
-                 for i in range(n))
-
-
-def _mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-class ActionMatrix:
-    """The order-p integer matrix through which Z/pZ acts on the lattice."""
-
-    __slots__ = ("p", "rows", "powers")
-
-    def __init__(self, p):
-        validate_odd_prime(p)
-        n = p - 1
-        rows = [[0] * n for _ in range(n)]
-        rows[0][n - 1] = -1
-        for r in range(1, n):
-            rows[r][r - 1] = 1
-            rows[r][n - 1] = -1
-        rows = tuple(tuple(r) for r in rows)
-        ident = _mat_identity(n)
-        powers = [ident]
-        for _ in range(p - 1):
-            powers.append(_mat_mul(powers[-1], rows))
-        if rows == ident:
-            raise CrossCheckError("action matrix is the identity")
-        if _mat_mul(powers[p - 1], rows) != ident:
-            raise CrossCheckError("action matrix does not have order p")
-        total = powers[0]
-        for k in range(1, p):
-            total = _mat_add(total, powers[k])
-        if any(any(x != 0 for x in row) for row in total):
-            raise CrossCheckError("powers of the action matrix do not sum to zero")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "powers", tuple(powers[:p]))
-
-    def __setattr__(self, name, val):
-        raise AttributeError("ActionMatrix is immutable")
-
-    def power(self, k):
-        return self.powers[k % self.p]
-
-
-_MATRICES = {}
-
-
-def model_matrix(p):
-    """The ActionMatrix for p, with its defining identities re-verified once."""
-    m = _MATRICES.get(p)
-    if m is None:
-        m = ActionMatrix(p)
-        _MATRICES[p] = m
-    return m
+def shift(v, c=1):
+    """v A^c for c >= 0: A maps v to v shifted one coordinate left, with -sum(v)
+    appended, so it is applied c times over the integers."""
+    for _ in range(c):
+        v = v[1:] + (-sum(v),)
+    return v
 
 
 def distinct_mq_witness(q1, q2, p):
@@ -121,19 +64,17 @@ class FiniteModel:
         self.p = p
         self.q = q
         self.order = order
-        mat = model_matrix(p)
-        self._powers = tuple(tuple(tuple(x % q for x in row) for row in mat.power(k))
-                             for k in range(p))
         self.elements = [(c, v) for c in range(p)
                          for v in itertools.product(range(q), repeat=p - 1)]
         self._index = {x: i for i, x in enumerate(self.elements)}
         self.identity = self._index[(0, (0,) * (p - 1))]
-        # images of the two group generators; they generate the whole model
+        # the two elements that generate the model, all that is_normal needs;
+        # gen_b has order q here, so it is not an image of b, which has order p
         self.gen_a = self._index[(1, (0,) * (p - 1))]
         self.gen_b = self._index[(0, (1,) + (0,) * (p - 2))]
         self._rows = [None] * order
         if self.subgroup_closure((self.gen_a, self.gen_b)) != frozenset(range(order)):
-            raise CrossCheckError("generator images fail to generate the finite model")
+            raise CrossCheckError("gen_a and gen_b fail to generate the finite model")
 
     def _right(self, j):
         """The row [x * j for every index x], built on first use of j."""
@@ -141,10 +82,8 @@ class FiniteModel:
         if row is None:
             c2, v2 = self.elements[j]
             p, q = self.p, self.q
-            cols = tuple(zip(*self._powers[c2]))  # column t of A^{c2}
             row = [self._index[((c1 + c2) % p,
-                                tuple((sum(x * y for x, y in zip(v1, col)) + t) % q
-                                      for col, t in zip(cols, v2)))]
+                                tuple((x + t) % q for x, t in zip(shift(v1, c2), v2)))]
                    for c1, v1 in self.elements]
             self._rows[j] = row
         return row
@@ -156,11 +95,7 @@ class FiniteModel:
     def inverse(self, i):
         c, v = self.elements[i]
         c_inv = (-c) % self.p
-        m = self._powers[c_inv]
-        q = self.q
-        moved = tuple((-sum(v[r] * m[r][t] for r in range(len(v)))) % q
-                      for t in range(len(v)))
-        return self._index[(c_inv, moved)]
+        return self._index[(c_inv, tuple(-x % self.q for x in shift(v, c_inv)))]
 
     def element_order(self, i):
         k = 1
@@ -185,8 +120,8 @@ class FiniteModel:
         return frozenset(closed)
 
     def is_normal(self, subgroup):
-        """Conjugation-invariance under the two model generators (which
-        generate the whole group)."""
+        """Conjugation-invariance under gen_a and gen_b, which generate the
+        model."""
         for g in (self.gen_a, self.gen_b):
             g_inv = self.inverse(g)
             for x in subgroup:

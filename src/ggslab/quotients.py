@@ -139,10 +139,14 @@ def leaf_index(vertex, p):
     return idx
 
 
+def _check_level(n, least):
+    if not isinstance(n, int) or isinstance(n, bool) or n < least:
+        raise InputError(f"level must be an integer >= {least}, got {n!r}")
+
+
 def project(g, n):
     """The permutation a group element induces on the p^n leaves."""
-    if n < 1:
-        raise InputError("level must be >= 1")
+    _check_level(n, 1)
     p = g.group.p
     images = [0] * p ** n
     for v in leaf_vertices(p, n):
@@ -305,8 +309,7 @@ class PermQuotient:
 
 def level_quotient(group, n):
     """Build G / st_G(n) as a permutation group on the p^n leaves."""
-    if n < 1:
-        raise InputError("level must be >= 1")
+    _check_level(n, 1)
     p = group.p
     # multiply up to the guard: p^n itself may be far too large to compute
     leaves = 1
@@ -336,6 +339,7 @@ def closed_form_order(group, n):
     <a, b> for e = (c, ..., c), c = 1 and 2, at p = 3 for n = 2..6, p = 5 for
     n = 2..4, p = 7 for n = 2..3 and p = 11 and 13 for n = 2, and gives the
     3^23 of p = 3, n = 4 that the stabilizer chain computes."""
+    _check_level(n, 2)
     p, e = group.p, tuple(group.e)
     if group.family == FAMILY_CONSTANT:
         return p ** (p + 1 + sum(((p - 2) * p ** (k - 1) + 1) // (p - 1)
@@ -480,8 +484,7 @@ def maximal_subgroups_census(group, n):
     basis theorem (see the module docstring), so the check |Q : Q'| = p^2 on
     the layered normal closure Q' is all that guards them.
     """
-    if n < 2:
-        raise InputError("the census needs level n >= 2")
+    _check_level(n, 2)
     q = level_quotient(group, n)
     p = group.p
     a_img = _as_perm(q.gen_a.images, p ** n)

@@ -21,7 +21,7 @@ from ggslab.core import (
     parse_vertex,
 )
 from ggslab.errors import CrossCheckError, InputError
-from ggslab.quotients import level_quotient
+from ggslab.quotients import level_quotient, project
 from ggslab.words import GroupWord, class_sums, concat, normalize, parse_word, random_word
 
 from oracles import (
@@ -99,6 +99,21 @@ def test_group_equality_and_hash():
     assert make_ggs(3, (1, 2)) == make_ggs(3, (4, 2))
     assert make_ggs(3, (1, 2)) != make_ggs(3, (1, 1))
     assert hash(make_ggs(3, (1, 2))) == hash(make_ggs(3, (1, 2)))
+
+
+def test_group_equality_is_presentation_equality():
+    # G_(2,2) = G_(1,1) as groups, but the word b names b_(2,2) = b_(1,1)^2 in one
+    # and b_(1,1) in the other, so the presentations differ and so do the groups
+    g, h = make_ggs(3, (2, 2)), make_ggs(3, (1, 1))
+    assert g != h
+    assert g == make_ggs(3, (2, 2)) and hash(g) == hash(make_ggs(3, (2, 2)))
+    assert len({g, h, make_ggs(3, (2, 2)), make_ggs(3, (1, 1))}) == 2
+    for cross in (lambda: g.a * h.a, lambda: g.b.equals(h.b),
+                  lambda: g.b.conjugate(h.a), lambda: g.b.commutator(h.a)):
+        with pytest.raises(InputError):
+            cross()
+    assert project(g.b, 3) == project(h.b ** 2, 3)
+    assert project(g.b, 3) != project(h.b, 3)
 
 
 def test_spec_string_round_trip():

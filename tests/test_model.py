@@ -7,29 +7,40 @@ from collections import Counter
 
 import pytest
 
-from ggslab.errors import InputError, ResourceLimitError
+from ggslab import cli, lemmas, model
+from ggslab.core import make_ggs
+from ggslab.errors import CrossCheckError, InputError, ResourceLimitError
 from ggslab.model import (
     FiniteModel,
     all_subgroups,
     census_dict,
     distinct_mq_witness,
     enumerate_maximal_subgroups,
-    model_matrix,
     reduce_mod,
+    shift,
 )
 
 from oracles import all_subgroups_by_rounds
 
 
-# the action matrix ----------------------------------------------------------
+# the action map -------------------------------------------------------------
+
+
+def _basis(p):
+    return [tuple(int(i == j) for j in range(p - 1)) for i in range(p - 1)]
+
+
+def _rows(p):
+    """The action matrix read off the map: row i of A is e_i A."""
+    return tuple(shift(v) for v in _basis(p))
 
 
 def test_matrix_p3_entries():
-    assert model_matrix(3).rows == ((0, -1), (1, -1))
+    assert _rows(3) == ((0, -1), (1, -1))
 
 
 def test_matrix_p5_entries():
-    assert model_matrix(5).rows == (
+    assert _rows(5) == (
         (0, 0, 0, -1),
         (1, 0, 0, -1),
         (0, 1, 0, -1),
@@ -39,12 +50,40 @@ def test_matrix_p5_entries():
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_matrix_power_cycle(p):
-    m = model_matrix(p)
-    ident = m.power(0)
-    assert m.power(p) == ident  # construction re-verifies A^p = I
-    assert m.power(1) != ident
-    assert m.power(-1) == m.power(p - 1)
-    assert m.power(2 * p + 3) == m.power(3)
+    for v in _basis(p):
+        assert shift(v, 0) == v
+        assert shift(v, 1) != v
+        assert shift(v, p) == v
+        assert shift(v, 2 * p + 3) == shift(v, 3)
+        assert shift(shift(v, p - 1)) == v  # A^{p-1} is the inverse of A
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_action_identities_up_to_31(p):
+    # A != I, A^p = I and sum_{k<p} A^k = 0, each checked on every basis vector
+    basis = _basis(p)
+    assert _rows(p) != tuple(basis)
+    for v in basis:
+        powers = [shift(v, k) for k in range(p + 1)]
+        assert powers[p] == v
+        assert all(sum(col) == 0 for col in zip(*powers[:p]))
+    lemmas._check_action_map(p)
+
+
+@pytest.mark.parametrize("broken,message", [
+    (lambda v, c=1: v, "is the identity"),
+    # a cyclic permutation of the p - 1 coordinates has order p - 1
+    (lambda v, c=1: v[1:] + v[:1], "does not have order p"),
+    # an affine shift: period p on the basis, but its powers sum to all ones
+    (lambda v, c=1: v[1:] + (1 - sum(v),), "do not sum to zero"),
+], ids=["identity", "cyclic", "affine"])
+def test_broken_action_map_fails_the_sweep(monkeypatch, capsys, broken, message):
+    monkeypatch.setattr(model, "shift", broken)
+    with pytest.raises(CrossCheckError, match=message):
+        lemmas.sweep_constant_model(make_ggs(5, (1, 1, 1, 1)))
+    code = cli.main(["verify", "--group", "p=5;e=1,1,1,1", "constant-model", "--json"])
+    assert code == 3
+    assert message in capsys.readouterr().err
 
 
 # element arithmetic ---------------------------------------------------------
@@ -72,23 +111,35 @@ def test_group_axioms_sampled():
         assert fm.element_order(fm.gen_b) == q
 
 
-def _times_matrix(v, q):
-    """v A mod q for the action matrix in its block form: column t < p-2 of A
-    picks row t+1, and the last column is all -1."""
-    return tuple(x % q for x in v[1:]) + (-sum(v) % q,)
+def _block_matrix(p):
+    """A in block form: zero first row but for its last entry, I_{p-2} below it,
+    and a last column of all -1."""
+    n = p - 1
+    return [[-1 if t == n - 1 else int(r == t + 1) for t in range(n)] for r in range(n)]
+
+
+def _vec_mat_power(v, m, k, q):
+    """v m^k mod q as k vector-matrix products."""
+    for _ in range(k):
+        v = tuple(sum(x * row[t] for x, row in zip(v, m)) % q for t in range(len(m[0])))
+    return v
 
 
 @pytest.mark.parametrize("p,q", [(3, 2), (5, 2)])
 def test_mul_matches_the_product_formula_on_every_pair(p, q):
-    # (c1, v1) * (c2, v2) = (c1 + c2, v1 A^{c2} + v2), A applied c2 times by hand
+    # (c1, v1) * (c2, v2) = (c1 + c2, v1 A^{c2} + v2), with v1 A^{c2} taken as
+    # c2 vector-matrix products against the explicit block-form matrix
     fm = FiniteModel(p, q)
+    a = _block_matrix(p)
     for i, (c1, v1) in enumerate(fm.elements):
         for j, (c2, v2) in enumerate(fm.elements):
-            moved = v1
-            for _ in range(c2):
-                moved = _times_matrix(moved, q)
+            moved = _vec_mat_power(v1, a, c2, q)
             want = ((c1 + c2) % p, tuple((x + y) % q for x, y in zip(moved, v2)))
             assert fm.elements[fm.mul(i, j)] == want
+        # (c, v)^{-1} = (-c, -v A^{-c})
+        c_inv = (-c1) % p
+        want = (c_inv, tuple(-x % q for x in _vec_mat_power(v1, a, c_inv, q)))
+        assert fm.elements[fm.inverse(i)] == want
 
 
 # the lattice filtration -----------------------------------------------------

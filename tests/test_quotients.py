@@ -316,6 +316,25 @@ def test_chain_done_keys_hold_no_permutation(p, e, n):
             assert type(key) is tuple and all(type(x) is int for x in key)
 
 
+_LEVEL_CALLS = {
+    "project": lambda g, n: project(g.a, n),
+    "level_quotient": level_quotient,
+    "closed_form_order": closed_form_order,
+    "maximal_subgroups_census": maximal_subgroups_census,
+}
+
+
+@pytest.mark.parametrize("call,level", [
+    (call, level) for call in _LEVEL_CALLS for level in (1.0, 2.0, True, "2", None)
+] + [("closed_form_order", 0), ("closed_form_order", 1)])
+def test_levels_are_ints_in_range(call, level):
+    # closed_form_order once gave 9.0 at level 1.0 and, for e = (1, 1), 81 at
+    # level 1, whose quotient has order 3; level_quotient(g, True) gave 3
+    for e in ((1, 0), (1, 1)):
+        with pytest.raises(InputError):
+            _LEVEL_CALLS[call](make_ggs(3, e), level)
+
+
 def test_quotient_guards():
     g = make_ggs(3, (1, 2))
     with pytest.raises(InputError):
