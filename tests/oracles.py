@@ -6,7 +6,8 @@ comparison, the closed-form quotient order and circulant rank, the
 maximal-subgroup census on stabilizer chains built from nothing, and the
 length sieve on the full section-target system and its class sequences
 filtered from all p^m, the class floor read off token lists, first-level
-sections as token walks reduced by normalize, token lists rewritten to a
+sections as token walks reduced by normalize, the short-section sweep
+redrawing and rechecking every draw from its tokens, token lists rewritten to a
 fixpoint one merge at a time, Gauss-Jordan elimination to
 reduced row echelon form in one sweep per pivot, and the subgroup lattice of
 a finite model saturated under all-pairs joins.
@@ -14,10 +15,12 @@ Fixtures frozen in the tests were derived with these functions.
 """
 
 import itertools
+import random
 
+from ggslab import lemmas
 from ggslab.fp import solve_linear_mod_p
 from ggslab.quotients import _StabilizerChain, _compose, _inverse, _perm_power, level_quotient
-from ggslab.words import GroupWord, normalize
+from ggslab.words import GroupWord, _reduce, format_word, normalize
 
 
 def leaf_action(group, w, n):
@@ -409,3 +412,58 @@ def all_subgroups_by_rounds(fm):
         if not added:
             break
     return sorted(seen.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+
+
+def st1_by_tokens(group, rng, max_factors=lemmas.SWEEP_MAX_FACTORS, nonzero_t=False):
+    """A random st(1) element as the sweeps drew it before draws were kept as
+    numbers: build the tokens of each conjugate (b^j)^(a^l), reduce every
+    draw, and test the b-exponent sum of the reduced word."""
+    p = group.p
+    while True:
+        toks = []
+        for _ in range(rng.randint(1, max_factors)):
+            j = rng.randrange(1, p)
+            l = rng.randrange(p)
+            toks += [("a", -l), ("b", j), ("a", l)]
+        w = _reduce(toks, p)
+        if not nonzero_t or w.exponent_sums()[1] != 0:
+            return group.element(w)
+
+
+def case2_by_tokens(group, rng):
+    """A short-section draw built from tokens: an st(1) draw with t != 0, or
+    the interleaved word b^{i_1} (b^{j_1})^{a^v} ...."""
+    p = group.p
+    if rng.random() < 0.5:
+        return st1_by_tokens(group, rng, nonzero_t=True)
+    v = rng.randrange(1, p)
+    mu = rng.randint(1, 2)
+    toks = []
+    for _ in range(mu):
+        toks += [("b", rng.randrange(1, p)), ("a", -v), ("b", rng.randrange(1, p)), ("a", v)]
+    return group.element(_reduce(toks, p))
+
+
+def short_section_by_redrawing(group, cases, seed):
+    """The short-section sweep's report with every draw rebuilt and checked
+    through lemmas.check_section_less_than_half, repeats included."""
+    if group.lam == 0:
+        return lemmas._report("short-section", seed, skipped=1,
+                              note="needs a non-torsion group")
+    rng = random.Random(seed)
+    confirmed = 0
+    skipped = 0
+    bad = []
+    attempts = 0
+    while confirmed + len(bad) < cases and attempts < cases * lemmas.SHORT_SECTION_ATTEMPTS:
+        attempts += 1
+        x = case2_by_tokens(group, rng)
+        rep = lemmas.check_section_less_than_half(group, x)
+        if rep["status"] == "skipped":
+            skipped += 1
+        elif rep["status"] == "pass":
+            confirmed += 1
+        else:
+            bad.append({"word": format_word(x.word), "detail": rep})
+    return lemmas._report("short-section", seed, cases_run=confirmed + len(bad),
+                          passed=confirmed, skipped=skipped, counterexamples=bad)

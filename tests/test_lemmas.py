@@ -1,9 +1,11 @@
 """Structural lemmas and their randomized sweeps."""
 
+import collections
 import random
 
 import pytest
 
+from ggslab import lemmas
 from ggslab.core import GgsGroup, make_ggs
 from ggslab.errors import CrossCheckError, InputError, ResourceLimitError
 from ggslab.lemmas import (
@@ -36,6 +38,8 @@ from ggslab.lemmas import (
     sweep_short_section,
     sweep_split_case,
 )
+from ggslab.words import format_word
+from oracles import case2_by_tokens, short_section_by_redrawing, st1_by_tokens
 
 REPORT_KEYS = {"lemma", "seed", "cases_run", "passed", "skipped", "counterexamples"}
 
@@ -283,7 +287,59 @@ def test_propagation_sweep():
 
 def test_short_section_sweep():
     rep = _clean(sweep_short_section(make_ggs(5, (1, 0, 2, 4)), 10, seed=5))
-    assert rep["cases_run"] >= 10 or rep["skipped"] > 0
+    assert rep["cases_run"] == rep["passed"] == 10
+
+
+@pytest.mark.parametrize("p,e,cases", [
+    (3, (1, 1), 50), (5, (1, 0, 2, 4), 50), (5, (1, 1, 1, 1), 50),
+    (7, (1, 0, 0, 0, 0, 0), 3)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_short_section_sweep_matches_redrawing(p, e, cases, seed):
+    g = make_ggs(p, e)
+    assert sweep_short_section(g, cases, seed) == short_section_by_redrawing(g, cases, seed)
+
+
+@pytest.mark.parametrize("p,e", [(3, (1, 1)), (5, (1, 0, 2, 4)), (7, (1, 0, 0, 0, 0, 0))])
+def test_draws_match_token_built_words(p, e):
+    g = make_ggs(p, e)
+    for draw, oracle, kw in [(random_st1_element, st1_by_tokens, {}),
+                             (random_st1_element, st1_by_tokens, {"nonzero_t": True}),
+                             (_case2_candidate, case2_by_tokens, {})]:
+        rng, rng_oracle = random.Random(p), random.Random(p)
+        for _ in range(2000):
+            assert draw(g, rng, **kw).word == oracle(g, rng_oracle, **kw).word
+        assert rng.getstate() == rng_oracle.getstate()
+
+
+def test_short_section_sweep_replays_a_repeated_failure(monkeypatch):
+    g = make_ggs(3, (1, 1))
+    check = lemmas.check_section_less_than_half
+    seen = collections.Counter()
+
+    def recording(group, x):
+        seen[x.word] += 1
+        return check(group, x)
+
+    monkeypatch.setattr(lemmas, "check_section_less_than_half", recording)
+    short_section_by_redrawing(g, 50, 0)
+    target, _ = seen.most_common(1)[0]
+    calls = collections.Counter()
+
+    def failing(group, x):
+        calls[x.word] += 1
+        if x.word == target:
+            return {"status": "fail", "length": 0, "detail": "planted"}
+        return check(group, x)
+
+    monkeypatch.setattr(lemmas, "check_section_less_than_half", failing)
+    oracle = short_section_by_redrawing(g, 50, 0)
+    oracle_calls, calls = calls, collections.Counter()
+    rep = sweep_short_section(g, 50, 0)
+    assert rep == oracle
+    assert len(rep["counterexamples"]) > 1
+    assert {c["word"] for c in rep["counterexamples"]} == {format_word(target)}
+    # each draw of the target is checked once, then replayed from the memo
+    assert calls[target] < len(rep["counterexamples"]) == oracle_calls[target]
 
 
 def test_length_contraction_sweep():
