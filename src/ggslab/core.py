@@ -12,8 +12,8 @@ Conventions, fixed once and used everywhere:
 - all actions are right actions: act(g * h, v) == act(h, act(g, v)), and
   sections obey section(g * h, u) == section(g, u) * section(h, act(g, u));
 - elements are words in a and b (free-product normal forms); equality of the
-  underlying tree automorphisms is decided by equal(), a coinductive
-  bisimulation on pairs of normal forms.
+  underlying tree automorphisms is decided by equal(), a recursion on section
+  pairs that contraction makes well-founded.
 
 Sanity anchor for the sign conventions: psi([a, b]) computes to
 (b^{-1} a^{e_1}, a^{e_2 - e_1}, ..., a^{e_{p-1} - e_{p-2}}, a^{-e_{p-1}} b).
@@ -25,9 +25,10 @@ equal(), lengths and the class floor. The sweeps' random draws repeat (10,497
 distinct words among the 20,000 short-section draws at p=7), but holding their
 sections costs memory, 14 MB in the table for those draws alone, so
 lemmas.exponent_profile calls _section_uncached and leaves the table as it
-was. The sweep instead keeps one verdict per draw from a small family: 4,856
-int-keyed entries at p=7, with verify's peak RSS unchanged at 24.9 MB. _section_uncached reduces as it walks; every section that is a pure
-a-power is one of the p words a^0, ..., a^{p-1} the group builds once.
+was; lemmas.sweep_short_section keeps its own memo of verdicts instead, and
+its docstring gives that memo's size. _section_uncached reduces as it walks;
+every section that is a pure a-power is one of the p words a^0, ..., a^{p-1}
+the group builds once.
 """
 
 import itertools
@@ -206,38 +207,30 @@ class GgsGroup:
     def equal_words(self, w1, w2):
         """Decide whether two normal forms define the same tree automorphism.
 
-        Coinductive bisimulation on word pairs: a pair passes when the root
-        powers match and all p section pairs pass, where pairs already assumed
-        in this call pass (the set of equal pairs is the greatest such
-        relation, so the assumption is sound). A failure never rests on an
-        assumption, so it is cached unconditionally and propagates to the
-        outermost call; the assumed pairs are committed to the shared memo only
-        when that call succeeds.
-
-        Contraction bounds the recursion. A section of an m-syllable normal
-        form takes its b-syllables from one walk class, and neighbouring
-        syllables differ in class, so it has at most ceil(m/2) syllables. When
-        both words have at most one syllable, every section is b^beta or a^x,
-        so each section pair is identical or differs in its exponent sums. So
-        no pair deeper than ceil(log2 M) = (M - 1).bit_length() recurses, for
-        M the larger syllable count; one that does raises CrossCheckError.
+        They are equal iff their root powers match and all p section pairs are
+        equal; _equal recurses on that rule and stores each verdict in _eq_true
+        or _eq_false at once. Contraction makes the recursion well-founded. A
+        section of an m-syllable normal form takes its b-syllables from one
+        walk class, and neighbouring syllables differ in class, so it has at
+        most ceil(m/2) syllables. When both words have at most one syllable,
+        every section is b^beta or a^x, so each section pair is identical or
+        differs in its exponent sums. So no pair deeper than ceil(log2 M) =
+        (M - 1).bit_length() recurses, for M the larger syllable count, and the
+        recursion ends; one that does recurse deeper raises CrossCheckError.
         """
         if w1.p != self.p or w2.p != self.p:
             raise InputError("word modulus does not match group")
         bound = (max(w1.syllables, w2.syllables) - 1).bit_length()
-        assumed = set()
-        ok = self._bisim(w1, w2, 0, bound, assumed)
-        if ok:
-            self._eq_true |= assumed
-        return ok
+        return self._equal(w1, w2, 0, bound)
 
-    def _bisim(self, w1, w2, depth, bound, assumed):
+    def _equal(self, w1, w2, depth, bound):
         if w1 == w2:
             return True
+        # one canonical order, so a pair met either way round shares its entry
         if w1.sort_key() > w2.sort_key():
             w1, w2 = w2, w1
         pair = (w1, w2)
-        if pair in self._eq_true or pair in assumed:
+        if pair in self._eq_true:
             return True
         if pair in self._eq_false:
             return False
@@ -248,12 +241,12 @@ class GgsGroup:
         if depth > bound:
             raise CrossCheckError(f"equality recursion at depth {depth} is past "
                                   f"the contraction bound {bound}")
-        assumed.add(pair)
         for r in range(self.p):
-            if not self._bisim(self.section_word(w1, r), self.section_word(w2, r),
-                               depth + 1, bound, assumed):
+            if not self._equal(self.section_word(w1, r), self.section_word(w2, r),
+                               depth + 1, bound):
                 self._eq_false.add(pair)
                 return False
+        self._eq_true.add(pair)
         return True
 
     def _class_floor(self, w):

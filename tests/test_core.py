@@ -334,7 +334,7 @@ def test_equal_detects_rewritten_forms():
 def test_equal_descends_where_exponent_sums_match(monkeypatch):
     # a pair whose first section pair shares exponent sums but differs, so
     # that section pair recurses too before the pair fails
-    depths = _record_bisim_depths(monkeypatch)
+    depths = _record_equal_depths(monkeypatch)
     g = make_ggs(3, (1, 2))
     w1 = parse_word("a b a b a^2 b^2", 3)
     w2 = parse_word("b a^2 b a b^2 a", 3)
@@ -356,17 +356,17 @@ RELATORS = (
 )
 
 
-def _record_bisim_depths(monkeypatch):
-    """Log the depth of every _bisim call; a call at depth d + 1 means a pair at
+def _record_equal_depths(monkeypatch):
+    """Log the depth of every _equal call; a call at depth d + 1 means a pair at
     depth d recursed."""
     depths = []
-    bisim = GgsGroup._bisim
+    equal = GgsGroup._equal
 
-    def logged(self, w1, w2, depth, bound, assumed):
+    def logged(self, w1, w2, depth, bound):
         depths.append(depth)
-        return bisim(self, w1, w2, depth, bound, assumed)
+        return equal(self, w1, w2, depth, bound)
 
-    monkeypatch.setattr(GgsGroup, "_bisim", logged)
+    monkeypatch.setattr(GgsGroup, "_equal", logged)
     return depths
 
 
@@ -381,7 +381,7 @@ def _insert_every(w, relator, k):
 
 
 def test_equal_recursion_stays_within_the_contraction_bound(monkeypatch):
-    depths = _record_bisim_depths(monkeypatch)
+    depths = _record_equal_depths(monkeypatch)
     rng = random.Random(61)
     deepest = -1
     for (p, e), text in RELATORS:
@@ -409,6 +409,42 @@ def test_equal_raises_when_sections_stop_contracting(monkeypatch):
     g = make_ggs(7, (1, 0, 0, 0, 0, 0))
     with pytest.raises(CrossCheckError, match="past the contraction bound 3"):
         g.equal_words(parse_word(LIFTED_R2, 7), g.identity.word)
+
+
+def test_equal_keeps_equal_sub_pairs_of_a_failed_comparison():
+    # the sections at the letter 7 are R2 and 1, equal after a descent that
+    # proves R2's own section [b, b^{a^2}] trivial; the pair then fails at the
+    # letter 3 (b^6 against b^4), and both equal sub-pairs stay settled
+    g = make_ggs(7, (1, 0, 0, 0, 0, 0))
+    w1 = parse_word(LIFTED_R3 + " a^4 b^6 a^6 b^6 a^2", 7)
+    w2 = parse_word("a^4 b^4 a^6 b a^2", 7)
+    assert g.equal_words(w1, w2) is False
+    one = g.identity.word
+    kept = {(one, parse_word(LIFTED_R2, 7)),
+            (one, parse_word("b^6 a^5 b^6 a^2 b a^5 b a^2", 7))}
+    assert g._eq_true == kept
+    for u, v in kept:
+        assert agree_to_depth(make_ggs(7, (1, 0, 0, 0, 0, 0)), u, v, 8)
+
+
+@pytest.mark.parametrize("e,equal_pairs", [((1, 2), 0), ((1, 1), 18), ((1, 0), 0)])
+def test_equal_words_vs_depth_oracle_on_a_ball(e, equal_pairs):
+    # every pair of the 381 normal forms of at most 3 syllables at p=3 whose
+    # exponent sums agree (7,938 pairs), each on a cold group and then all on
+    # one group whose memo tables fill as it goes
+    forms = _p3_normal_forms(3)
+    pairs = [(u, v) for u, v in itertools.combinations(forms, 2)
+             if u.exponent_sums() == v.exponent_sums()]
+    assert (len(forms), len(pairs)) == (381, 7938)
+    cold = []
+    for u, v in pairs:
+        g = make_ggs(3, e)
+        got = g.equal_words(u, v)
+        assert got == agree_to_depth(g, u, v, 8)
+        cold.append(got)
+    assert sum(cold) == equal_pairs
+    g = make_ggs(3, e)
+    assert [g.equal_words(u, v) for u, v in pairs] == cold
 
 
 def test_equal_group_mismatch():
@@ -603,13 +639,8 @@ def test_class_floor_holds_for_every_equal_pair(e, distinct_pairs):
     # w = c checks the floor against the word itself.
     g = make_ggs(3, e)
     buckets = {}
-    for m in range(5):
-        for lead in range(3):
-            for betas in itertools.product((1, 2), repeat=m):
-                for alphas in itertools.product((1, 2), repeat=max(m - 1, 0)):
-                    for last in range(3) if m else (None,):
-                        w = GroupWord(3, lead, tuple(zip(betas, alphas + (last,))))
-                        buckets.setdefault(leaf_action(g, w, 3), []).append(w)
+    for w in _p3_normal_forms(4):
+        buckets.setdefault(leaf_action(g, w, 3), []).append(w)
     distinct = 0
     for words in buckets.values():
         floors = [g._class_floor(w) for w in words]
@@ -619,6 +650,18 @@ def test_class_floor_holds_for_every_equal_pair(e, distinct_pairs):
                     distinct += c != w
                     assert _meets_floor(c, floor)
     assert distinct == distinct_pairs
+
+
+def _p3_normal_forms(max_syllables):
+    """Every normal form at p=3 with at most max_syllables syllables."""
+    forms = []
+    for m in range(max_syllables + 1):
+        for lead in range(3):
+            for betas in itertools.product((1, 2), repeat=m):
+                for alphas in itertools.product((1, 2), repeat=max(m - 1, 0)):
+                    for last in range(3) if m else (None,):
+                        forms.append(GroupWord(3, lead, tuple(zip(betas, alphas + (last,)))))
+    return forms
 
 
 def _bfs_length(g, w, cap):
