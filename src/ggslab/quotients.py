@@ -3,7 +3,8 @@
 Leaves are indexed by the rank of their vertex word in lexicographic order over
 {1, ..., p}^n. Quotient orders and `PermQuotient.contains` come from a
 deterministic stabilizer chain (base points taken in natural leaf order,
-Schreier generators processed in a fixed order), so repeated runs agree byte
+Schreier generators processed in a fixed order, and a repeated one skipped
+unstripped, which leaves the chain as it was), so repeated runs agree byte
 for byte.
 
 Internally a permutation of degree p^n <= 256 is a 256-byte `bytes` table
@@ -21,7 +22,9 @@ C_p wr ... wr C_p, in which orders and memberships are F_p elimination on
 rotation labels, level by level. The layered order of <a, b> must equal the
 chain's order, and Q' is a layered normal closure. Since the images of a and
 b have order p, Q/Q' is elementary abelian of rank at most 2, so the Frattini
-subgroup of Q is Q'. Once |Q : Q'| = p^2 is certified, the records come from
+subgroup of Q is Q'. |Q : Q'| = p^2 at any level n >= 2 follows from the same
+index at level 2, so the census closes Q' there only (see
+`maximal_subgroups_census`). Once the index is certified, the records come from
 the Burnside basis theorem: the maximal subgroups are the p + 1 preimages of
 the index-p subgroups of Q/Q', one for each nonzero linear functional on
 F_p^2 (up to scalars) pulled back through the exponent sums, and each is
@@ -38,9 +41,10 @@ from .errors import CrossCheckError, InputError, ResourceLimitError
 from .fp import circulant_rank
 
 # Largest leaf count a level quotient is built on. It admits level 2 for every
-# p <= 23 (p = 23 in about 2.5 s on a 2-vCPU VM), level 3 for p <= 7 (1.2 s at
-# 343 leaves) and level 5 for p = 3; it refuses p = 5 at level 4 and p = 3 at
-# level 6, whose 625 and 729 leaves take the stabilizer chain 37 s and 47 s.
+# p <= 23 (the p = 23 chain in about 1.3 s on a 2-vCPU VM), level 3 for p <= 7
+# (0.9 s at 343 leaves) and level 5 for p = 3 (0.3-0.4 s); it refuses p = 5 at
+# level 4 and p = 3 at level 6, whose 625 and 729 leaves take the stabilizer
+# chain 29 s and 37 s. `project` is refused past it too.
 LEAF_GUARD = 529  # 23^2 leaves
 
 _TABLE = 256  # largest degree stored as a bytes translate table
@@ -144,11 +148,23 @@ def _check_level(n, least):
         raise InputError(f"level must be an integer >= {least}, got {n!r}")
 
 
+def _leaf_count(p, n):
+    """p^n for a level n >= 1, or ResourceLimitError past LEAF_GUARD leaves."""
+    _check_level(n, 1)
+    # multiply up to the guard: p^n itself may be far too large to compute
+    leaves = 1
+    for _ in range(n):
+        leaves *= p
+        if leaves > LEAF_GUARD:
+            raise ResourceLimitError(
+                f"level {n} at p = {p} has more than {LEAF_GUARD} leaves, the guard")
+    return leaves
+
+
 def project(g, n):
     """The permutation a group element induces on the p^n leaves."""
-    _check_level(n, 1)
     p = g.group.p
-    images = [0] * p ** n
+    images = [0] * _leaf_count(p, n)
     for v in leaf_vertices(p, n):
         images[leaf_index(v, p)] = leaf_index(g.act(v), p)
     return LeafPermutation(p, n, images)
@@ -177,6 +193,18 @@ class _StabilizerChain:
     the Schreier step compose with it instead of inverting again. `inverses[i]`
     always has the same keys as `transversals[i]`.
 
+    Within one `add_generator` call, `_ingest` strips each distinct
+    (level, permutation) pair once: a Schreier generator handed in again at
+    the same level returns at once. That changes no chain state. The first
+    copy of g stripped from level L to a residue r that either was the
+    identity or was stored at the level i where stripping stopped, and
+    closing that level set trans[r(base_i)] = r before anything else could
+    run. Transversal entries are never replaced, so a repeat of g strips
+    through the same entries to r, then to the identity, and was a no-op.
+    The seen sets are keyed by the images of 0..degree-1 alone (a 256-byte
+    table would double the peak memory of a degree-125 chain) and are
+    dropped when `add_generator` returns.
+
     Every stored permutation is in the internal format of `_as_perm`: a
     256-byte translate table for degree <= 256 and a tuple above 256.
     `add_generator`, `sift` and `contains` accept any sequence of images.
@@ -191,6 +219,7 @@ class _StabilizerChain:
         self.transversals = []  # per level: point -> perm mapping base to point
         self.inverses = []      # per level: point -> inverse of that perm
         self.done = []          # per level: (point, level, position) processed
+        self._seen = None       # per level: perms ingested in this add_generator call
 
     def order(self):
         result = 1
@@ -220,14 +249,23 @@ class _StabilizerChain:
         return self.sift(perm) == self.identity
 
     def add_generator(self, perm):
-        self._ingest(_as_perm(perm, self.degree), 0)
-        # a residue placed deep in the chain may move non-base points of
-        # shallower orbits, so sweep every level to a global fixpoint
-        while any(self._close_level(i) for i in range(len(self.bases))):
-            pass
+        self._seen = collections.defaultdict(set)
+        try:
+            self._ingest(_as_perm(perm, self.degree), 0)
+            # a residue placed deep in the chain may move non-base points of
+            # shallower orbits, so sweep every level to a global fixpoint
+            while any(self._close_level(i) for i in range(len(self.bases))):
+                pass
+        finally:
+            self._seen = None
 
     def _ingest(self, g, level):
         # g fixes the bases of all levels below `level`
+        seen = self._seen[level]
+        key = g[:self.degree] if type(g) is bytes else g
+        if key in seen:
+            return
+        seen.add(key)
         res, i = self._strip(g, level)
         if res == self.identity:
             return
@@ -309,18 +347,10 @@ class PermQuotient:
 
 def level_quotient(group, n):
     """Build G / st_G(n) as a permutation group on the p^n leaves."""
-    _check_level(n, 1)
-    p = group.p
-    # multiply up to the guard: p^n itself may be far too large to compute
-    leaves = 1
-    for _ in range(n):
-        leaves *= p
-        if leaves > LEAF_GUARD:
-            raise ResourceLimitError(
-                f"level {n} at p = {p} has more than {LEAF_GUARD} leaves, the guard")
+    leaves = _leaf_count(group.p, n)
     gen_a = project(group.a, n)
     gen_b = project(group.b, n)
-    chain = _StabilizerChain(p ** n)
+    chain = _StabilizerChain(leaves)
     chain.add_generator(gen_a.images)
     chain.add_generator(gen_b.images)
     return PermQuotient(group, n, gen_a, gen_b, chain)
@@ -481,8 +511,12 @@ def maximal_subgroups_census(group, n):
 
     The order comes from the stabilizer chain of `level_quotient` and must
     equal the layered order of <a, b>. The records are read off the Burnside
-    basis theorem (see the module docstring), so the check |Q : Q'| = p^2 on
-    the layered normal closure Q' is all that guards them.
+    basis theorem (see the module docstring), so the check |Q : Q'| = p^2 is
+    all that guards them. It is made once, at level 2, for every n: G/G' is
+    generated by the images of a and b, both of order dividing p, so
+    |Q_n : Q_n'| <= p^2; and Q_n maps onto Q_2 with Q_n' onto Q_2', so
+    |Q_n : Q_n'| >= |Q_2 : Q_2'|. Hence |Q_2 : Q_2'| = p^2 gives
+    |Q_n : Q_n'| = p^2 at every level n >= 2, and Q_n' is never closed.
     """
     _check_level(n, 2)
     q = level_quotient(group, n)
@@ -499,15 +533,20 @@ def maximal_subgroups_census(group, n):
         raise CrossCheckError(
             f"layered order {whole.order()} != stabilizer chain order {q.order}")
 
-    # Q' as the normal closure of [a, b]; with both generators of order p this
-    # is the whole Frattini subgroup of Q.
+    # the level-2 certificate; Q_2' is the normal closure of [a, b], and with
+    # both generators of order p it is the whole Frattini subgroup of Q_2
+    if n > 2:
+        a_img = _as_perm(project(group.a, 2).images, p * p)
+        b_img = _as_perm(project(group.b, 2).images, p * p)
+        whole = _LayeredBasis(p, 2)
+        whole.closure([a_img, b_img])
     comm = _compose(_compose(_inverse(a_img), _inverse(b_img)), _compose(a_img, b_img))
-    derived = _LayeredBasis(p, n)
+    derived = _LayeredBasis(p, 2)
     derived.closure([comm], [a_img, b_img])
-    frattini_index = q.order // derived.order()
+    frattini_index = whole.order() // derived.order()
     if frattini_index != p * p:
         raise CrossCheckError(
-            f"|Q : Q'| = {frattini_index} != p^2; the functional census does not apply")
+            f"|Q_2 : Q_2'| = {frattini_index} != p^2; the functional census does not apply")
 
     # Q/Q' = F_p^2: the maximal subgroups are the kernels of the p + 1 nonzero
     # functionals up to scalars, each of index p and normal since it contains Q'

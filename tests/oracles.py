@@ -3,7 +3,9 @@
 Everything here is deliberately naive and cache-free: plain breadth-first
 enumeration of leaf permutations, depth-bounded recursive action
 comparison, the closed-form quotient order and circulant rank, the
-maximal-subgroup census on stabilizer chains built from nothing, and the
+maximal-subgroup census on stabilizer chains built from nothing, a chain
+that strips every Schreier generator it is handed, |Q : Q'| closed at the
+census level itself, and the
 length sieve on the full section-target system and its class sequences
 filtered from all p^m, the class floor read off token lists, first-level
 sections as token walks reduced by normalize, the short-section sweep
@@ -19,7 +21,15 @@ import random
 
 from ggslab import lemmas
 from ggslab.fp import solve_linear_mod_p
-from ggslab.quotients import _StabilizerChain, _compose, _inverse, _perm_power, level_quotient
+from ggslab.quotients import (
+    _LayeredBasis,
+    _StabilizerChain,
+    _compose,
+    _inverse,
+    _perm_power,
+    level_quotient,
+    project,
+)
 from ggslab.words import GroupWord, _reduce, format_word, normalize
 
 
@@ -111,6 +121,42 @@ def closed_form_log_order(p, e, n):
         rank += 1
     delta = 1 if list(e) == list(reversed(e)) else 0
     return rank * p ** (n - 2) + 1 - delta * (p ** (n - 2) - 1) // (p - 1)
+
+
+class StripEveryGeneratorChain(_StabilizerChain):
+    """The stabilizer chain as it ran before it skipped repeated Schreier
+    generators: `_ingest` strips every generator it is handed."""
+
+    def _ingest(self, g, level):
+        # g fixes the bases of all levels below `level`
+        res, i = self._strip(g, level)
+        if res == self.identity:
+            return
+        if i == len(self.bases):
+            base = next(x for x in range(self.degree) if res[x] != x)
+            self.bases.append(base)
+            self.gens.append([])
+            self.orbits.append([base])
+            self.transversals.append({base: self.identity})
+            self.inverses.append({base: self.identity})
+            self.done.append(set())
+        if res not in self.gens[i]:
+            self.gens[i].append(res)
+        self._close_level(i)
+
+
+def layered_frattini_index(group, n):
+    """|Q : Q'| for Q = G / St_G(n), with <a, b> and the normal closure Q' of
+    [a, b] both closed on layered bases at level n itself. This is how the
+    census certified the index before it did so once, at level 2."""
+    a_img = project(group.a, n).images
+    b_img = project(group.b, n).images
+    whole = _LayeredBasis(group.p, n)
+    whole.closure([a_img, b_img])
+    comm = _compose(_compose(_inverse(a_img), _inverse(b_img)), _compose(a_img, b_img))
+    derived = _LayeredBasis(group.p, n)
+    derived.closure([comm], [a_img, b_img])
+    return whole.order() // derived.order()
 
 
 def normal_closure_chain(seeds, conjugators, degree):

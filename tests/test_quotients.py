@@ -1,5 +1,6 @@
 """Finite level quotients: leaf permutations, orders, membership, census."""
 
+import collections
 import json
 import random
 import time
@@ -31,7 +32,13 @@ from ggslab.quotients import (
 )
 from ggslab.words import random_word
 
-from oracles import bfs_quotient_order, census_by_sifting, closed_form_log_order
+from oracles import (
+    StripEveryGeneratorChain,
+    bfs_quotient_order,
+    census_by_sifting,
+    closed_form_log_order,
+    layered_frattini_index,
+)
 
 
 # leaf permutations ----------------------------------------------------------
@@ -316,6 +323,44 @@ def test_chain_done_keys_hold_no_permutation(p, e, n):
             assert type(key) is tuple and all(type(x) is int for x in key)
 
 
+@pytest.mark.parametrize("spec,n", list(CHAIN_SHAPES) + [
+    ("p=3;e=1,0", 5), ("p=17;e=" + ",".join(map(str, P17_E)), 2)])
+def test_chain_skips_repeated_generators_exactly(spec, n):
+    # a repeat of a (level, generator) pair stripped to the identity, so skipping
+    # it must leave the chain exactly as stripping every generator did
+    g = parse_group_spec(spec)
+    gens = [project(g.a, n).images, project(g.b, n).images]
+    chain = _chain_of(gens, g.p ** n)
+    oracle = StripEveryGeneratorChain(g.p ** n)
+    for x in gens:
+        oracle.add_generator(x)
+    for name in ("bases", "orbits", "gens", "done", "transversals", "inverses"):
+        assert getattr(chain, name) == getattr(oracle, name), name
+    assert chain._seen is None
+
+
+def test_census_strips_each_distinct_generator_once(monkeypatch):
+    # one census pass over the six benchmark groups hands the chain 14,636
+    # Schreier generators, 5,092 of them distinct (level, permutation) pairs;
+    # the chain once stripped all 14,636
+    calls = collections.Counter()
+    real_strip, real_ingest = _StabilizerChain._strip, _StabilizerChain._ingest
+
+    def strip(self, perm, level):
+        calls["strip"] += 1
+        return real_strip(self, perm, level)
+
+    def ingest(self, g, level):
+        calls["ingest"] += 1
+        return real_ingest(self, g, level)
+
+    monkeypatch.setattr(_StabilizerChain, "_strip", strip)
+    monkeypatch.setattr(_StabilizerChain, "_ingest", ingest)
+    for spec, n in CHAIN_SHAPES:
+        maximal_subgroups_census(parse_group_spec(spec), n)
+    assert calls == {"ingest": 14636, "strip": 5092}
+
+
 _LEVEL_CALLS = {
     "project": lambda g, n: project(g.a, n),
     "level_quotient": level_quotient,
@@ -345,9 +390,11 @@ def test_quotient_guards():
         level_quotient(g, 10 ** 8)  # refused without computing 3^(10^8)
     assert LEAF_GUARD == 23 ** 2
     # the first levels past the guard: 841, 729 and 625 leaves, refused before
-    # any projection, census included
-    for p, e, n in ((29, (1,) + (0,) * 27, 2), (3, (1, 0), 6), (5, (1, 0, 2, 4), 4)):
-        for build in (level_quotient, maximal_subgroups_census):
+    # any projection, census included; project once raised OverflowError from
+    # [0] * 3^40 and tried to allocate 3^n entries below that
+    for p, e, n in ((29, (1,) + (0,) * 27, 2), (3, (1, 0), 6), (5, (1, 0, 2, 4), 4),
+                    (3, (1, 0), 40), (3, (1, 0), 10 ** 8)):
+        for build in (_LEVEL_CALLS["project"], level_quotient, maximal_subgroups_census):
             start = time.perf_counter()
             with pytest.raises(ResourceLimitError,
                                match=f"level {n} at p = {p} has more than 529 leaves"):
@@ -454,6 +501,34 @@ def test_census_matches_sifting_oracle(case):
             == json.dumps(census_by_sifting(g, n), sort_keys=True))
 
 
+@pytest.mark.parametrize(
+    "case", [c for c in CENSUS_ORACLE_CASES if c[2] >= 3] + [(3, (1, 0), 5), (3, (1, 1), 5)],
+    ids=_case_id)
+def test_level_two_certificate_matches_level_n_index(case):
+    # |Q_2 : Q_2'| = p^2 settles |Q_n : Q_n'| = p^2 at every n >= 2; the census
+    # no longer closes Q_n', so close it here
+    p, e, n = case
+    g = make_ggs(p, e)
+    assert (layered_frattini_index(g, n) == p * p
+            == maximal_subgroups_census(g, n)["frattini_index"])
+
+
+@pytest.mark.parametrize("p,e,n", [(3, (1, 0), 3), (3, (1, 1), 4), (5, (1, 0, 2, 4), 3)])
+def test_census_closes_derived_subgroup_at_level_two(monkeypatch, p, e, n):
+    # past level 2 only <a, b> is closed at level n, as the chain order's
+    # cross-check; <a, b> and Q' are closed at level 2 for the certificate
+    calls = []
+    real = _LayeredBasis.closure
+
+    def spy(self, seeds, conjugators=()):
+        calls.append((self.n, bool(conjugators)))
+        real(self, seeds, conjugators)
+
+    monkeypatch.setattr(_LayeredBasis, "closure", spy)
+    maximal_subgroups_census(make_ggs(p, e), n)
+    assert calls == [(n, False), (2, False), (2, True)]
+
+
 def test_census_rejects_layered_order_mismatch(monkeypatch):
     real = quotients.level_quotient
 
@@ -469,7 +544,7 @@ def test_census_rejects_layered_order_mismatch(monkeypatch):
 
 def test_census_rejects_wrong_frattini_index(monkeypatch):
     # the records are read off |Q : Q'| = p^2, so a Q' of the wrong order must
-    # stop the census
+    # stop the census, past level 2 too, where Q' is closed at level 2
     real = _LayeredBasis.closure
 
     def short_normal_closure(self, seeds, conjugators=()):
@@ -478,8 +553,9 @@ def test_census_rejects_wrong_frattini_index(monkeypatch):
             self.elements.pop()
 
     monkeypatch.setattr(_LayeredBasis, "closure", short_normal_closure)
-    with pytest.raises(CrossCheckError, match="does not apply"):
-        maximal_subgroups_census(make_ggs(3, (1, 2)), 2)
+    for n in (2, 3):
+        with pytest.raises(CrossCheckError, match="does not apply"):
+            maximal_subgroups_census(make_ggs(3, (1, 2)), n)
 
 
 # the layered basis ----------------------------------------------------------
