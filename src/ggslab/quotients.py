@@ -41,10 +41,10 @@ from .errors import CrossCheckError, InputError, ResourceLimitError
 from .fp import circulant_rank
 
 # Largest leaf count a level quotient is built on. It admits level 2 for every
-# p <= 23 (the p = 23 chain in about 1.3 s on a 2-vCPU VM), level 3 for p <= 7
-# (0.9 s at 343 leaves) and level 5 for p = 3 (0.3-0.4 s); it refuses p = 5 at
+# p <= 23 (the p = 23 chain in about 0.7 s on a 2-vCPU VM), level 3 for p <= 7
+# (0.4 s at 343 leaves) and level 5 for p = 3 (0.1 s); it refuses p = 5 at
 # level 4 and p = 3 at level 6, whose 625 and 729 leaves take the stabilizer
-# chain 29 s and 37 s. `project` is refused past it too.
+# chain 18 s and 17 s. `project` is refused past it too.
 LEAF_GUARD = 529  # 23^2 leaves
 
 _TABLE = 256  # largest degree stored as a bytes translate table
@@ -87,6 +87,8 @@ def _inverse(g):
 
 
 def _perm_power(perm, k):
+    if k < 0:
+        perm, k = _inverse(perm), -k
     out = _IDENTITY_TABLE if type(perm) is bytes else tuple(range(len(perm)))
     base = perm
     while k:
@@ -177,11 +179,21 @@ class _StabilizerChain:
     generators fed in a fixed order makes the whole chain (and hence the order
     and every sift) reproducible. Each (orbit point, generator) pair is
     processed exactly once; only non-tree Schreier generators are sifted.
-    `done[i]` keys a processed pair by ints, (point, level, position in
+    `done[i]` records a processed pair by ints, (point, level, position in
     gens[level]), stable because `gens` lists only grow; a permutation in the
-    key would be rehashed in full on every lookup, as tuples cache no hash.
+    key would be hashed in full on every add, as tuples cache no hash.
     `sift` and the Schreier step share `_strip`, which composes with a
     representative's inverse only where the base point moves.
+
+    Orbits and generator lists only grow, and closing level i ingests
+    Schreier generators at deeper levels only, so no level's closure
+    re-enters itself. Hence whenever `_close_level(i)` returns, `done[i]` is
+    the full rectangle: every orbit point times every generator of level i
+    and deeper. `_crossed[i]` holds how many of each gens[k], k >= i, that
+    rectangle spans, so a pass crosses the old orbit points with the
+    generators added since and the new orbit points with all of them, in
+    (orbit position, level, position) order, and never looks at a pair
+    again.
 
     A level's orbit is closed under the generators of that level and every
     deeper one: a generator stored deeper fixes this level's base by
@@ -219,6 +231,8 @@ class _StabilizerChain:
         self.transversals = []  # per level: point -> perm mapping base to point
         self.inverses = []      # per level: point -> inverse of that perm
         self.done = []          # per level: (point, level, position) processed
+        self._crossed = []      # per level: len(gens[k]), k >= level, crossed with the orbit
+        self._compose = bytes.translate if degree <= _TABLE else _compose
         self._seen = None       # per level: perms ingested in this add_generator call
 
     def order(self):
@@ -237,7 +251,7 @@ class _StabilizerChain:
                 inv = self.inverses[level].get(t)
                 if inv is None:
                     break
-                perm = _compose(perm, inv)
+                perm = self._compose(perm, inv)
             level += 1
         return perm, level
 
@@ -277,49 +291,52 @@ class _StabilizerChain:
             self.transversals.append({base: self.identity})
             self.inverses.append({base: self.identity})
             self.done.append(set())
+            self._crossed.append([])
         if res not in self.gens[i]:
             self.gens[i].append(res)
         self._close_level(i)
 
-    def _level_generators(self, i):
-        # (level, position, perm) of every generator of level i and deeper
-        return [(k, pos, s) for k in range(i, len(self.gens))
-                for pos, s in enumerate(self.gens[k])]
-
     def _close_level(self, i):
-        """Process pending (orbit point, generator) pairs of level i once;
-        returns whether anything new was processed."""
+        """Cross the orbit of level i with the generators of level i and
+        deeper until it is closed, each (orbit point, generator) pair once;
+        returns whether any pair was new."""
         orbit = self.orbits[i]
         trans = self.transversals[i]
         inverses = self.inverses[i]
         done = self.done[i]
+        compose = self._compose
+        identity = self.identity
+        gens = self.gens
         progressed = False
         while True:
-            gens = self._level_generators(i)
-            advanced = False
+            sizes = [len(gens[k]) for k in range(i, len(gens))]
+            # levels made since the last pass have no generator crossed yet
+            crossed = self._crossed[i] + [0] * (len(sizes) - len(self._crossed[i]))
+            fresh = [(k, pos, s) for k, c in enumerate(crossed, i)
+                     for pos, s in enumerate(gens[k][c:], c)]
+            if not fresh:
+                return progressed
+            progressed = True
+            every = [(k, pos, s) for k in range(i, len(gens)) for pos, s in enumerate(gens[k])]
+            old = len(orbit)
             j = 0
             while j < len(orbit):
                 beta = orbit[j]
-                for k, pos, s in gens:
-                    key = (beta, k, pos)
-                    if key in done:
-                        continue
-                    done.add(key)
-                    advanced = True
-                    progressed = True
+                t = trans[beta]
+                for k, pos, s in (fresh if j < old else every):
+                    done.add((beta, k, pos))
                     gamma = s[beta]
-                    image = _compose(trans[beta], s)
+                    image = compose(t, s)
                     if gamma not in trans:
                         trans[gamma] = image
                         inverses[gamma] = _inverse(image)
                         orbit.append(gamma)
                     else:
-                        schreier = _compose(image, inverses[gamma])
-                        if schreier != self.identity:
+                        schreier = compose(image, inverses[gamma])
+                        if schreier != identity:
                             self._ingest(schreier, i + 1)
                 j += 1
-            if not advanced:
-                return progressed
+            self._crossed[i] = sizes
 
 
 class PermQuotient:

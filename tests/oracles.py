@@ -4,7 +4,8 @@ Everything here is deliberately naive and cache-free: plain breadth-first
 enumeration of leaf permutations, depth-bounded recursive action
 comparison, the closed-form quotient order and circulant rank, the
 maximal-subgroup census on stabilizer chains built from nothing, a chain
-that strips every Schreier generator it is handed, |Q : Q'| closed at the
+that strips every Schreier generator it is handed and rescans every
+(orbit point, generator) pair on each pass, |Q : Q'| closed at the
 census level itself, and the
 length sieve on the full section-target system and its class sequences
 filtered from all p^m, the class floor read off token lists, first-level
@@ -125,7 +126,9 @@ def closed_form_log_order(p, e, n):
 
 class StripEveryGeneratorChain(_StabilizerChain):
     """The stabilizer chain as it ran before it skipped repeated Schreier
-    generators: `_ingest` strips every generator it is handed."""
+    generators and crossed each level's orbit from its frontier: `_ingest`
+    strips every generator it is handed, and each pass of `_close_level`
+    walks every (orbit point, generator) pair, skipping those in `done`."""
 
     def _ingest(self, g, level):
         # g fixes the bases of all levels below `level`
@@ -143,6 +146,40 @@ class StripEveryGeneratorChain(_StabilizerChain):
         if res not in self.gens[i]:
             self.gens[i].append(res)
         self._close_level(i)
+
+    def _close_level(self, i):
+        orbit = self.orbits[i]
+        trans = self.transversals[i]
+        inverses = self.inverses[i]
+        done = self.done[i]
+        progressed = False
+        while True:
+            gens = [(k, pos, s) for k in range(i, len(self.gens))
+                    for pos, s in enumerate(self.gens[k])]
+            advanced = False
+            j = 0
+            while j < len(orbit):
+                beta = orbit[j]
+                for k, pos, s in gens:
+                    key = (beta, k, pos)
+                    if key in done:
+                        continue
+                    done.add(key)
+                    advanced = True
+                    progressed = True
+                    gamma = s[beta]
+                    image = _compose(trans[beta], s)
+                    if gamma not in trans:
+                        trans[gamma] = image
+                        inverses[gamma] = _inverse(image)
+                        orbit.append(gamma)
+                    else:
+                        schreier = _compose(image, inverses[gamma])
+                        if schreier != self.identity:
+                            self._ingest(schreier, i + 1)
+                j += 1
+            if not advanced:
+                return progressed
 
 
 def layered_frattini_index(group, n):

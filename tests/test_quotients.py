@@ -116,13 +116,15 @@ def test_generator_images_have_order_p():
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(st.integers(3, 256).flatmap(lambda d: st.tuples(
-    st.permutations(range(d)), st.permutations(range(d)), st.integers(0, 12))))
+    st.permutations(range(d)), st.permutations(range(d)), st.integers(-12, 12))))
 def test_table_kernels_match_tuples(case):
     g, h, k = tuple(case[0]), tuple(case[1]), case[2]
     d = len(g)
     tg, th = _as_perm(g, d), _as_perm(h, d)
     assert tg[:d] == bytes(g) and tg[d:] == _IDENTITY_TABLE[d:]
     assert _as_perm(tg, d) is tg
+    # a negative exponent once spun forever, as -1 >> 1 == -1
+    assert _perm_power(tg, -1) == _inverse(tg) and _perm_power(g, -1) == _inverse(g)
     for table, images in ((_compose(tg, th), _compose(g, h)),
                           (_inverse(tg), _inverse(g)),
                           (_perm_power(tg, k), _perm_power(g, k))):
@@ -324,10 +326,11 @@ def test_chain_done_keys_hold_no_permutation(p, e, n):
 
 
 @pytest.mark.parametrize("spec,n", list(CHAIN_SHAPES) + [
-    ("p=3;e=1,0", 5), ("p=17;e=" + ",".join(map(str, P17_E)), 2)])
+    ("p=3;e=1,0", 5), ("p=3;e=1,1", 5), ("p=17;e=" + ",".join(map(str, P17_E)), 2)])
 def test_chain_skips_repeated_generators_exactly(spec, n):
-    # a repeat of a (level, generator) pair stripped to the identity, so skipping
-    # it must leave the chain exactly as stripping every generator did
+    # a repeat of a (level, generator) pair stripped to the identity, and a
+    # pair already in `done` was skipped, so neither skip may change the chain:
+    # it must equal the oracle that strips every generator and rescans every pair
     g = parse_group_spec(spec)
     gens = [project(g.a, n).images, project(g.b, n).images]
     chain = _chain_of(gens, g.p ** n)
@@ -337,6 +340,49 @@ def test_chain_skips_repeated_generators_exactly(spec, n):
     for name in ("bases", "orbits", "gens", "done", "transversals", "inverses"):
         assert getattr(chain, name) == getattr(oracle, name), name
     assert chain._seen is None
+
+
+class _PairCounter(set):
+    """A `done` set that counts pair examinations: each membership test is one,
+    and so is each add that does not follow a membership test of its key."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.examined = 0
+        self._last = None
+
+    def __contains__(self, key):
+        self.examined += 1
+        self._last = key
+        return super().__contains__(key)
+
+    def add(self, key):
+        if key != self._last:
+            self.examined += 1
+        self._last = None
+        super().add(key)
+
+
+class _CountingLevels(list):
+    def append(self, done):
+        super().append(_PairCounter(done))
+
+
+def test_chain_examines_each_pair_once():
+    # over the benchmark census shapes the chain processes 16,141 pairs; a
+    # loop that rescanned every pair on each pass and skipped those in `done`
+    # examined 260,031
+    processed = examined = 0
+    for spec, n in CHAIN_SHAPES:
+        g = parse_group_spec(spec)
+        chain = _StabilizerChain(g.p ** n)
+        chain.done = _CountingLevels()
+        chain.add_generator(project(g.a, n).images)
+        chain.add_generator(project(g.b, n).images)
+        processed += sum(len(d) for d in chain.done)
+        examined += sum(d.examined for d in chain.done)
+    assert processed == 16141
+    assert examined == processed
 
 
 def test_census_strips_each_distinct_generator_once(monkeypatch):
