@@ -25,8 +25,8 @@ equal(), lengths and the class floor. The sweeps' random draws repeat (10,497
 distinct words among the 20,000 short-section draws at p=7), but holding their
 sections costs memory, 14 MB in the table for those draws alone, so
 lemmas.exponent_profile calls _section_uncached and leaves the table as it
-was; lemmas.sweep_short_section keeps its own memo of verdicts instead, and
-its docstring gives that memo's size. _section_uncached reduces as it walks;
+was; the draw-based sweeps keep a per-call memo of verdicts instead, which
+the lemmas module docstring sizes. _section_uncached reduces as it walks;
 every section that is a pure a-power is one of the p words a^0, ..., a^{p-1}
 the group builds once.
 """

@@ -11,6 +11,11 @@ with three-valued semantics: a case whose hypotheses fail is skipped, never
 silently passed. Quantities that admit two independent computations (exponent
 profiles most of all) are computed both ways and cross-checked on every call;
 a mismatch raises CrossCheckError rather than entering the report as data.
+
+The five draw-based sweeps share one loop, _sweep, which checks each
+distinct draw once per call. A draw is keyed by its numbers, or by its word
+where it goes through random_word: holding the 11,326 distinct short-section
+draws at p=7 as numbers leaves verify's peak RSS at 25.5 MB, as words 27 MB.
 """
 
 import itertools
@@ -282,7 +287,7 @@ def infinite_order_trace(group, g, steps=TRACE_STEPS):
 
 
 def _draw_st1(p, rng, max_factors, nonzero_t):
-    """The numbers j_1, l_1, ..., j_k, l_k of a product of k <= max_factors
+    """The tuple j_1, l_1, ..., j_k, l_k of a product of k <= max_factors
     conjugates (b^j)^(a^l). With nonzero_t, redraw until the b-exponent sum
     is nonzero mod p; the reduced word keeps that sum, so it is read here."""
     while True:
@@ -290,7 +295,7 @@ def _draw_st1(p, rng, max_factors, nonzero_t):
         for _ in range(rng.randint(1, max_factors)):
             nums += (rng.randrange(1, p), rng.randrange(p))
         if not nonzero_t or sum(nums[::2]) % p:
-            return nums
+            return tuple(nums)
 
 
 def _st1_word(p, nums):
@@ -318,15 +323,15 @@ def random_derived_element(group, rng):
 
 
 def _draw_case2(p, rng):
-    """The shape and numbers of a _case2_candidate draw: shape 0 is an st(1)
-    draw with its (j, l) pairs, shape 1 the interleaved word with v followed
-    by its (i, j) pairs."""
+    """The shape and number tuple of a _case2_candidate draw: shape 0 is an
+    st(1) draw with its (j, l) pairs, shape 1 the interleaved word with v
+    followed by its (i, j) pairs."""
     if rng.random() < 0.5:
         return 0, _draw_st1(p, rng, SWEEP_MAX_FACTORS, True)
     nums = [rng.randrange(1, p)]
     for _ in range(rng.randint(1, 2)):
         nums += (rng.randrange(1, p), rng.randrange(1, p))
-    return 1, nums
+    return 1, tuple(nums)
 
 
 def _case2_word(p, shape, nums):
@@ -383,15 +388,41 @@ def sweep_commutator_tuple(group, seed=0):
                    counterexamples=bad)
 
 
-def sweep_derived_product(group, cases, seed):
+def _sweep(lemma, seed, cases, draw, check, budget=None):
+    """Draw from random.Random(seed) until `cases` cases are decided or
+    `budget` draws (default: `cases`) are spent. draw(rng) returns a hashable
+    key that fixes the case; check(key) returns "pass", "skipped" or a
+    counterexample entry. Each distinct key is checked once: a repeat reuses
+    its verdict and counts again, a counterexample with its own "case"."""
     rng = random.Random(seed)
+    verdicts = {}
+    passed = skipped = 0
     bad = []
-    for idx in range(cases):
-        g = random_derived_element(group, rng)
-        if not check_derived_product(group, g):
-            bad.append({"case": idx, "word": format_word(g.word)})
-    return _report("derived-product", seed, cases_run=cases, passed=cases - len(bad),
+    for _ in range(cases if budget is None else budget):
+        if passed + len(bad) == cases:
+            break
+        key = draw(rng)
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = verdicts[key] = check(key)
+        if verdict == "pass":
+            passed += 1
+        elif verdict == "skipped":
+            skipped += 1
+        else:
+            bad.append({**verdict, "case": passed + len(bad)})
+    return _report(lemma, seed, cases_run=passed + len(bad), passed=passed, skipped=skipped,
                    counterexamples=bad)
+
+
+def sweep_derived_product(group, cases, seed):
+    def check(w):
+        if check_derived_product(group, group.element(w)):
+            return "pass"
+        return {"word": format_word(w)}
+
+    return _sweep("derived-product", seed, cases,
+                  lambda rng: random_derived_element(group, rng).word, check)
 
 
 def sweep_split_case(group, cases, seed):
@@ -403,123 +434,88 @@ def sweep_split_case(group, cases, seed):
     if group.lam == 0:
         return _report("split-case", seed, skipped=1,
                        note="case split undefined for torsion groups (lambda = 0)")
-    rng = random.Random(seed)
-    bad = []
-    for idx in range(cases):
-        g = random_st1_element(group, rng, nonzero_t=True)
+    p = group.p
+
+    def check(nums):
+        g = group.element(_st1_word(p, nums))
         try:
             classify_case(exponent_profile(group, g), group.lam)
         except CrossCheckError as exc:
-            bad.append({"case": idx, "word": format_word(g.word), "error": str(exc)})
-    return _report("split-case", seed, cases_run=cases, passed=cases - len(bad),
-                   counterexamples=bad)
+            return {"word": format_word(g.word), "error": str(exc)}
+        return "pass"
+
+    return _sweep("split-case", seed, cases,
+                  lambda rng: _draw_st1(p, rng, SWEEP_MAX_FACTORS, True), check)
 
 
 def sweep_propagation(group, cases, seed):
     if group.lam == 0:
         return _report("propagation", seed, skipped=1,
                        note="propagation needs a non-torsion group")
-    rng = random.Random(seed)
     p = group.p
-    bad = []
-    for idx in range(cases):
+
+    def draw(rng):
         while True:
             w = random_word(p, 4, rng)
             if w.exponent_sums()[0] != 0:
-                break
-        g = group.element(w)
-        rep = check_propagates(group, g)
-        if not rep["abelianizations_ok"]:
-            bad.append({"case": idx, "word": format_word(w), "mismatches": rep["mismatches"]})
-    return _report("propagation", seed, cases_run=cases, passed=cases - len(bad),
-                   counterexamples=bad)
+                return w
+
+    def check(w):
+        rep = check_propagates(group, group.element(w))
+        if rep["abelianizations_ok"]:
+            return "pass"
+        return {"word": format_word(w), "mismatches": rep["mismatches"]}
+
+    return _sweep("propagation", seed, cases, draw, check)
 
 
 def sweep_short_section(group, cases, seed):
     """Confirm the short-section conclusion on `cases` hypothesis-satisfying
-    elements; draws that miss the hypotheses count as skipped. When e has a
-    single nonzero entry e_j, n_u = e_j m_{u-j} and Case 2 needs all p class
-    sums m_u nonzero, which no draw reaches once p > SWEEP_MAX_FACTORS.
-
-    Draws repeat, and a verdict depends on the draw alone, so one call keeps
-    the verdict of each draw from a small family: "skipped", "pass", or the
-    counterexample entry, which a repeat appends again. A repeat costs only
-    its RNG calls; every first sighting gets the full check, both
-    exponent-profile routes included. A family is one shape with one factor
-    count: (p(p-1))^k st(1) draws of k factors, (p-1)^(2 mu + 1) interleaved
-    draws. It is small when it has no more members than the sweep may draw,
-    cases * SHORT_SECTION_ATTEMPTS. Larger families rarely repeat, and their
-    verdicts cost memory: at p=7 the 4,856 kept entries leave verify's peak
-    RSS at 24.9 MB, while all 11,326 distinct draws raised it to 25.6 MB."""
+    elements, in at most cases * SHORT_SECTION_ATTEMPTS draws; draws that miss
+    the hypotheses count as skipped. When e has a single nonzero entry e_j,
+    n_u = e_j m_{u-j} and Case 2 needs all p class sums m_u nonzero, which no
+    draw reaches once p > SWEEP_MAX_FACTORS."""
     if group.lam == 0:
         return _report("short-section", seed, skipped=1,
                        note="needs a non-torsion group")
-    rng = random.Random(seed)
     p = group.p
-    budget = cases * SHORT_SECTION_ATTEMPTS
-    verdicts = {}
-    confirmed = 0
-    skipped = 0
-    bad = []
-    attempts = 0
-    while confirmed + len(bad) < cases and attempts < budget:
-        attempts += 1
-        shape, nums = _draw_case2(p, rng)
-        family = (p * (p - 1)) ** (len(nums) // 2) if shape == 0 else (p - 1) ** len(nums)
-        key = None
-        if family <= budget:
-            key = 1  # a sentinel digit, so draws of different lengths differ
-            for n in nums:
-                key = key * p + n
-            key = 2 * key + shape
-        verdict = verdicts.get(key)
-        if verdict is None:
-            x = group.element(_case2_word(p, shape, nums))
-            rep = check_section_less_than_half(group, x)
-            verdict = rep["status"]
-            if verdict == "fail":
-                verdict = {"word": format_word(x.word), "detail": rep}
-            if key is not None:
-                verdicts[key] = verdict
-        if verdict == "skipped":
-            skipped += 1
-        elif verdict == "pass":
-            confirmed += 1
-        else:
-            bad.append(verdict)
-    return _report("short-section", seed, cases_run=confirmed + len(bad),
-                   passed=confirmed, skipped=skipped, counterexamples=bad)
+
+    def check(key):
+        x = group.element(_case2_word(p, *key))
+        rep = check_section_less_than_half(group, x)
+        if rep["status"] == "fail":
+            return {"word": format_word(x.word), "detail": rep}
+        return rep["status"]
+
+    return _sweep("short-section", seed, cases, lambda rng: _draw_case2(p, rng), check,
+                  budget=cases * SHORT_SECTION_ATTEMPTS)
 
 
 def sweep_length_contraction(group, cases, seed):
-    """First-level contraction on random st(1) elements of certified length
-    l <= CONTRACTION_LENGTH_CAP: sum of section lengths <= l, each section
-    <= (l+1)/2, and l > 1 forces every section strictly shorter."""
-    rng = random.Random(seed)
+    """First-level contraction on random st(1) elements: sum of section
+    lengths <= l, each section <= (l+1)/2, and l > 1 forces every section
+    strictly shorter. A draw has at most CONTRACTION_MAX_FACTORS b-syllables,
+    so CONTRACTION_LENGTH_CAP certifies l; an uncertified length is a
+    counterexample."""
     p = group.p
-    bad = []
-    skipped = 0
-    done = 0
-    while done < cases:
-        g = random_st1_element(group, rng, max_factors=CONTRACTION_MAX_FACTORS)
+
+    def check(nums):
+        g = group.element(_st1_word(p, nums))
         l = g.length(CONTRACTION_LENGTH_CAP)
-        if l is None:
-            skipped += 1
-            continue
-        done += 1
         sec_lengths = [g.section(u).length(CONTRACTION_LENGTH_CAP) for u in range(1, p + 1)]
         entry = {"word": format_word(g.word), "length": l, "sections": sec_lengths}
-        if None in sec_lengths:
-            bad.append({**entry, "detail": "section length not certified within cap"})
-            continue
+        if l is None or None in sec_lengths:
+            return {**entry, "detail": "length not certified within cap"}
         if sum(sec_lengths) > l:
-            bad.append({**entry, "detail": "section lengths sum past |g|"})
-        elif any(2 * s > l + 1 for s in sec_lengths):
-            bad.append({**entry, "detail": "a section exceeds (|g|+1)/2"})
-        elif l > 1 and any(s >= l for s in sec_lengths):
-            bad.append({**entry, "detail": "no strict contraction despite |g| > 1"})
-    return _report("length-contraction", seed, cases_run=done, passed=done - len(bad),
-                   skipped=skipped, counterexamples=bad)
+            return {**entry, "detail": "section lengths sum past |g|"}
+        if any(2 * s > l + 1 for s in sec_lengths):
+            return {**entry, "detail": "a section exceeds (|g|+1)/2"}
+        if l > 1 and any(s >= l for s in sec_lengths):
+            return {**entry, "detail": "no strict contraction despite |g| > 1"}
+        return "pass"
+
+    return _sweep("length-contraction", seed, cases,
+                  lambda rng: _draw_st1(p, rng, CONTRACTION_MAX_FACTORS, False), check)
 
 
 def sweep_circulant(p, seed):

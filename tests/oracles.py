@@ -9,9 +9,9 @@ that strips every Schreier generator it is handed and rescans every
 census level itself, and the
 length sieve on the full section-target system and its class sequences
 filtered from all p^m, the class floor read off token lists, first-level
-sections as token walks reduced by normalize, the short-section sweep
-redrawing and rechecking every draw from its tokens, token lists rewritten to a
-fixpoint one merge at a time, Gauss-Jordan elimination to
+sections as token walks reduced by normalize, the short-section and
+split-case sweeps redrawing and rechecking every draw from its tokens, token
+lists rewritten to a fixpoint one merge at a time, Gauss-Jordan elimination to
 reduced row echelon form in one sweep per pivot, and the subgroup lattice of
 a finite model saturated under all-pairs joins.
 Fixtures frozen in the tests were derived with these functions.
@@ -21,6 +21,7 @@ import itertools
 import random
 
 from ggslab import lemmas
+from ggslab.errors import CrossCheckError
 from ggslab.fp import solve_linear_mod_p
 from ggslab.quotients import (
     _LayeredBasis,
@@ -547,6 +548,25 @@ def short_section_by_redrawing(group, cases, seed):
         elif rep["status"] == "pass":
             confirmed += 1
         else:
-            bad.append({"word": format_word(x.word), "detail": rep})
+            bad.append({"word": format_word(x.word), "detail": rep,
+                        "case": confirmed + len(bad)})
     return lemmas._report("short-section", seed, cases_run=confirmed + len(bad),
                           passed=confirmed, skipped=skipped, counterexamples=bad)
+
+
+def split_case_by_redrawing(group, cases, seed):
+    """The split-case sweep's report with every draw rebuilt from its tokens
+    and its profile computed and classified, repeats included."""
+    if group.lam == 0:
+        return lemmas._report("split-case", seed, skipped=1,
+                              note="case split undefined for torsion groups (lambda = 0)")
+    rng = random.Random(seed)
+    bad = []
+    for idx in range(cases):
+        g = st1_by_tokens(group, rng, nonzero_t=True)
+        try:
+            lemmas.classify_case(lemmas.exponent_profile(group, g), group.lam)
+        except CrossCheckError as exc:
+            bad.append({"word": format_word(g.word), "error": str(exc), "case": idx})
+    return lemmas._report("split-case", seed, cases_run=cases, passed=cases - len(bad),
+                          counterexamples=bad)

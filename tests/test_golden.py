@@ -1,8 +1,9 @@
-"""Replay the golden quotient corpus in process.
+"""Replay the golden CLI corpus in process.
 
 `golden.json` maps each command line to its exit code and the sha256 of its
 stdout: `quotient --json` on every `CENSUS_ORACLE_CASES` row, one bad group
-spec (exit 2) and one level past the leaf guard (exit 4). It was recorded by
+spec (exit 2), one level past the leaf guard (exit 4), and `verify all --json`
+at seeds 0 and 1 on the benchmark's five verify groups. It was recorded by
 running each command as `python3 -m ggslab`.
 """
 
@@ -13,16 +14,42 @@ import shlex
 
 from ggslab.cli import main
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(HERE, "golden.json")
+BENCH_EXPECTED = os.path.join(HERE, os.pardir, "perfbench", "expected.json")
 
 
-def test_golden_quotient_corpus(capsys):
+def _golden(command):
     with open(GOLDEN) as f:
-        golden = json.load(f)
+        return {line: want for line, want in json.load(f).items()
+                if shlex.split(line)[0] == command}
+
+
+def _replay(capsys, command):
     differ = []
-    for line, want in golden.items():
+    for line, want in _golden(command).items():
         code = main(shlex.split(line))
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         if (code, digest) != (want["exit"], want["stdout_sha256"]):
             differ.append(f"{line}: exit {code}, stdout sha256 {digest}")
     assert not differ, "\n".join(differ)
+
+
+def test_golden_quotient_corpus(capsys):
+    _replay(capsys, "quotient")
+
+
+def test_golden_verify_rows(capsys):
+    _replay(capsys, "verify")
+
+
+def test_seed0_verify_rows_match_the_benchmark():
+    # the benchmark's verify workload pins the same five seed-0 outputs
+    with open(BENCH_EXPECTED) as f:
+        recorded = json.load(f)["verify"]
+    rows = {}
+    for line, want in _golden("verify").items():
+        argv = shlex.split(line)
+        if argv[argv.index("--seed") + 1] == "0":
+            rows[argv[argv.index("--group") + 1]] = want["stdout_sha256"]
+    assert rows == recorded

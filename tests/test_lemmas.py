@@ -11,6 +11,8 @@ from ggslab.errors import CrossCheckError, InputError, ResourceLimitError
 from ggslab.lemmas import (
     CIRCULANT_MAX_P,
     CIRCULANT_SAMPLES,
+    CONTRACTION_LENGTH_CAP,
+    CONTRACTION_MAX_FACTORS,
     INTERVAL_MAX_P,
     SWEEP_MAX_FACTORS,
     ExponentProfile,
@@ -39,7 +41,8 @@ from ggslab.lemmas import (
     sweep_split_case,
 )
 from ggslab.words import format_word
-from oracles import case2_by_tokens, short_section_by_redrawing, st1_by_tokens
+from oracles import (case2_by_tokens, short_section_by_redrawing, split_case_by_redrawing,
+                     st1_by_tokens)
 
 REPORT_KEYS = {"lemma", "seed", "cases_run", "passed", "skipped", "counterexamples"}
 
@@ -278,6 +281,46 @@ def test_split_case_sweep_reports_a_broken_section_route(monkeypatch):
     assert all("profile mismatch" in bad["error"] for bad in rep["counterexamples"])
 
 
+@pytest.mark.parametrize("p,e", [(3, (1, 1)), (5, (1, 0, 2, 4)), (7, (1, 0, 0, 0, 0, 0))])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_split_case_sweep_matches_redrawing(p, e, seed):
+    g = make_ggs(p, e)
+    assert sweep_split_case(g, 1000, seed) == split_case_by_redrawing(g, 1000, seed)
+
+
+def test_split_case_sweep_replays_a_repeated_failure(monkeypatch):
+    g = make_ggs(3, (1, 1))
+    profile = lemmas.exponent_profile
+    seen = collections.Counter()
+
+    def recording(group, x):
+        seen[x.word] += 1
+        return profile(group, x)
+
+    monkeypatch.setattr(lemmas, "exponent_profile", recording)
+    split_case_by_redrawing(g, 100, 0)
+    target, _ = seen.most_common(1)[0]
+    calls = collections.Counter()
+
+    def failing(group, x):
+        calls[x.word] += 1
+        if x.word == target:
+            raise CrossCheckError("planted")
+        return profile(group, x)
+
+    monkeypatch.setattr(lemmas, "exponent_profile", failing)
+    oracle = split_case_by_redrawing(g, 100, 0)
+    oracle_calls, calls = calls, collections.Counter()
+    rep = sweep_split_case(g, 100, 0)
+    assert rep == oracle
+    assert len(rep["counterexamples"]) > 1
+    assert {c["word"] for c in rep["counterexamples"]} == {format_word(target)}
+    # each repeat is reported with the index of its own case
+    assert len({c["case"] for c in rep["counterexamples"]}) == len(rep["counterexamples"])
+    # each draw of the target is checked once, then replayed from the memo
+    assert calls[target] < len(rep["counterexamples"]) == oracle_calls[target]
+
+
 def test_propagation_sweep():
     rep = _clean(sweep_propagation(make_ggs(3, (1, 1)), 40, seed=4))
     assert rep["cases_run"] == 40
@@ -345,6 +388,25 @@ def test_short_section_sweep_replays_a_repeated_failure(monkeypatch):
 def test_length_contraction_sweep():
     rep = _clean(sweep_length_contraction(make_ggs(3, (1, 2)), 30, seed=6))
     assert rep["cases_run"] == 30
+    # a draw's length is at most its b-syllable count, so the cap certifies it
+    assert CONTRACTION_MAX_FACTORS <= CONTRACTION_LENGTH_CAP
+
+
+def test_length_contraction_reports_an_uncertified_length(monkeypatch):
+    g = make_ggs(3, (1, 2))
+    calls = []
+
+    def uncertified(self, w, cap=None):
+        calls.append(w)
+        # at most one draw and p sections per case: more means the sweep redraws
+        assert len(calls) <= 30 * (1 + g.p), "the sweep keeps drawing"
+        return None
+
+    monkeypatch.setattr(GgsGroup, "length_word", uncertified)
+    rep = sweep_length_contraction(g, 30, seed=6)
+    assert (rep["cases_run"], rep["passed"], rep["skipped"]) == (30, 0, 0)
+    assert [bad["case"] for bad in rep["counterexamples"]] == list(range(30))
+    assert {bad["detail"] for bad in rep["counterexamples"]} == {"length not certified within cap"}
 
 
 def test_circulant_sweep_exhaustive():
