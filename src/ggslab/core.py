@@ -36,8 +36,8 @@ import re
 
 from .errors import CrossCheckError, InputError
 from .fp import solve_linear_mod_p, validate_odd_prime
-from .words import (GroupWord, class_counts, class_sums, concat, format_word, invert, normalize,
-                    parse_word, power)
+from .words import (GroupWord, class_sums, concat, format_word, invert, normalize, parse_word,
+                    power, walk_classes)
 
 FAMILY_TORSION = "torsion"
 FAMILY_CONSTANT = "constant"
@@ -276,7 +276,7 @@ class GgsGroup:
         matching the exponent sums of every section of w means matching B:
         one indicator row per class. Only class sequences that meet the class
         floor need (_class_floor(w)) are walked, which covers the support of
-        B; only solutions with all beta_k nonzero are emitted, and each still
+        B; each is solved by _sequence_candidates, and each candidate still
         needs an equal() confirmation. Class sequences run in lexicographic
         order, so the output order is deterministic.
         """
@@ -288,30 +288,44 @@ class GgsGroup:
             return
         sums = class_sums(w)
         for cs in _class_sequences(p, m, need):
-            rows = [[1 if ck == c else 0 for ck in cs] for c in range(p)]
-            particular, basis = solve_linear_mod_p(rows, sums, p)
-            alphas = tuple((cs[k + 1] - cs[k]) % p for k in range(m - 1))
-            alphas += ((ta - cs[-1]) % p,)
-            for coeffs in itertools.product(range(p), repeat=len(basis)):
-                betas = list(particular)
-                for coeff, vec in zip(coeffs, basis):
-                    if coeff:
-                        betas = [(x + coeff * y) % p for x, y in zip(betas, vec)]
-                if 0 in betas:
-                    continue
-                yield GroupWord._reduced(p, cs[0], tuple(zip(betas, alphas)))
+            yield from self._sequence_candidates(cs, ta, sums)
+
+    def _sequence_candidates(self, cs, ta, sums):
+        """Normal forms with walk class sequence cs, total a-exponent ta and
+        class sums sums: the solutions of the indicator rows with every beta_k
+        nonzero, none when the rows are inconsistent."""
+        p = self.p
+        rows = [[1 if ck == c else 0 for ck in cs] for c in range(p)]
+        solution = solve_linear_mod_p(rows, sums, p)
+        if solution is None:
+            return
+        particular, basis = solution
+        alphas = tuple((cs[k + 1] - cs[k]) % p for k in range(len(cs) - 1))
+        alphas += ((ta - cs[-1]) % p,)
+        for coeffs in itertools.product(range(p), repeat=len(basis)):
+            betas = list(particular)
+            for coeff, vec in zip(coeffs, basis):
+                if coeff:
+                    betas = [(x + coeff * y) % p for x, y in zip(betas, vec)]
+            if 0 in betas:
+                continue
+            yield GroupWord._reduced(p, cs[0], tuple(zip(betas, alphas)))
 
     def length_word(self, w, cap=DEFAULT_LENGTH_CAP):
         """Minimal syllable length over all normal forms equal to w, or None if
         it exceeds cap.
 
-        Breadth-first over syllable counts; within a level only words passing
-        the class-sum sieve and the class floor are candidates, each confirmed
-        with equal(). The first hit is the minimum. The search starts at the
-        floor's total, below which no word equals w (past cap it answers None
-        at once), and never runs past the syllable count of w itself, which is
-        always attainable. Results are memoized with the level up to which the
-        search is exhaustive.
+        Breadth-first over syllable counts; below the last level only words
+        passing the class-sum sieve and the class floor are candidates, each
+        confirmed with equal(). The first hit is the minimum. The search starts
+        at the floor's total, below which no word equals w (past cap it
+        answers None at once). The last level is w's own syllable count, which
+        w attains: once the levels below are ruled out the answer is
+        w.syllables, so that level solves only w's own walk class sequence,
+        among whose candidates w is, and raises CrossCheckError if none of
+        them confirms. An a-power takes the level-0 branch of the sieve.
+        Results are memoized with the level up to which the search is
+        exhaustive.
         """
         if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
             raise InputError(f"length cap must be an integer >= 0, got {cap!r}")
@@ -325,16 +339,25 @@ class GgsGroup:
                 return None
             start = upto + 1
         need = self._class_floor(w)
-        counts = class_counts(w)
+        own = walk_classes(w)
+        counts = [own.count(c) for c in range(self.p)]
         if any(have < owed for have, owed in zip(counts, need)):
             # w is a word equal to itself, so it always meets its own floor
             raise CrossCheckError(f"{format_word(w)} has walk class counts {counts} "
                                   f"below its own floor {need}")
-        for m in range(max(start, sum(need)), min(cap, w.syllables) + 1):
-            for cand in self._candidate_words(m, w, need):
+        last = w.syllables
+        for m in range(max(start, sum(need)), min(cap, last) + 1):
+            if m < last or not m:
+                cands = self._candidate_words(m, w, need)
+            else:
+                cands = self._sequence_candidates(own, w._ab[0], class_sums(w))
+            for cand in cands:
                 if self.equal_words(cand, w):
                     self._lengths[w] = (m, cap)
                     return m
+            if m == last:
+                raise CrossCheckError(f"{format_word(w)} is not among its own "
+                                      f"{m}-syllable candidates")
         self._lengths[w] = (None, cap)
         return None
 

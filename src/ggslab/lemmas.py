@@ -305,12 +305,6 @@ def _st1_word(p, nums):
     return _reduce(toks, p)
 
 
-def random_st1_element(group, rng, max_factors=SWEEP_MAX_FACTORS, nonzero_t=False):
-    """A random element of st(1) as a product of <= max_factors conjugates
-    (b^j)^(a^l). With nonzero_t, redraw until the b-exponent sum is nonzero."""
-    return group.element(_st1_word(group.p, _draw_st1(group.p, rng, max_factors, nonzero_t)))
-
-
 def random_derived_element(group, rng):
     """A random member of G': a product of commutators [a, b] conjugated by
     random words."""
@@ -323,9 +317,10 @@ def random_derived_element(group, rng):
 
 
 def _draw_case2(p, rng):
-    """The shape and number tuple of a _case2_candidate draw: shape 0 is an
-    st(1) draw with its (j, l) pairs, shape 1 the interleaved word with v
-    followed by its (i, j) pairs."""
+    """The shape and number tuple of a short-section draw: either a generic
+    st(1) draw, shape 0 with its (j, l) pairs, or the two-letter interleaved
+    word b^{i_1} (b^{j_1})^{a^v} ... that the short-section analysis centres
+    on, shape 1 with v followed by its (i, j) pairs."""
     if rng.random() < 0.5:
         return 0, _draw_st1(p, rng, SWEEP_MAX_FACTORS, True)
     nums = [rng.randrange(1, p)]
@@ -342,12 +337,6 @@ def _case2_word(p, shape, nums):
     for i, j in zip(nums[1::2], nums[2::2]):
         toks += [("b", i), ("a", -v), ("b", j), ("a", v)]
     return _reduce(toks, p)
-
-
-def _case2_candidate(group, rng):
-    """Either a generic st(1) draw or the two-letter interleaved shape
-    b^{i_1} (b^{j_1})^{a^v} ... that the short-section analysis centres on."""
-    return group.element(_case2_word(group.p, *_draw_case2(group.p, rng)))
 
 
 # sweeps ---------------------------------------------------------------------

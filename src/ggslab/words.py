@@ -190,15 +190,15 @@ def class_sums(w):
     return sums
 
 
-def class_counts(w):
-    """How many syllables of w fall in each walk class c_k, as in class_sums."""
+def walk_classes(w):
+    """The walk class c_k of each syllable of w, as in class_sums."""
     p = w.p
-    counts = [0] * p
+    classes = []
     c = w.leading_a
     for _, alpha in w.body:
-        counts[c] += 1
+        classes.append(c)
         c = (c + alpha) % p
-    return counts
+    return tuple(classes)
 
 
 def concat(w1, w2):

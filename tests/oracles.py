@@ -9,8 +9,9 @@ that strips every Schreier generator it is handed and rescans every
 census level itself, and the
 length sieve on the full section-target system and its class sequences
 filtered from all p^m, the class floor read off token lists, first-level
-sections as token walks reduced by normalize, the short-section and
-split-case sweeps redrawing and rechecking every draw from its tokens, token
+sections as token walks reduced by normalize, the sweeps' st(1) and
+short-section draws built as elements, the short-section and split-case
+sweeps redrawing and rechecking every draw from its tokens, token
 lists rewritten to a fixpoint one merge at a time, Gauss-Jordan elimination to
 reduced row echelon form in one sweep per pivot, and the subgroup lattice of
 a finite model saturated under all-pairs joins.
@@ -512,6 +513,19 @@ def st1_by_tokens(group, rng, max_factors=lemmas.SWEEP_MAX_FACTORS, nonzero_t=Fa
         w = _reduce(toks, p)
         if not nonzero_t or w.exponent_sums()[1] != 0:
             return group.element(w)
+
+
+def random_st1_element(group, rng, max_factors=lemmas.SWEEP_MAX_FACTORS, nonzero_t=False):
+    """A random element of st(1) as a product of <= max_factors conjugates
+    (b^j)^(a^l), drawn and built as the sweeps do. With nonzero_t, redraw until
+    the b-exponent sum is nonzero."""
+    return group.element(lemmas._st1_word(group.p, lemmas._draw_st1(group.p, rng, max_factors,
+                                                                     nonzero_t)))
+
+
+def case2_candidate(group, rng):
+    """A short-section draw, drawn and built as the sweep does."""
+    return group.element(lemmas._case2_word(group.p, *lemmas._draw_case2(group.p, rng)))
 
 
 def case2_by_tokens(group, rng):

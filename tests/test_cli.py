@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from ggslab import cli, quotients
+from ggslab import cli, core, quotients
 from ggslab.core import GgsGroup
 from ggslab.cli import VERIFY_NAMES, main
 from ggslab.words import concat
@@ -129,6 +129,26 @@ def test_length(capsys):
     code, out, _ = run(capsys, "length", "--group", "p=3;e=1,2", "b a b",
                        "--length-cap", "1", "--json")
     assert json.loads(out) == {"length": None, "cap": 1}
+
+
+def test_length_whose_last_level_is_unconfirmed_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(core, "solve_linear_mod_p", lambda rows, rhs, p: None)
+    code, out, err = run(capsys, "length", "--group", "p=5;e=1,0,2,4", "a b^2 a^3 b a^2 b^4 a")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("cross-check failed: ")
+
+
+def test_length_on_the_floor_answers_in_a_subprocess():
+    # the floor total of (b a)^12 is its syllable count, so the search runs
+    # only the last level; walking every 12-syllable class sequence before
+    # w's own ran past 20 s
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-m", "ggslab", "length", "--group", "p=5;e=1,0,2,4",
+                           "b a " * 12, "--length-cap", "12"],
+                          capture_output=True, env=env, timeout=20)
+    assert proc.returncode == 0
+    assert proc.stdout == b"12\n"
 
 
 def test_abelianize(capsys):

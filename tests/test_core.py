@@ -715,6 +715,37 @@ def test_length_below_the_floor_answers_none_without_confirming(monkeypatch):
     assert g.length_word(w) == 6
 
 
+@pytest.mark.parametrize("text,classes", [
+    # floor [0, 2, 0, 0, 1], total 3: the search starts on the last level
+    ("a b^2 a^3 b a^2 b^4 a", (1, 4, 1)),
+    # floor total 2: levels 2 and 3 walk their class sequences first
+    ("a^3 b a^2 b^4 a^3 b^4 a^2 b^2 a", (3, 0, 3, 0)),
+])
+def test_last_level_solves_only_the_own_class_sequence(monkeypatch, text, classes):
+    g = make_ggs(5, (1, 0, 2, 4))
+    w = parse_word(text, 5)
+    need = g._class_floor(w)
+    below = sum(len(list(core._class_sequences(5, m, need)))
+                for m in range(sum(need), w.syllables))
+    solves = []
+    real = core.solve_linear_mod_p
+    monkeypatch.setattr(core, "solve_linear_mod_p",
+                        lambda *args: solves.append(args) or real(*args))
+    assert g.length_word(w) == w.syllables
+    assert len(solves) == below + 1
+    assert solves[-1][0] == [[1 if ck == c else 0 for ck in classes] for c in range(5)]
+
+
+def test_unconfirmed_last_level_trips_the_self_check(monkeypatch):
+    # with no solutions anywhere, w is missing from its own last level
+    g = make_ggs(5, (1, 0, 2, 4))
+    w = parse_word("a b^2 a^3 b a^2 b^4 a", 5)
+    monkeypatch.setattr(core, "solve_linear_mod_p", lambda rows, rhs, p: None)
+    with pytest.raises(CrossCheckError, match="not among its own 3-syllable candidates"):
+        g.length_word(w)
+    assert w not in g._lengths
+
+
 def test_floor_above_the_word_trips_the_self_check(monkeypatch):
     g = make_ggs(3, (1, 2))
     w = parse_word("b a b", 3)

@@ -2,15 +2,21 @@
 
 `golden.json` maps each command line to its exit code and the sha256 of its
 stdout: `quotient --json` on every `CENSUS_ORACLE_CASES` row, one bad group
-spec (exit 2), one level past the leaf guard (exit 4), and `verify all --json`
-at seeds 0 and 1 on the benchmark's five verify groups. It was recorded by
-running each command as `python3 -m ggslab`.
+spec (exit 2), one level past the leaf guard (exit 4), `verify all --json`
+at seeds 0 and 1 on the benchmark's five verify groups, and the word commands
+once per verify group and p=11 e=1,0,2,4,3,5,1,2,0,3 in text and JSON:
+`classify`, `equal`, `act`, `section`, `abelianize` and three `length` rows (a
+word whose length is its syllable count, a word u*r with r trivial whose
+length is below it, and the first word under a cap below its length). It was
+recorded by running each command as `python3 -m ggslab`.
 """
 
 import hashlib
 import json
 import os
 import shlex
+
+import pytest
 
 from ggslab.cli import main
 
@@ -37,6 +43,12 @@ def _replay(capsys, command):
 
 def test_golden_quotient_corpus(capsys):
     _replay(capsys, "quotient")
+
+
+@pytest.mark.parametrize("command", ["classify", "equal", "act", "section", "abelianize",
+                                     "length"])
+def test_golden_word_command_rows(capsys, command):
+    _replay(capsys, command)
 
 
 def test_golden_verify_rows(capsys):

@@ -16,7 +16,6 @@ from ggslab.lemmas import (
     INTERVAL_MAX_P,
     SWEEP_MAX_FACTORS,
     ExponentProfile,
-    _case2_candidate,
     check_derived_product,
     check_propagates,
     check_section_less_than_half,
@@ -26,7 +25,6 @@ from ggslab.lemmas import (
     interval_lemma_scan,
     k_generator_identity,
     random_derived_element,
-    random_st1_element,
     sweep_circulant,
     sweep_commutator_tuple,
     sweep_constant_model,
@@ -41,8 +39,8 @@ from ggslab.lemmas import (
     sweep_split_case,
 )
 from ggslab.words import format_word
-from oracles import (case2_by_tokens, short_section_by_redrawing, split_case_by_redrawing,
-                     st1_by_tokens)
+from oracles import (case2_by_tokens, case2_candidate, random_st1_element,
+                     short_section_by_redrawing, split_case_by_redrawing, st1_by_tokens)
 
 REPORT_KEYS = {"lemma", "seed", "cases_run", "passed", "skipped", "counterexamples"}
 
@@ -179,7 +177,7 @@ def test_short_section_draws_never_reach_case_2_at_p7_single_entry():
     rng = random.Random(11)
     classified = 0
     for _ in range(500):
-        x = _case2_candidate(g, rng)
+        x = case2_candidate(g, rng)
         if x.abelianize()[1] == 0:
             continue  # the interleaved shape can draw t = 0, which has no profile
         assert classify_case(exponent_profile(g, x), g.lam) == 1
@@ -347,7 +345,7 @@ def test_draws_match_token_built_words(p, e):
     g = make_ggs(p, e)
     for draw, oracle, kw in [(random_st1_element, st1_by_tokens, {}),
                              (random_st1_element, st1_by_tokens, {"nonzero_t": True}),
-                             (_case2_candidate, case2_by_tokens, {})]:
+                             (case2_candidate, case2_by_tokens, {})]:
         rng, rng_oracle = random.Random(p), random.Random(p)
         for _ in range(2000):
             assert draw(g, rng, **kw).word == oracle(g, rng_oracle, **kw).word
