@@ -12,10 +12,9 @@ import os
 import sys
 
 from . import lemmas
-from .core import (DEFAULT_LENGTH_CAP, FAMILY_CONSTANT, format_vertex, parse_group_spec,
-                   parse_vertex)
+from .core import DEFAULT_LENGTH_CAP, format_vertex, parse_group_spec, parse_vertex
 from .errors import CrossCheckError, InputError, ResourceLimitError
-from .quotients import closed_form_order, level_quotient, maximal_subgroups_census
+from .quotients import level_quotient, maximal_subgroups_census
 from .words import format_word
 
 # sweep sizes mirror the property-suite counts the checks were designed around
@@ -164,14 +163,9 @@ def cmd_abelianize(args, group):
 def cmd_quotient(args, group):
     n = args.level
     if n >= 2:
-        # the census builds the level quotient and reports its order
+        # the census builds the level quotient and checks its order against the closed form
         census = maximal_subgroups_census(group, n)
         order = census["order"]
-        want = closed_form_order(group, n)
-        if order != want:
-            # for constant vectors the closed form is an empirical fit (closed_form_order)
-            kind = "empirical closed form" if group.family == FAMILY_CONSTANT else "closed form"
-            raise CrossCheckError(f"quotient order {order} != {kind} {want}")
         data = census
         lines = [f"level = {n}", f"order = {order}",
                  f"maximal subgroups = {census['count']}"]

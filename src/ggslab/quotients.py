@@ -16,20 +16,21 @@ translate table has 256 entries. `_as_perm` converts to the internal format at
 every entry point, and `_identity`, `_compose`, `_inverse` and `_perm_power`
 work on either format; `LeafPermutation.images` stays a tuple.
 
-The maximal-subgroup census runs on layered bases instead (`_LayeredBasis`):
-induced polycyclic sequences of subgroups of the iterated wreath product
+The maximal-subgroup census closes one layered basis (`_LayeredBasis`): an
+induced polycyclic sequence of a subgroup of the iterated wreath product
 C_p wr ... wr C_p, in which orders and memberships are F_p elimination on
-rotation labels, level by level. The layered order of <a, b> must equal the
-chain's order, and Q' is a layered normal closure. Since the images of a and
-b have order p, Q/Q' is elementary abelian of rank at most 2, so the Frattini
-subgroup of Q is Q'. |Q : Q'| = p^2 at any level n >= 2 follows from the same
-index at level 2, so the census closes Q' there only (see
-`maximal_subgroups_census`). Once the index is certified, the records come from
-the Burnside basis theorem: the maximal subgroups are the p + 1 preimages of
-the index-p subgroups of Q/Q', one for each nonzero linear functional on
-F_p^2 (up to scalars) pulled back through the exponent sums, and each is
-normal because it contains Q'. `tests/oracles.census_by_sifting` builds them
-on stabilizer chains instead and is the test oracle for the records.
+rotation labels, level by level. That subgroup is Q', the normal closure of
+[a, b]. Since the images of a and b have order p, Q/Q' is elementary abelian
+of rank at most 2, so the Frattini subgroup of Q is Q'. |Q : Q'| = p^2 at any
+level n >= 2 follows from the same index at level 2, so the census closes Q'
+there only and reads |Q_2| off `closed_form_order` (see
+`maximal_subgroups_census`). Once the index is certified, the records come
+from the Burnside basis theorem: the maximal subgroups are the p + 1
+preimages of the index-p subgroups of Q/Q', one for each nonzero linear
+functional on F_p^2 (up to scalars) pulled back through the exponent sums,
+and each is normal because it contains Q'. `tests/oracles.census_by_sifting`
+builds them on stabilizer chains instead and is the test oracle for the
+records.
 """
 
 import bisect
@@ -382,10 +383,12 @@ def closed_form_order(group, n):
     first row (e, 0) and delta is 1 exactly when e is symmetric.
 
     For a constant vector, p^(p + 1 + sum over k = 3..n of ((p - 2) p^(k-1)
-    + 1)/(p - 1)). This is an empirical fit: it equals the layered order of
-    <a, b> for e = (c, ..., c), c = 1 and 2, at p = 3 for n = 2..6, p = 5 for
-    n = 2..4, p = 7 for n = 2..3 and p = 11 and 13 for n = 2, and gives the
-    3^23 of p = 3, n = 4 that the stabilizer chain computes."""
+    + 1)/(p - 1)), which at n = 2 is the theorem's p^(t + 1) with t = p. Past
+    level 2 it is an empirical fit: it equals the layered order of <a, b> for
+    e = (c, ..., c), c = 1 and 2, at p = 3 for n = 2..6, p = 5 for n = 2..4,
+    p = 7 for n = 2..3 and p = 11 and 13 for n = 2, which holds every level
+    past 2 that the leaf guard admits. `maximal_subgroups_census` checks every
+    order it reports against this one."""
     _check_level(n, 2)
     p, e = group.p, tuple(group.e)
     if group.family == FAMILY_CONSTANT:
@@ -527,13 +530,14 @@ def maximal_subgroups_census(group, n):
     and whether it is normal.
 
     The order comes from the stabilizer chain of `level_quotient` and must
-    equal the layered order of <a, b>. The records are read off the Burnside
+    equal `closed_form_order(group, n)`. The records are read off the Burnside
     basis theorem (see the module docstring), so the check |Q : Q'| = p^2 is
     all that guards them. It is made once, at level 2, for every n: G/G' is
     generated by the images of a and b, both of order dividing p, so
     |Q_n : Q_n'| <= p^2; and Q_n maps onto Q_2 with Q_n' onto Q_2', so
     |Q_n : Q_n'| >= |Q_2 : Q_2'|. Hence |Q_2 : Q_2'| = p^2 gives
-    |Q_n : Q_n'| = p^2 at every level n >= 2, and Q_n' is never closed.
+    |Q_n : Q_n'| = p^2 at every level n >= 2. |Q_2| is level 2 of the closed
+    form, so Q_2' is the one subgroup the census closes.
     """
     _check_level(n, 2)
     q = level_quotient(group, n)
@@ -544,26 +548,24 @@ def maximal_subgroups_census(group, n):
     if _perm_power(a_img, p) != identity or _perm_power(b_img, p) != identity:
         raise CrossCheckError("generator images are not of order dividing p")
 
-    whole = _LayeredBasis(p, n)
-    whole.closure([a_img, b_img])
-    if whole.order() != q.order:
-        raise CrossCheckError(
-            f"layered order {whole.order()} != stabilizer chain order {q.order}")
-
     # the level-2 certificate; Q_2' is the normal closure of [a, b], and with
     # both generators of order p it is the whole Frattini subgroup of Q_2
     if n > 2:
         a_img = _as_perm(project(group.a, 2).images, p * p)
         b_img = _as_perm(project(group.b, 2).images, p * p)
-        whole = _LayeredBasis(p, 2)
-        whole.closure([a_img, b_img])
     comm = _compose(_compose(_inverse(a_img), _inverse(b_img)), _compose(a_img, b_img))
     derived = _LayeredBasis(p, 2)
     derived.closure([comm], [a_img, b_img])
-    frattini_index = whole.order() // derived.order()
+    frattini_index = closed_form_order(group, 2) // derived.order()
     if frattini_index != p * p:
         raise CrossCheckError(
             f"|Q_2 : Q_2'| = {frattini_index} != p^2; the functional census does not apply")
+
+    want = closed_form_order(group, n)
+    if q.order != want:
+        # for constant vectors the closed form is an empirical fit past level 2
+        kind = "empirical closed form" if group.family == FAMILY_CONSTANT else "closed form"
+        raise CrossCheckError(f"quotient order {q.order} != {kind} {want}")
 
     # Q/Q' = F_p^2: the maximal subgroups are the kernels of the p + 1 nonzero
     # functionals up to scalars, each of index p and normal since it contains Q'

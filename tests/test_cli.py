@@ -217,14 +217,15 @@ def test_quotient_leaf_guard_refuses_deep_levels_at_once(capsys, level):
 
 
 def test_quotient_order_against_closed_form_exits_3(capsys, monkeypatch):
-    real = cli.maximal_subgroups_census
+    # the census checks the chain's order against the closed form
+    real = quotients.level_quotient
 
     def wrong_order(group, n):
-        census = real(group, n)
-        census["order"] *= group.p
-        return census
+        q = real(group, n)
+        q.order *= group.p
+        return q
 
-    monkeypatch.setattr(cli, "maximal_subgroups_census", wrong_order)
+    monkeypatch.setattr(quotients, "level_quotient", wrong_order)
     code, out, err = run(capsys, "quotient", "--group", "p=3;e=1,2", "2")
     assert code == 3
     assert out == ""

@@ -1,7 +1,9 @@
 """Replay the golden CLI corpus in process.
 
 `golden.json` maps each command line to its exit code and the sha256 of its
-stdout: `quotient --json` on every `CENSUS_ORACLE_CASES` row, one bad group
+stdout: `quotient --json` on every `CENSUS_ORACLE_CASES` row and on the four
+groups of the CI quotient steps (p=7 e=1,0,0,0,0,0 n=3, p=3 e=1,0 and e=1,1
+at n=5, and the p=23 vector at n=2, with the same sha256 as CI), one bad group
 spec (exit 2), one level past the leaf guard (exit 4), `verify all --json`
 at seeds 0 and 1 on the benchmark's five verify groups, and the word commands
 once per verify group and p=11 e=1,0,2,4,3,5,1,2,0,3 in text and JSON:

@@ -559,10 +559,12 @@ def test_level_two_certificate_matches_level_n_index(case):
             == maximal_subgroups_census(g, n)["frattini_index"])
 
 
-@pytest.mark.parametrize("p,e,n", [(3, (1, 0), 3), (3, (1, 1), 4), (5, (1, 0, 2, 4), 3)])
+@pytest.mark.parametrize("p,e,n", [(3, (1, 0), 3), (3, (1, 1), 4), (5, (1, 0, 2, 4), 3),
+                                   (3, (1, 2), 2), (3, (1, 0), 5)])
 def test_census_closes_derived_subgroup_at_level_two(monkeypatch, p, e, n):
-    # past level 2 only <a, b> is closed at level n, as the chain order's
-    # cross-check; <a, b> and Q' are closed at level 2 for the certificate
+    # only Q_2' is closed, at every level, for the certificate: |Q_2| and the
+    # reference for the chain's order come from the closed form, so <a, b> is
+    # closed at no level
     calls = []
     real = _LayeredBasis.closure
 
@@ -572,10 +574,10 @@ def test_census_closes_derived_subgroup_at_level_two(monkeypatch, p, e, n):
 
     monkeypatch.setattr(_LayeredBasis, "closure", spy)
     maximal_subgroups_census(make_ggs(p, e), n)
-    assert calls == [(n, False), (2, False), (2, True)]
+    assert calls == [(2, True)]
 
 
-def test_census_rejects_layered_order_mismatch(monkeypatch):
+def test_census_rejects_closed_form_order_mismatch(monkeypatch):
     real = quotients.level_quotient
 
     def wrong_order(group, n):
@@ -584,8 +586,12 @@ def test_census_rejects_layered_order_mismatch(monkeypatch):
         return q
 
     monkeypatch.setattr(quotients, "level_quotient", wrong_order)
-    with pytest.raises(CrossCheckError, match="layered order"):
-        maximal_subgroups_census(make_ggs(3, (1, 2)), 2)
+    # constant vectors are compared with their own closed form, an empirical fit
+    for e, n, want in (((1, 2), 2, "!= closed form 27"),
+                       ((2, 2), 2, "!= empirical closed form 81"),
+                       ((1, 2), 3, "quotient order 6561 != closed form 2187")):
+        with pytest.raises(CrossCheckError, match=want):
+            maximal_subgroups_census(make_ggs(3, e), n)
 
 
 def test_census_rejects_wrong_frattini_index(monkeypatch):
