@@ -564,8 +564,8 @@ def sweep_infinite_order(group, seed=0):
 
 
 def sweep_maximal_census(group, seed=0):
-    # the census raises CrossCheckError unless |Q : Q'| = p^2, which fixes its
-    # records, and its order equals the closed form
+    # the census raises CrossCheckError unless its order equals the closed
+    # form; its records follow from |Q : Q'| = p^2, a theorem for every vector
     census = maximal_subgroups_census(group, CENSUS_LEVEL)
     return _report("maximal-census", seed, cases_run=census["count"],
                    passed=census["count"], census=census)

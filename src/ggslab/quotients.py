@@ -16,24 +16,21 @@ translate table has 256 entries. `_as_perm` converts to the internal format at
 every entry point, and `_identity`, `_compose`, `_inverse` and `_perm_power`
 work on either format; `LeafPermutation.images` stays a tuple.
 
-The maximal-subgroup census closes one layered basis (`_LayeredBasis`): an
-induced polycyclic sequence of a subgroup of the iterated wreath product
-C_p wr ... wr C_p, in which orders and memberships are F_p elimination on
-rotation labels, level by level. That subgroup is Q', the normal closure of
-[a, b]. Since the images of a and b have order p, Q/Q' is elementary abelian
-of rank at most 2, so the Frattini subgroup of Q is Q'. |Q : Q'| = p^2 at any
-level n >= 2 follows from the same index at level 2, so the census closes Q'
-there only and reads |Q_2| off `closed_form_order` (see
-`maximal_subgroups_census`). Once the index is certified, the records come
-from the Burnside basis theorem: the maximal subgroups are the p + 1
-preimages of the index-p subgroups of Q/Q', one for each nonzero linear
-functional on F_p^2 (up to scalars) pulled back through the exponent sums,
-and each is normal because it contains Q'. `tests/oracles.census_by_sifting`
-builds them on stabilizer chains instead and is the test oracle for the
-records.
+The maximal-subgroup census builds no subgroup beyond the level quotient.
+Q' is the normal closure of [a, b]. Since the images of a and b have order
+p, Q/Q' is elementary abelian of rank at most 2, so the Frattini subgroup of
+Q is Q'. |Q : Q'| = p^2 holds at every level n >= 2 for every defining vector
+(the proof is in `maximal_subgroups_census`), so the records come from the
+Burnside basis theorem: the maximal subgroups are the p + 1 preimages of the
+index-p subgroups of Q/Q', one for each nonzero linear functional on F_p^2
+(up to scalars) pulled back through the exponent sums, and each is normal
+because it contains Q'. The census checks the chain's order against
+`closed_form_order`. `tests/oracles.census_by_sifting` builds the maximal
+subgroups on stabilizer chains instead and is the test oracle for the
+records; the layered basis in `tests/oracles.py` closes Q' and is the oracle
+for the index.
 """
 
-import bisect
 import collections
 import operator
 
@@ -107,11 +104,16 @@ class LeafPermutation:
     __slots__ = ("p", "n", "images")
 
     def __init__(self, p, n, images):
+        images = tuple(images)
+        # a bool is not an int here, as in `_check_level`
+        if any(not isinstance(x, int) or isinstance(x, bool) for x in (p, n, *images)):
+            raise InputError("leaf permutations take integer p, n and images")
         if p < 3 or n < 1:
             raise InputError("leaf permutations need p >= 3 and n >= 1")
-        images = tuple(images)
-        if len(images) != p ** n or sorted(images) != list(range(p ** n)):
-            raise InputError(f"not a permutation of {p ** n} leaves")
+        # p^n > len(images) once n passes its bit length; p^n is not computed then
+        if (n > len(images).bit_length() or len(images) != p ** n
+                or sorted(images) != list(range(p ** n))):
+            raise InputError(f"not a permutation of {p}^{n} leaves")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "images", images)
@@ -399,128 +401,6 @@ def closed_form_order(group, n):
     return p ** (t * p ** (n - 2) + 1 - delta * (p ** (n - 2) - 1) // (p - 1))
 
 
-def _check_rotations(perm, p, n):
-    """Raise CrossCheckError unless perm lies in the iterated wreath product:
-    it respects the tree and every vertex maps its children by a power of the
-    p-cycle. The layered basis reads rotation labels, which mean nothing
-    outside that group."""
-    above = [0]
-    for k in range(1, n + 1):
-        step = p ** (n - k)
-        # the level-k vertex under which the first leaf of each level-k vertex lands
-        here = [perm[u * step] // step for u in range(p ** k)]
-        for u, w in enumerate(here):
-            first = u - u % p
-            if w // p != above[u // p] or (w - u) % p != (here[first] - first) % p:
-                raise CrossCheckError(
-                    f"leaf permutation does not turn the children of level-{k - 1} "
-                    "vertices by powers of the p-cycle")
-        above = here
-
-
-class _LayeredBasis:
-    """Induced polycyclic sequence of a subgroup of the iterated wreath product
-    C_p wr ... wr C_p acting on the p^n leaves.
-
-    The rotation labels of a permutation at level k are digit k of the image of
-    the first leaf under each level-k vertex. On the level-k stabilizer they
-    add under composition, and they all vanish exactly on the level-(k+1)
-    stabilizer. The basis keeps at most one element per (level, pivot
-    column): an element of the level stabilizer whose labels there vanish
-    before the pivot column and read 1 at it. `layers[k]` holds
-    (column, labels, powers b^0..b^(p-1)) sorted by column; `elements` holds
-    the basis in the order it was found.
-
-    `closure` keeps the basis closed: every p-th power and every commutator of
-    two basis elements sifts to the identity through the deeper levels. Then
-    the basis elements of level k and below generate a subgroup T_k, each T_k
-    is normal in T_(k-1) with elementary abelian quotient of rank
-    len(layers[k - 1]), so the subgroup has order p^len(elements) and
-    `contains` is exact. `contains` is sound for any permutation: a residue
-    equal to the identity writes the input as a product of basis elements.
-    """
-
-    def __init__(self, p, n):
-        self.p = p
-        self.n = n
-        self.degree = p ** n
-        self.identity = _identity(self.degree)
-        # digit k of a leaf index, looked up by translate on table-format perms
-        self._digits = [bytes(x // p ** (n - k - 1) % p for x in range(_TABLE))
-                        for k in range(n)] if self.degree <= _TABLE else None
-        self.layers = [[] for _ in range(n)]
-        self.elements = []
-        self._inverses = []
-
-    def order(self):
-        return self.p ** len(self.elements)
-
-    def labels(self, perm, k):
-        step = self.p ** (self.n - k - 1)
-        if self._digits is not None:
-            return perm[:self.degree:step * self.p].translate(self._digits[k])
-        return [perm[i] // step % self.p for i in range(0, self.degree, step * self.p)]
-
-    def _reduce(self, perm):
-        """(residue, level, labels): perm times powers of basis elements with
-        the pivot columns cleared level by level, down to the first level where
-        labels remain; (residue, n, None) when none remain."""
-        p = self.p
-        for k, layer in enumerate(self.layers):
-            labels = self.labels(perm, k)
-            if not any(labels):
-                continue
-            for column, vec, powers in layer:
-                coef = labels[column]
-                if coef:
-                    # vec vanishes before its column, so cleared columns stay clear
-                    labels = [(x - coef * y) % p for x, y in zip(labels, vec)]
-                    perm = _compose(perm, powers[p - coef])
-            if any(labels):
-                return perm, k, labels
-        return perm, self.n, None
-
-    def sift(self, perm):
-        return self._reduce(_as_perm(perm, self.degree))[0]
-
-    def contains(self, perm):
-        return self.sift(perm) == self.identity
-
-    def closure(self, seeds, conjugators=()):
-        """Grow the basis to the smallest subgroup that contains it and the
-        seeds and is normalized by the conjugators. Deterministic: queued
-        elements are sifted first in, first out; a new basis element queues
-        its p-th power, its commutators with every earlier basis element and
-        its conjugates, in that order."""
-        p = self.p
-        seeds = [_as_perm(g, self.degree) for g in seeds]
-        conjugators = [_as_perm(c, self.degree) for c in conjugators]
-        for g in seeds + conjugators:
-            _check_rotations(g, p, self.n)
-        pairs = [(_inverse(c), c) for c in conjugators]
-        queue = collections.deque(seeds)
-        while queue:
-            residue, k, labels = self._reduce(queue.popleft())
-            if labels is None:
-                continue
-            column = next(i for i, x in enumerate(labels) if x)
-            scale = pow(labels[column], -1, p)
-            b = _perm_power(residue, scale)
-            powers = [self.identity, b]
-            while len(powers) < p:
-                powers.append(_compose(powers[-1], b))
-            # columns are unique within a level, so the tuples order by column
-            bisect.insort(self.layers[k], (column, [x * scale % p for x in labels], powers))
-            b_inv = _inverse(b)
-            queue.append(_compose(powers[-1], b))
-            for x, x_inv in zip(self.elements, self._inverses):
-                queue.append(_compose(_compose(b_inv, x_inv), _compose(b, x)))
-            for c_inv, c in pairs:
-                queue.append(_compose(_compose(c_inv, b), c))
-            self.elements.append(b)
-            self._inverses.append(b_inv)
-
-
 def maximal_subgroups_census(group, n):
     """Census of the maximal subgroups of G / st_G(n) for n >= 2.
 
@@ -531,13 +411,24 @@ def maximal_subgroups_census(group, n):
 
     The order comes from the stabilizer chain of `level_quotient` and must
     equal `closed_form_order(group, n)`. The records are read off the Burnside
-    basis theorem (see the module docstring), so the check |Q : Q'| = p^2 is
-    all that guards them. It is made once, at level 2, for every n: G/G' is
-    generated by the images of a and b, both of order dividing p, so
-    |Q_n : Q_n'| <= p^2; and Q_n maps onto Q_2 with Q_n' onto Q_2', so
-    |Q_n : Q_n'| >= |Q_2 : Q_2'|. Hence |Q_2 : Q_2'| = p^2 gives
-    |Q_n : Q_n'| = p^2 at every level n >= 2. |Q_2| is level 2 of the closed
-    form, so Q_2' is the one subgroup the census closes.
+    basis theorem (see the module docstring), which needs |Q : Q'| = p^2. That
+    index holds for every defining vector, so the census computes no Q'.
+
+    At level 2, Q_2 = G / St_G(2) lies in C_p wr C_p: a maps to the root
+    rotation sigma and b to the base-group vector v = (e_1, ..., e_(p-1), 0).
+    So Q_2 = V x| <sigma>, where V is the F_p<sigma>-module generated by v.
+    The group ring is R = F_p[x]/(x^p - 1) = F_p[x]/(x - 1)^p, and every ideal
+    of R has the form (x - 1)^k R, so V = (x - 1)^k R, of dimension
+    t = p - k >= 1 since e != 0. V is spanned by the rotations of v, so t is
+    the circulant rank of `closed_form_order` and |Q_2| = p^(t + 1). V is
+    abelian and sigma acts on it as x, so Q_2' = [V, sigma] = (x - 1) V, of
+    dimension t - 1. Hence |Q_2 : Q_2'| = p^2.
+
+    At any level n >= 2: Q_n/Q_n' is generated by the images of a and b, both
+    of order dividing p, so |Q_n : Q_n'| <= p^2; and Q_n maps onto Q_2 with
+    Q_n' onto Q_2', so |Q_n : Q_n'| >= |Q_2 : Q_2'| = p^2. The tests close
+    Q_2' on a layered basis (`tests/oracles.py`) for every vector at p = 3 and
+    5 and for sampled vectors at p = 7, and find order p^(t - 1) each time.
     """
     _check_level(n, 2)
     q = level_quotient(group, n)
@@ -547,19 +438,6 @@ def maximal_subgroups_census(group, n):
     identity = _identity(p ** n)
     if _perm_power(a_img, p) != identity or _perm_power(b_img, p) != identity:
         raise CrossCheckError("generator images are not of order dividing p")
-
-    # the level-2 certificate; Q_2' is the normal closure of [a, b], and with
-    # both generators of order p it is the whole Frattini subgroup of Q_2
-    if n > 2:
-        a_img = _as_perm(project(group.a, 2).images, p * p)
-        b_img = _as_perm(project(group.b, 2).images, p * p)
-    comm = _compose(_compose(_inverse(a_img), _inverse(b_img)), _compose(a_img, b_img))
-    derived = _LayeredBasis(p, 2)
-    derived.closure([comm], [a_img, b_img])
-    frattini_index = closed_form_order(group, 2) // derived.order()
-    if frattini_index != p * p:
-        raise CrossCheckError(
-            f"|Q_2 : Q_2'| = {frattini_index} != p^2; the functional census does not apply")
 
     want = closed_form_order(group, n)
     if q.order != want:
@@ -576,7 +454,7 @@ def maximal_subgroups_census(group, n):
         "e": list(group.e),
         "n": n,
         "order": q.order,
-        "frattini_index": frattini_index,
+        "frattini_index": p * p,
         "count": len(records),
         "maximal": records,
     }

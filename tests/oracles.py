@@ -1,33 +1,45 @@
 """Independent oracles the test suite checks the package against.
 
-Everything here is deliberately naive and cache-free: plain breadth-first
-enumeration of leaf permutations, depth-bounded recursive action
-comparison, the closed-form quotient order and circulant rank, the
-maximal-subgroup census on stabilizer chains built from nothing, a chain
-that strips every Schreier generator it is handed and rescans every
-(orbit point, generator) pair on each pass, |Q : Q'| closed at the
-census level itself, and the
-length sieve on the full section-target system and its class sequences
-filtered from all p^m, the class floor read off token lists, first-level
-sections as token walks reduced by normalize, the sweeps' st(1) and
-short-section draws built as elements, the short-section and split-case
-sweeps redrawing and rechecking every draw from its tokens, token
-lists rewritten to a fixpoint one merge at a time, Gauss-Jordan elimination to
-reduced row echelon form in one sweep per pivot, and the subgroup lattice of
-a finite model saturated under all-pairs joins.
+Everything here but the layered basis is deliberately naive and cache-free:
+plain breadth-first enumeration of leaf permutations, depth-bounded
+recursive action comparison, the closed-form quotient order and circulant
+rank, the maximal-subgroup census on stabilizer chains built from nothing, a
+chain that strips every Schreier generator it is handed and rescans every
+(orbit point, generator) pair on each pass, the length sieve on the full
+section-target system and its class sequences filtered from all p^m, the
+class floor read off token lists, first-level sections as token walks
+reduced by normalize, the sweeps' st(1) and short-section draws built as
+elements, the short-section and split-case sweeps redrawing and rechecking
+every draw from its tokens, token lists rewritten to a fixpoint one merge at
+a time, Gauss-Jordan elimination to reduced row echelon form in one sweep
+per pivot, and the subgroup lattice of a finite model saturated under
+all-pairs joins.
+
+The layered basis (`_LayeredBasis`) is a second group engine, independent of
+the package's stabilizer chain: an induced polycyclic sequence of a subgroup
+of the iterated wreath product C_p wr ... wr C_p, in which orders and
+memberships are F_p elimination on rotation labels, level by level. It is
+the oracle for the chain's orders and memberships, for `closed_form_order`,
+and for |Q : Q'| = p^2, which the census takes from a theorem: it closes Q'
+at level 2 for whole families of vectors and at the census level itself.
 Fixtures frozen in the tests were derived with these functions.
 """
 
+import bisect
+import collections
 import itertools
 import random
 
 from ggslab import lemmas
+from ggslab.core import make_ggs
 from ggslab.errors import CrossCheckError
-from ggslab.fp import solve_linear_mod_p
+from ggslab.fp import circulant_rank, solve_linear_mod_p
 from ggslab.quotients import (
-    _LayeredBasis,
+    _TABLE,
     _StabilizerChain,
+    _as_perm,
     _compose,
+    _identity,
     _inverse,
     _perm_power,
     level_quotient,
@@ -184,18 +196,156 @@ class StripEveryGeneratorChain(_StabilizerChain):
                 return progressed
 
 
-def layered_frattini_index(group, n):
-    """|Q : Q'| for Q = G / St_G(n), with <a, b> and the normal closure Q' of
-    [a, b] both closed on layered bases at level n itself. This is how the
-    census certified the index before it did so once, at level 2."""
+def _check_rotations(perm, p, n):
+    """Raise CrossCheckError unless perm lies in the iterated wreath product:
+    it respects the tree and every vertex maps its children by a power of the
+    p-cycle. The layered basis reads rotation labels, which mean nothing
+    outside that group."""
+    above = [0]
+    for k in range(1, n + 1):
+        step = p ** (n - k)
+        # the level-k vertex under which the first leaf of each level-k vertex lands
+        here = [perm[u * step] // step for u in range(p ** k)]
+        for u, w in enumerate(here):
+            first = u - u % p
+            if w // p != above[u // p] or (w - u) % p != (here[first] - first) % p:
+                raise CrossCheckError(
+                    f"leaf permutation does not turn the children of level-{k - 1} "
+                    "vertices by powers of the p-cycle")
+        above = here
+
+
+class _LayeredBasis:
+    """Induced polycyclic sequence of a subgroup of the iterated wreath product
+    C_p wr ... wr C_p acting on the p^n leaves.
+
+    The rotation labels of a permutation at level k are digit k of the image of
+    the first leaf under each level-k vertex. On the level-k stabilizer they
+    add under composition, and they all vanish exactly on the level-(k+1)
+    stabilizer. The basis keeps at most one element per (level, pivot
+    column): an element of the level stabilizer whose labels there vanish
+    before the pivot column and read 1 at it. `layers[k]` holds
+    (column, labels, powers b^0..b^(p-1)) sorted by column; `elements` holds
+    the basis in the order it was found.
+
+    `closure` keeps the basis closed: every p-th power and every commutator of
+    two basis elements sifts to the identity through the deeper levels. Then
+    the basis elements of level k and below generate a subgroup T_k, each T_k
+    is normal in T_(k-1) with elementary abelian quotient of rank
+    len(layers[k - 1]), so the subgroup has order p^len(elements) and
+    `contains` is exact. `contains` is sound for any permutation: a residue
+    equal to the identity writes the input as a product of basis elements.
+    """
+
+    def __init__(self, p, n):
+        self.p = p
+        self.n = n
+        self.degree = p ** n
+        self.identity = _identity(self.degree)
+        # digit k of a leaf index, looked up by translate on table-format perms
+        self._digits = [bytes(x // p ** (n - k - 1) % p for x in range(_TABLE))
+                        for k in range(n)] if self.degree <= _TABLE else None
+        self.layers = [[] for _ in range(n)]
+        self.elements = []
+        self._inverses = []
+
+    def order(self):
+        return self.p ** len(self.elements)
+
+    def labels(self, perm, k):
+        step = self.p ** (self.n - k - 1)
+        if self._digits is not None:
+            return perm[:self.degree:step * self.p].translate(self._digits[k])
+        return [perm[i] // step % self.p for i in range(0, self.degree, step * self.p)]
+
+    def _reduce(self, perm):
+        """(residue, level, labels): perm times powers of basis elements with
+        the pivot columns cleared level by level, down to the first level where
+        labels remain; (residue, n, None) when none remain."""
+        p = self.p
+        for k, layer in enumerate(self.layers):
+            labels = self.labels(perm, k)
+            if not any(labels):
+                continue
+            for column, vec, powers in layer:
+                coef = labels[column]
+                if coef:
+                    # vec vanishes before its column, so cleared columns stay clear
+                    labels = [(x - coef * y) % p for x, y in zip(labels, vec)]
+                    perm = _compose(perm, powers[p - coef])
+            if any(labels):
+                return perm, k, labels
+        return perm, self.n, None
+
+    def sift(self, perm):
+        return self._reduce(_as_perm(perm, self.degree))[0]
+
+    def contains(self, perm):
+        return self.sift(perm) == self.identity
+
+    def closure(self, seeds, conjugators=()):
+        """Grow the basis to the smallest subgroup that contains it and the
+        seeds and is normalized by the conjugators. Deterministic: queued
+        elements are sifted first in, first out; a new basis element queues
+        its p-th power, its commutators with every earlier basis element and
+        its conjugates, in that order."""
+        p = self.p
+        seeds = [_as_perm(g, self.degree) for g in seeds]
+        conjugators = [_as_perm(c, self.degree) for c in conjugators]
+        for g in seeds + conjugators:
+            _check_rotations(g, p, self.n)
+        pairs = [(_inverse(c), c) for c in conjugators]
+        queue = collections.deque(seeds)
+        while queue:
+            residue, k, labels = self._reduce(queue.popleft())
+            if labels is None:
+                continue
+            column = next(i for i, x in enumerate(labels) if x)
+            scale = pow(labels[column], -1, p)
+            b = _perm_power(residue, scale)
+            powers = [self.identity, b]
+            while len(powers) < p:
+                powers.append(_compose(powers[-1], b))
+            # columns are unique within a level, so the tuples order by column
+            bisect.insort(self.layers[k], (column, [x * scale % p for x in labels], powers))
+            b_inv = _inverse(b)
+            queue.append(_compose(powers[-1], b))
+            for x, x_inv in zip(self.elements, self._inverses):
+                queue.append(_compose(_compose(b_inv, x_inv), _compose(b, x)))
+            for c_inv, c in pairs:
+                queue.append(_compose(_compose(c_inv, b), c))
+            self.elements.append(b)
+            self._inverses.append(b_inv)
+
+
+def derived_subgroup_order(group, n):
+    """|Q'| for Q = G / St_G(n): the normal closure of [a, b] under a and b,
+    closed on a layered basis at level n."""
     a_img = project(group.a, n).images
     b_img = project(group.b, n).images
-    whole = _LayeredBasis(group.p, n)
-    whole.closure([a_img, b_img])
     comm = _compose(_compose(_inverse(a_img), _inverse(b_img)), _compose(a_img, b_img))
     derived = _LayeredBasis(group.p, n)
     derived.closure([comm], [a_img, b_img])
-    return whole.order() // derived.order()
+    return derived.order()
+
+
+def layered_frattini_index(group, n):
+    """|Q : Q'| for Q = G / St_G(n), with <a, b> and the normal closure Q' of
+    [a, b] both closed on layered bases at level n itself. The census takes
+    this index, p^2, from a theorem instead."""
+    whole = _LayeredBasis(group.p, n)
+    whole.closure([project(group.a, n).images, project(group.b, n).images])
+    return whole.order() // derived_subgroup_order(group, n)
+
+
+def frattini_theorem_failures(p, vectors):
+    """The defining vectors e among `vectors` whose Q_2' is not of order
+    p^(t - 1), with t the rank of the circulant with first row (e, 0). Since
+    |Q_2| = p^(t + 1), the others have |Q_2 : Q_2'| = p^2, the index
+    `quotients.maximal_subgroups_census` takes from a theorem."""
+    return [e for e in vectors
+            if derived_subgroup_order(make_ggs(p, e), 2)
+            != p ** (circulant_rank(list(e) + [0], p) - 1)]
 
 
 def normal_closure_chain(seeds, conjugators, degree):

@@ -1,6 +1,7 @@
 """Finite level quotients: leaf permutations, orders, membership, census."""
 
 import collections
+import itertools
 import json
 import random
 import time
@@ -20,7 +21,6 @@ from ggslab.quotients import (
     _compose,
     _identity,
     _inverse,
-    _LayeredBasis,
     _perm_power,
     _StabilizerChain,
     closed_form_order,
@@ -34,9 +34,11 @@ from ggslab.words import random_word
 
 from oracles import (
     StripEveryGeneratorChain,
+    _LayeredBasis,
     bfs_quotient_order,
     census_by_sifting,
     closed_form_log_order,
+    frattini_theorem_failures,
     layered_frattini_index,
 )
 
@@ -65,6 +67,24 @@ def test_permutation_validation():
         LeafPermutation(1, 1, (0,))  # p below 3
     with pytest.raises(AttributeError):
         LeafPermutation(3, 1, (1, 2, 0)).images = (0, 1, 2)
+
+
+@pytest.mark.parametrize("p,n,images", [
+    (3, 1, [0, 1, 2.0]), (3.0, 1, [0, 1, 2]), ("3", 1, [0, 1, 2]), (3, 1.0, [0, 1, 2]),
+    (3, 1, ["0", 1, 2]), (True, 1, [0]), (3, True, [0, 1, 2]), (3, 1, [0, True, 2])])
+def test_permutation_takes_integers_only(p, n, images):
+    # a float image used to pass the bijection test and break `_as_perm`
+    # later; the other inputs raised a bare TypeError
+    with pytest.raises(InputError):
+        LeafPermutation(p, n, images)
+
+
+def test_permutation_refuses_deep_levels_at_once():
+    # the level is checked against the image count before p^n is computed
+    start = time.perf_counter()
+    with pytest.raises(InputError):
+        LeafPermutation(3, 10 ** 12, [0, 1, 2])
+    assert time.perf_counter() - start < 1
 
 
 def test_project_generators_level_one():
@@ -551,30 +571,33 @@ def test_census_matches_sifting_oracle(case):
     "case", [c for c in CENSUS_ORACLE_CASES if c[2] >= 3] + [(3, (1, 0), 5), (3, (1, 1), 5)],
     ids=_case_id)
 def test_level_two_certificate_matches_level_n_index(case):
-    # |Q_2 : Q_2'| = p^2 settles |Q_n : Q_n'| = p^2 at every n >= 2; the census
-    # no longer closes Q_n', so close it here
+    # the census takes |Q_n : Q_n'| = p^2 from a theorem and closes no Q', so
+    # close <a, b> and Q_n' here at level n itself
     p, e, n = case
     g = make_ggs(p, e)
     assert (layered_frattini_index(g, n) == p * p
             == maximal_subgroups_census(g, n)["frattini_index"])
 
 
-@pytest.mark.parametrize("p,e,n", [(3, (1, 0), 3), (3, (1, 1), 4), (5, (1, 0, 2, 4), 3),
-                                   (3, (1, 2), 2), (3, (1, 0), 5)])
-def test_census_closes_derived_subgroup_at_level_two(monkeypatch, p, e, n):
-    # only Q_2' is closed, at every level, for the certificate: |Q_2| and the
-    # reference for the chain's order come from the closed form, so <a, b> is
-    # closed at no level
-    calls = []
-    real = _LayeredBasis.closure
+def _seeded_vectors(p, count, seed):
+    rng = random.Random(seed)
+    vectors = []
+    while len(vectors) < count:
+        e = tuple(rng.randrange(p) for _ in range(p - 1))
+        if any(e):
+            vectors.append(e)
+    return vectors
 
-    def spy(self, seeds, conjugators=()):
-        calls.append((self.n, bool(conjugators)))
-        real(self, seeds, conjugators)
 
-    monkeypatch.setattr(_LayeredBasis, "closure", spy)
-    maximal_subgroups_census(make_ggs(p, e), n)
-    assert calls == [(2, True)]
+@pytest.mark.parametrize("p,vectors", [
+    (3, [e for e in itertools.product(range(3), repeat=2) if any(e)]),
+    (5, [e for e in itertools.product(range(5), repeat=4) if any(e)]),
+    (7, _seeded_vectors(7, 300, 0))], ids=["p3-all", "p5-all", "p7-seeded"])
+def test_frattini_index_theorem_on_every_vector(p, vectors):
+    # the census takes |Q_2 : Q_2'| = p^2 from the structure of Q_2 for every
+    # vector: the layered closure of Q_2' must have order p^(t - 1), t the
+    # circulant rank; CI runs every p=7 vector with first nonzero entry 1
+    assert frattini_theorem_failures(p, vectors) == []
 
 
 def test_census_rejects_closed_form_order_mismatch(monkeypatch):
@@ -592,22 +615,6 @@ def test_census_rejects_closed_form_order_mismatch(monkeypatch):
                        ((1, 2), 3, "quotient order 6561 != closed form 2187")):
         with pytest.raises(CrossCheckError, match=want):
             maximal_subgroups_census(make_ggs(3, e), n)
-
-
-def test_census_rejects_wrong_frattini_index(monkeypatch):
-    # the records are read off |Q : Q'| = p^2, so a Q' of the wrong order must
-    # stop the census, past level 2 too, where Q' is closed at level 2
-    real = _LayeredBasis.closure
-
-    def short_normal_closure(self, seeds, conjugators=()):
-        real(self, seeds, conjugators)
-        if conjugators:
-            self.elements.pop()
-
-    monkeypatch.setattr(_LayeredBasis, "closure", short_normal_closure)
-    for n in (2, 3):
-        with pytest.raises(CrossCheckError, match="does not apply"):
-            maximal_subgroups_census(make_ggs(3, (1, 2)), n)
 
 
 # the layered basis ----------------------------------------------------------
@@ -697,7 +704,8 @@ def test_layered_basis_rejects_leaf_transposition(p, n):
 
 def test_census_rejects_non_rotation_generator(monkeypatch):
     # b's image replaced by a tree automorphism of order 5 that cycles the
-    # first-level subtrees 0 -> 2 -> 1 -> 3 -> 4 -> 0, no power of the 5-cycle
+    # first-level subtrees 0 -> 2 -> 1 -> 3 -> 4 -> 0, no power of the 5-cycle:
+    # it passes the order-p check, and with a it generates A_5 on the subtrees
     g = make_ggs(5, (1, 0, 2, 4))
     real = quotients.project
     b_img = real(g.b, 2)
@@ -705,5 +713,5 @@ def test_census_rejects_non_rotation_generator(monkeypatch):
     fake = LeafPermutation(5, 2, [subtrees[x // 5] * 5 + x % 5 for x in range(25)])
     monkeypatch.setattr(
         quotients, "project", lambda x, n: fake if real(x, n) == b_img else real(x, n))
-    with pytest.raises(CrossCheckError, match="p-cycle"):
+    with pytest.raises(CrossCheckError, match="quotient order 60 != closed form 15625"):
         maximal_subgroups_census(g, 2)
