@@ -13,7 +13,15 @@ GroupWord(...), normalize and parse_word validate their input. The package's
 own reductions (concat, invert, sections in core and the sweep draws in
 lemmas) start from tokens they built themselves, with valid generators and
 int exponents, so they reduce with _reduce and build the result with
-GroupWord._reduced, which checks nothing.
+GroupWord._reduced, which checks nothing. random_word builds its draws, which
+are in normal form by construction, with GroupWord._reduced too.
+
+Every random draw in the package goes through _below, the getrandbits
+rejection loop that random.Random.randrange(n) runs, without randrange's
+argument checks. randrange(n), randrange(1, n) and randint(a, b) draw
+_below(n), 1 + _below(n - 1) and a + _below(b - a + 1) and consume the same
+getrandbits words (CPython 3.10 to 3.13), so a seed gives the streams, the
+verify reports and the golden rows it gave when the draws called them.
 """
 
 import re
@@ -227,6 +235,15 @@ def power(w, n):
     return result
 
 
+def _below(rng, n):
+    """A uniform draw from range(n), n >= 1, as rng.randrange(n) draws it."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def random_word(p, max_syllables, rng):
     """A normal form with syllable length chosen uniformly in 0..max_syllables.
 
@@ -235,16 +252,18 @@ def random_word(p, max_syllables, rng):
     Deterministic given the rng, a random.Random.
     """
     validate_odd_prime(p)
+    if not isinstance(max_syllables, int) or isinstance(max_syllables, bool):
+        raise InputError(f"max_syllables must be an integer, got {max_syllables!r}")
     if max_syllables < 0:
         raise InputError("max_syllables must be >= 0")
-    m = rng.randint(0, max_syllables)
-    lead = rng.randrange(p)
+    m = _below(rng, max_syllables + 1)
+    lead = _below(rng, p)
     body = []
     for k in range(m):
-        beta = rng.randrange(1, p)
-        alpha = rng.randrange(1, p) if k < m - 1 else rng.randrange(p)
+        beta = 1 + _below(rng, p - 1)
+        alpha = 1 + _below(rng, p - 1) if k < m - 1 else _below(rng, p)
         body.append((beta, alpha))
-    return GroupWord(p, lead, tuple(body))
+    return GroupWord._reduced(p, lead, tuple(body))
 
 
 _TOKEN_RE = re.compile(r"([ab])(?:\^(-?\d+))?$")

@@ -3,9 +3,10 @@
 Everything here but the layered basis is deliberately naive and cache-free:
 plain breadth-first enumeration of leaf permutations, depth-bounded
 recursive action comparison, the closed-form quotient order and circulant
-rank, the maximal-subgroup census on stabilizer chains built from nothing, a
-chain that strips every Schreier generator it is handed and rescans every
-(orbit point, generator) pair on each pass, the length sieve on the full
+rank, the circulant sweep ranking every first row, the maximal-subgroup
+census on stabilizer chains built from nothing, a chain that strips every
+Schreier generator it is handed and rescans every (orbit point, generator)
+pair on each pass, the length sieve on the full
 section-target system and its class sequences filtered from all p^m, the
 class floor read off token lists, first-level sections as token walks
 reduced by normalize, the sweeps' st(1) and short-section draws built as
@@ -431,6 +432,32 @@ def circulant_rank_closed_form(row, p):
         coeffs = quotient[::-1]
         mult += 1
     return p - mult
+
+
+def circulant_sweep_by_vector(p, seed):
+    """The circulant sweep's report with every first row ranked on its own:
+    all p^p in product order when p^p <= CIRCULANT_SAMPLES, else that many
+    drawn by randrange. It ranks through lemmas.circulant_rank, so a patched
+    rank reaches both this and the sweep, which ranks one row per orbit under
+    rotation and scaling. A rank fault that is not constant on those orbits
+    is left to test_circulant_rank_matches_closed_form_p3_p5, which checks
+    all 3,152 rows at p = 3 and 5 against circulant_rank_closed_form."""
+    rng = random.Random(seed)
+    exhaustive = p ** p <= lemmas.CIRCULANT_SAMPLES
+    if exhaustive:
+        vectors = itertools.product(range(p), repeat=p)
+        total = p ** p
+    else:
+        vectors = (tuple(rng.randrange(p) for _ in range(p))
+                   for _ in range(lemmas.CIRCULANT_SAMPLES))
+        total = lemmas.CIRCULANT_SAMPLES
+    bad = []
+    for m in vectors:
+        rank = lemmas.circulant_rank(m, p)
+        if (rank < p) != (sum(m) % p == 0):
+            bad.append({"vector": list(m), "rank": rank})
+    return lemmas._report("circulant", seed, cases_run=total, passed=total - len(bad),
+                          counterexamples=bad, exhaustive=exhaustive)
 
 
 def section_target_candidates(group, m, w):

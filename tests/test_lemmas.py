@@ -39,8 +39,9 @@ from ggslab.lemmas import (
     sweep_split_case,
 )
 from ggslab.words import format_word
-from oracles import (case2_by_tokens, case2_candidate, random_st1_element,
-                     short_section_by_redrawing, split_case_by_redrawing, st1_by_tokens)
+from oracles import (case2_by_tokens, case2_candidate, circulant_sweep_by_vector,
+                     random_st1_element, short_section_by_redrawing, split_case_by_redrawing,
+                     st1_by_tokens)
 
 REPORT_KEYS = {"lemma", "seed", "cases_run", "passed", "skipped", "counterexamples"}
 
@@ -414,6 +415,36 @@ def test_circulant_sweep_exhaustive():
     sampled = _clean(sweep_circulant(7, seed=7))  # 7^7 vectors, past the sample size
     assert sampled["exhaustive"] is False
     assert sampled["cases_run"] == CIRCULANT_SAMPLES
+
+
+@pytest.mark.parametrize("p, seed", [(3, 0), (3, 7), (5, 0), (5, 7), (7, 0)])
+def test_circulant_sweep_matches_ranking_every_row(p, seed):
+    assert sweep_circulant(p, seed) == circulant_sweep_by_vector(p, seed)
+
+
+def test_circulant_sweep_reports_every_member_of_a_failing_orbit(monkeypatch):
+    # a rank that is always full fails every row with entry sum zero: both
+    # list the 5^4 such rows at p = 5, in product order
+    monkeypatch.setattr(lemmas, "circulant_rank", lambda row, p: p)
+    rep = sweep_circulant(5, seed=0)
+    assert rep == circulant_sweep_by_vector(5, seed=0)
+    assert len(rep["counterexamples"]) == 625 and rep["passed"] == 2500
+    assert rep["counterexamples"][:2] == [{"vector": [0, 0, 0, 0, 0], "rank": 5},
+                                          {"vector": [0, 0, 0, 1, 4], "rank": 5}]
+
+
+def test_circulant_sweep_ranks_one_row_per_orbit(monkeypatch):
+    calls = collections.Counter()
+    rank = lemmas.circulant_rank
+
+    def counted(row, p):
+        calls[p] += 1
+        return rank(row, p)
+
+    monkeypatch.setattr(lemmas, "circulant_rank", counted)
+    for p in (3, 5, 7):
+        sweep_circulant(p, seed=0)
+    assert calls == {3: 6, 5: 158, 7: CIRCULANT_SAMPLES}
 
 
 def test_interval_sweep():

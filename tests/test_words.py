@@ -18,7 +18,7 @@ from ggslab.words import (
     power,
     random_word,
 )
-from ggslab.words import _reduce
+from ggslab.words import _below, _reduce
 
 from oracles import reduce_to_fixpoint
 
@@ -220,6 +220,26 @@ def test_random_word_deterministic_for_a_seeded_rng():
     assert w1 == w2
     with pytest.raises(InputError):
         random_word(5, -1, random.Random(42))
+
+
+@pytest.mark.parametrize("bad", [2.0, 1.5, "3", None, True, False])
+def test_random_word_takes_an_integer_syllable_bound(bad):
+    with pytest.raises(InputError, match="max_syllables must be an integer"):
+        random_word(5, bad, random.Random(0))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_below_draws_the_stream_randrange_and_randint_draw(seed):
+    # _below stands in for every randrange and randint the package once
+    # called; the same values and the same state after them keep each
+    # seeded sweep, and so each golden row, as it was
+    ours, stdlib = random.Random(seed), random.Random(seed)
+    for n in range(1, 65):
+        for _ in range(3):
+            assert _below(ours, n) == stdlib.randrange(n)
+            assert 1 + _below(ours, n) == stdlib.randint(1, n)
+            assert _below(ours, n + 1) == stdlib.randint(0, n)
+    assert ours.getstate() == stdlib.getstate()
 
 
 # the unchecked construction path -------------------------------------------------
