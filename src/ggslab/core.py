@@ -26,9 +26,8 @@ distinct words among the 20,000 short-section draws at p=7), but holding their
 sections costs memory, 14 MB in the table for those draws alone, so
 lemmas.exponent_profile calls _section_uncached and leaves the table as it
 was; the draw-based sweeps keep a per-call memo of verdicts instead, which
-the lemmas module docstring sizes. _section_uncached reduces as it walks;
-every section that is a pure a-power is one of the p words a^0, ..., a^{p-1}
-the group builds once.
+the lemmas module docstring sizes. Every section that emits no b-syllable is
+one of the p words a^0, ..., a^{p-1} the group builds once.
 """
 
 import itertools
@@ -37,7 +36,7 @@ import re
 from .errors import CrossCheckError, InputError
 from .fp import solve_linear_mod_p, validate_odd_prime
 from .words import (GroupWord, class_sums, concat, format_word, invert, normalize, parse_word,
-                    power, walk_classes)
+                    power, walk_classes, _reduce_runs)
 
 FAMILY_TORSION = "torsion"
 FAMILY_CONSTANT = "constant"
@@ -164,36 +163,25 @@ class GgsGroup:
         Walk the syllables left to right tracking the image of the letter under
         the prefix so far: an a-syllable only moves the tracked letter, a
         b-syllable emits b^beta when the letter sits at residue 0 (the letter p)
-        and a^{beta * e_v} when it sits at residue v != 0. The walk keeps the
-        reduced prefix as exps = [a_0, b_1, a_1, ..., b_k] plus the a-sum run
-        emitted since b_k. A b^beta after a run of 0 mod p merges into b_k, and
-        when that cancels b_k the walk pops back to a_{k-1} as its run. A
-        section with no b-syllable left is the interned word _a_powers[run % p].
+        and a^{beta * e_v} when it sits at residue v != 0. words._reduce_runs
+        reduces the emitted runs; a section that emits no b is _a_powers[run % p].
         """
         p = self.p
         e = self.e
         v = (r + w.leading_a) % p
+        runs = []
         run = 0
-        exps = []
         for beta, alpha in w.body:
             if v:
                 run += beta * e[v - 1]
-            elif exps and not run % p:
-                b = (exps[-1] + beta) % p
-                if b:
-                    exps[-1] = b
-                else:
-                    exps.pop()
-                    run = exps.pop()
             else:
-                exps.append(run % p)
-                exps.append(beta)
+                runs += (run, beta)
                 run = 0
             v = (v + alpha) % p
-        if not exps:
+        if not runs:
             return self._a_powers[run % p]
-        exps.append(run % p)
-        return GroupWord._reduced(p, exps[0], tuple(zip(exps[1::2], exps[2::2])))
+        runs.append(run)
+        return _reduce_runs(p, runs)
 
     def act_word(self, w, vertex):
         out = []

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .errors import CrossCheckError, InputError, ResourceLimitError
 from .fp import circulant_rank
 from .words import class_sums, format_word, random_word
-from .words import _below, _reduce
+from .words import _below, _reduce_runs
 from .core import DEFAULT_LENGTH_CAP, FAMILY_CONSTANT, make_ggs
 from .quotients import maximal_subgroups_census
 from . import model as _model
@@ -300,10 +300,11 @@ def _draw_st1(p, rng, max_factors, nonzero_t):
 
 
 def _st1_word(p, nums):
-    toks = []
+    runs = [0]
     for j, l in zip(nums[::2], nums[1::2]):
-        toks += [("a", -l), ("b", j), ("a", l)]
-    return _reduce(toks, p)
+        runs[-1] -= l
+        runs += (j, l)
+    return _reduce_runs(p, runs)
 
 
 def random_derived_element(group, rng):
@@ -334,10 +335,10 @@ def _case2_word(p, shape, nums):
     if shape == 0:
         return _st1_word(p, nums)
     v = nums[0]
-    toks = []
+    runs = [0]
     for i, j in zip(nums[1::2], nums[2::2]):
-        toks += [("b", i), ("a", -v), ("b", j), ("a", v)]
-    return _reduce(toks, p)
+        runs += (i, -v, j, v)
+    return _reduce_runs(p, runs)
 
 
 # sweeps ---------------------------------------------------------------------

@@ -9,12 +9,10 @@ leading and trailing a-exponents may vanish. The count m of b-syllables is the
 word's syllable length. GroupWord stores exactly this shape and is immutable
 and hashable, so words serve directly as memo keys elsewhere.
 
-GroupWord(...), normalize and parse_word validate their input. The package's
-own reductions (concat, invert, sections in core and the sweep draws in
-lemmas) start from tokens they built themselves, with valid generators and
-int exponents, so they reduce with _reduce and build the result with
-GroupWord._reduced, which checks nothing. random_word builds its draws, which
-are in normal form by construction, with GroupWord._reduced too.
+GroupWord(...), normalize and parse_word validate their input. normalize,
+concat, invert, the sections in core and the sweep draws in lemmas reduce
+through _reduce_runs; it and random_word, whose draws are normal forms by
+construction, build words with GroupWord._reduced, which checks nothing.
 
 Every random draw in the package goes through _below, the getrandbits
 rejection loop that random.Random.randrange(n) runs, without randrange's
@@ -141,48 +139,53 @@ _set_hash = GroupWord._hash.__set__
 def normalize(raw, p):
     """Reduce a (gen, exp) token sequence to its unique normal form."""
     validate_odd_prime(p)
-    toks = []
+    runs = [0]
     for gen, exp in raw:
         if gen not in ("a", "b"):
             raise InputError(f"unknown generator {gen!r}")
         if not isinstance(exp, int) or isinstance(exp, bool):
             raise InputError(f"exponent must be an integer, got {exp!r}")
-        toks.append((gen, exp))
-    return _reduce(toks, p)
-
-
-def _reduce(tokens, p):
-    """Normal form of (gen, exp) tokens with gen in {"a", "b"} and int exp.
-
-    A single left-to-right pass over a stack reaches the fixpoint: merging two
-    adjacent same-generator runs can only expose one earlier run, which the
-    stack top already is. The stack alternates generators, so its top's follows
-    from its length and first, its bottom's. After an optional leading a-run
-    its exponents read beta_1, alpha_2, beta_2, ...
-    """
-    exps = []  # nonzero residues, one per run
-    first = None
-    for gen, exp in tokens:
-        e = exp % p
-        if not e:
-            continue
-        if exps and (gen == first) == len(exps) % 2:
-            e = (exps[-1] + e) % p
-            if e:
-                exps[-1] = e
-            else:
-                exps.pop()
+        # runs alternates a, b, a, ..., so its last run is an a-run at odd length
+        if (gen == "a") == len(runs) % 2:
+            runs[-1] += exp
         else:
-            if not exps:
-                first = gen
-            exps.append(e)
-    lead = 0
-    if first == "a" and exps:
-        lead = exps[0]
-        del exps[0]
-    if len(exps) % 2:
-        exps.append(0)
-    return GroupWord._reduced(p, lead, tuple(zip(exps[::2], exps[1::2])))
+            runs.append(exp)
+    if not len(runs) % 2:
+        runs.append(0)
+    return _reduce_runs(p, runs)
+
+
+def _reduce_runs(p, runs):
+    """Normal form of the raw word a^{a_0} b^{b_1} a^{a_1} ... b^{b_k} a^{a_k},
+    given as its exponent runs [a_0, b_1, a_1, ..., b_k, a_k]: odd length, any
+    ints. Every reduction in the package goes through this one loop.
+
+    A single left-to-right pass reaches the fixpoint. It keeps the reduced
+    prefix exps = [a_0, b_1, a_1, ..., b_k], residues with every b and every
+    interior a nonzero, and run, the a-sum since b_k. A b-run of 0 mod p
+    vanishes, so the a-runs either side of it add up in run. A b-run after a
+    run of 0 mod p merges into b_k; when that cancels b_k, the loop pops back
+    to a_{k-1} as its run, and the next b-run may cancel b_{k-1} in turn.
+    Otherwise run and the b-run join the prefix.
+    """
+    run = runs[0]
+    exps = []
+    for k in range(1, len(runs), 2):
+        beta = runs[k] % p
+        if beta:
+            if exps and not run % p:
+                b = (exps[-1] + beta) % p
+                if b:
+                    exps[-1] = b
+                else:
+                    exps.pop()
+                    run = exps.pop()
+            else:
+                exps += (run % p, beta)
+                run = 0
+        run += runs[k + 1]
+    exps.append(run % p)
+    return GroupWord._reduced(p, exps[0], tuple(zip(exps[1::2], exps[2::2])))
 
 
 def class_sums(w):
@@ -209,14 +212,22 @@ def walk_classes(w):
     return tuple(classes)
 
 
+def _runs(w):
+    """The exponent runs [a_0, b_1, a_1, ..., b_k, a_k] of a normal form."""
+    return [w.leading_a, *(x for pair in w.body for x in pair)]
+
+
 def concat(w1, w2):
     if w1.p != w2.p:
         raise InputError(f"modulus mismatch: {w1.p} vs {w2.p}")
-    return _reduce(w1.tokens() + w2.tokens(), w1.p)
+    runs = _runs(w1)
+    runs[-1] += w2.leading_a
+    runs += _runs(w2)[1:]
+    return _reduce_runs(w1.p, runs)
 
 
 def invert(w):
-    return _reduce([(g, -e) for g, e in reversed(w.tokens())], w.p)
+    return _reduce_runs(w.p, [-x for x in reversed(_runs(w))])
 
 
 def power(w, n):

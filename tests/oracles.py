@@ -8,13 +8,13 @@ census on stabilizer chains built from nothing, a chain that strips every
 Schreier generator it is handed and rescans every (orbit point, generator)
 pair on each pass, the length sieve on the full
 section-target system and its class sequences filtered from all p^m, the
-class floor read off token lists, first-level sections as token walks
-reduced by normalize, the sweeps' st(1) and short-section draws built as
-elements, the short-section and split-case sweeps redrawing and rechecking
-every draw from its tokens, token lists rewritten to a fixpoint one merge at
-a time, Gauss-Jordan elimination to reduced row echelon form in one sweep
-per pivot, and the subgroup lattice of a finite model saturated under
-all-pairs joins.
+class floor read off token lists, first-level sections as token walks,
+the sweeps' st(1) and short-section draws built from tokens, the
+short-section and split-case sweeps redrawing and rechecking every draw from
+its tokens, each of those token lists rewritten to a fixpoint one merge at a
+time rather than by the package's reducer, Gauss-Jordan elimination to
+reduced row echelon form in one sweep per pivot, and the subgroup lattice of
+a finite model saturated under all-pairs joins.
 
 The layered basis (`_LayeredBasis`) is a second group engine, independent of
 the package's stabilizer chain: an induced polycyclic sequence of a subgroup
@@ -46,7 +46,7 @@ from ggslab.quotients import (
     level_quotient,
     project,
 )
-from ggslab.words import GroupWord, _reduce, format_word, normalize
+from ggslab.words import GroupWord, format_word
 
 
 def leaf_action(group, w, n):
@@ -563,16 +563,15 @@ def class_floor(group, w):
 def section_by_tokens(group, w, r):
     """Section of the normal form w at the letter with residue r: walk the
     syllables tracking the letter, emit b^beta at residue 0 and a^{beta e_v}
-    at residue v != 0, and reduce the whole token list with words.normalize.
-    This is how the package built each section before it reduced during the
-    walk."""
+    at residue v != 0, and rewrite the whole token list to a fixpoint with
+    reduce_to_fixpoint, which shares no code with the package's reducer."""
     p = group.p
     v = (r + w.leading_a) % p
     toks = []
     for beta, alpha in w.body:
         toks.append(("b", beta) if v == 0 else ("a", beta * group.e[v - 1]))
         v = (v + alpha) % p
-    return normalize(toks, p)
+    return reduce_to_fixpoint(toks, p)
 
 
 def reduce_to_fixpoint(tokens, p):
@@ -678,8 +677,8 @@ def all_subgroups_by_rounds(fm):
 
 def st1_by_tokens(group, rng, max_factors=lemmas.SWEEP_MAX_FACTORS, nonzero_t=False):
     """A random st(1) element as the sweeps drew it before draws were kept as
-    numbers: build the tokens of each conjugate (b^j)^(a^l), reduce every
-    draw, and test the b-exponent sum of the reduced word."""
+    numbers: build the tokens of each conjugate (b^j)^(a^l), rewrite every
+    draw to a fixpoint, and test the b-exponent sum of the reduced word."""
     p = group.p
     while True:
         toks = []
@@ -687,7 +686,7 @@ def st1_by_tokens(group, rng, max_factors=lemmas.SWEEP_MAX_FACTORS, nonzero_t=Fa
             j = rng.randrange(1, p)
             l = rng.randrange(p)
             toks += [("a", -l), ("b", j), ("a", l)]
-        w = _reduce(toks, p)
+        w = reduce_to_fixpoint(toks, p)
         if not nonzero_t or w.exponent_sums()[1] != 0:
             return group.element(w)
 
@@ -706,8 +705,8 @@ def case2_candidate(group, rng):
 
 
 def case2_by_tokens(group, rng):
-    """A short-section draw built from tokens: an st(1) draw with t != 0, or
-    the interleaved word b^{i_1} (b^{j_1})^{a^v} ...."""
+    """A short-section draw built from tokens and rewritten to a fixpoint: an
+    st(1) draw with t != 0, or the interleaved word b^{i_1} (b^{j_1})^{a^v} ...."""
     p = group.p
     if rng.random() < 0.5:
         return st1_by_tokens(group, rng, nonzero_t=True)
@@ -716,7 +715,7 @@ def case2_by_tokens(group, rng):
     toks = []
     for _ in range(mu):
         toks += [("b", rng.randrange(1, p)), ("a", -v), ("b", rng.randrange(1, p)), ("a", v)]
-    return group.element(_reduce(toks, p))
+    return group.element(reduce_to_fixpoint(toks, p))
 
 
 def short_section_by_redrawing(group, cases, seed):

@@ -18,7 +18,7 @@ from ggslab.words import (
     power,
     random_word,
 )
-from ggslab.words import _below, _reduce
+from ggslab.words import _below, _reduce_runs
 
 from oracles import reduce_to_fixpoint
 
@@ -285,7 +285,7 @@ def test_unchecked_reductions_build_valid_words(case):
             _assert_revalidates(cand, w1._ab)
 
 
-# the one-stack reduction against rewriting to a fixpoint ---------------------------
+# the one reduction loop against rewriting to a fixpoint ---------------------------
 
 
 _exponents = st.one_of(
@@ -299,7 +299,7 @@ _exponents = st.one_of(
 @given(st.sampled_from((3, 5, 7)),
        st.lists(st.tuples(st.sampled_from("ab"), _exponents), max_size=16))
 def test_reduce_matches_the_fixpoint_rewrite(p, toks):
-    got = _reduce(toks, p)
+    got = normalize(toks, p)
     want = reduce_to_fixpoint(toks, p)
     assert got == want
     assert (got._ab, hash(got)) == (want._ab, hash(want))
@@ -315,5 +315,38 @@ def test_reduce_matches_the_fixpoint_rewrite(p, toks):
     ([("a", 1), ("b", 1), ("a", 1), ("a", 2), ("b", 2), ("a", 1)], "a^2"),
 ])
 def test_reduce_stack_empties_and_restarts(toks, text):
-    assert format_word(_reduce(toks, 3)) == text
+    assert format_word(normalize(toks, 3)) == text
     assert format_word(reduce_to_fixpoint(toks, 3)) == text
+
+
+@st.composite
+def _runs_and_p(draw):
+    """An odd-length run list, with runs that are multiples of p; when
+    mirrored it is a word followed by its inverse, which cancels in full."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    runs = draw(st.lists(st.one_of(_exponents, st.integers(-4, 4).map(lambda k: p * k)),
+                         min_size=1, max_size=15).filter(lambda r: len(r) % 2))
+    if draw(st.booleans()):
+        runs[-1:] = [0] + [-x for x in reversed(runs[:-1])]
+    return p, runs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_runs_and_p())
+def test_reduce_runs_matches_the_fixpoint_rewrite(case):
+    p, runs = case
+    got = _reduce_runs(p, runs)
+    want = reduce_to_fixpoint([("ab"[k % 2], x) for k, x in enumerate(runs)], p)
+    assert got == want
+    assert (got._ab, hash(got)) == (want._ab, hash(want))
+
+
+def test_concat_cancels_against_invert():
+    rng = random.Random(21)
+    for _ in range(300):
+        p = rng.choice((3, 5, 7))
+        u, v = random_word(p, 8, rng), random_word(p, 8, rng)
+        assert concat(v, invert(v)).is_identity
+        assert concat(invert(v), v).is_identity
+        assert concat(concat(u, v), invert(v)) == u
+        assert concat(invert(u), concat(u, v)) == v
