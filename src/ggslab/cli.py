@@ -35,6 +35,18 @@ VERIFY_REGISTRY = (
 VERIFY_NAMES = tuple(name for name, _ in VERIFY_REGISTRY)
 
 
+def _seed(text):
+    """--seed N with N >= 0: random.Random seeds from abs(N), so -N would
+    rerun the stream of N under another name."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return seed
+
+
 def _add_command(subs, name, help_text, *, seed=False, length_cap=False):
     """A subcommand with --group and --json, plus only the flags it reads."""
     sub = subs.add_parser(name, help=help_text)
@@ -42,7 +54,8 @@ def _add_command(subs, name, help_text, *, seed=False, length_cap=False):
                      help="group spec, e.g. 'p=3;e=1,2'")
     sub.add_argument("--json", action="store_true", help="emit JSON instead of text")
     if seed:
-        sub.add_argument("--seed", type=int, default=0, help="sweep seed (default: 0)")
+        sub.add_argument("--seed", type=_seed, default=0, metavar="N",
+                         help="sweep seed, N >= 0 (default: 0)")
     if length_cap:
         sub.add_argument("--length-cap", type=int, default=DEFAULT_LENGTH_CAP, metavar="N",
                          help="syllable cap for length certification")

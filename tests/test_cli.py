@@ -292,6 +292,18 @@ def test_verify_flag_seed_beats_environment(capsys, monkeypatch):
     assert json.loads(out)[0]["seed"] == 4
 
 
+@pytest.mark.parametrize("seed", ["-7", "-1", "seven"])
+def test_verify_seed_must_be_a_nonnegative_integer(capsys, seed):
+    # random.Random(-7) draws the stream of random.Random(7), so a negative
+    # seed would rerun another seed's sweep and report it under its own name
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--group", "p=3;e=1,2", "--seed", seed, "circulant"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --seed: expected an integer >= 0, got '{seed}'" in captured.err
+
+
 def test_verify_counterexamples_exit_code(capsys, monkeypatch):
     def fake_sweep(group, seed=0):
         return {"lemma": "commutator-tuple", "seed": seed, "cases_run": 3,
@@ -436,3 +448,37 @@ def test_unknown_command_is_an_argparse_error(capsys):
         main(["frobnicate", "--group", "p=3;e=1,2"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+def test_help_screen_prints_usage(capsys, command):
+    # argparse expands % in help strings only when it prints them
+    argv = ["--help"] if command is None else [command, "--help"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: ggslab" + ("" if command is None else " " + command))
+    assert "--help" in out
+
+
+# modules the start-up must not load: the dataclasses chain (inspect pulls in
+# ast, dis and tokenize) and typing; the library path loads no CLI modules either
+HEAVY_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
+CLI_MODULES = {"argparse", "json", "random"}
+
+
+@pytest.mark.parametrize("module,forbidden", [
+    ("ggslab.cli", HEAVY_MODULES),
+    ("ggslab", HEAVY_MODULES | CLI_MODULES),
+])
+def test_import_loads_no_heavy_modules(module, forbidden):
+    # -S: no site, whose .pth files could import these first and hide a regression
+    code = ("import sys; before = set(sys.modules); import " + module
+            + "; print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC), timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert module in loaded
+    assert not loaded & forbidden

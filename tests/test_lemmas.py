@@ -121,6 +121,25 @@ def test_classify_case_examples():
         classify_case(ExponentProfile(3, 0, ((1, 1), (1, 2), (0, 0))), 2)  # t = 0
 
 
+def test_exponent_profile_is_an_immutable_value():
+    pairs = ((2, 1), (0, 3), (0, 0), (0, 0), (0, 0))
+    profile = ExponentProfile(5, 4, pairs)
+    assert (profile.p, profile.t, profile.pairs) == (5, 4, pairs)
+    for field in ("p", "t", "pairs"):
+        with pytest.raises(AttributeError):
+            setattr(profile, field, 0)
+    assert profile.pairs == pairs
+    twin = ExponentProfile(5, 4, ((2, 1), (0, 3)) + ((0, 0),) * 3)
+    assert twin == profile and not twin != profile
+    assert hash(twin) == hash(profile)
+    assert len({profile, twin}) == 1
+    assert profile != ExponentProfile(5, 9, pairs)  # t is compared as given, not mod p
+    assert profile != (5, 4, pairs) and (5, 4, pairs) != profile
+    with pytest.raises(CrossCheckError, match="m-column"):
+        ExponentProfile(5, 3, pairs)
+    assert repr(profile) == "ExponentProfile(p=5, t=4, pairs=((2, 1), (0, 3), (0, 0), (0, 0), (0, 0)))"
+
+
 # single checks --------------------------------------------------------------
 
 
