@@ -8,9 +8,11 @@ returns a JSON-ready report dict
     {"lemma", "seed", "cases_run", "passed", "skipped", "counterexamples"}
 
 with three-valued semantics: a case whose hypotheses fail is skipped, never
-silently passed. Quantities that admit two independent computations (exponent
-profiles most of all) are computed both ways and cross-checked on every call;
-a mismatch raises CrossCheckError rather than entering the report as data.
+silently passed; a seed or case count that is not an int >= 0 raises
+InputError before a sweep draws or reports. Quantities that admit two
+independent computations are computed both ways and cross-checked on every
+call, exponent profiles most of all: the p pairs (n_u, m_u), whose length is p
+and whose m-column sums to t; a mismatch raises CrossCheckError.
 
 The five draw-based sweeps share one loop, _sweep, which checks each
 distinct draw once per call. A draw is keyed by its numbers, or by its word
@@ -48,45 +50,11 @@ INTERVAL_MAX_P = 19
 CIRCULANT_MAX_P = 31
 
 
-class ExponentProfile:
-    """Per-letter exponent pairs of an element g of st(1) with g = b^t mod G'.
-
-    pairs[r] = (n_u, m_u) for the letter u with residue r (letter p sits at
-    r = 0), where section(g, u) = a^{n_u} b^{m_u} mod G'.
-    """
-
-    __slots__ = ("p", "t", "pairs")
-
-    def __init__(self, p, t, pairs):
-        if sum(m for _, m in pairs) % p != t % p:
-            raise CrossCheckError("profile m-column does not sum to t")
-        _set_profile_p(self, p)
-        _set_profile_t(self, t)
-        _set_profile_pairs(self, pairs)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("ExponentProfile is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, ExponentProfile):
-            return NotImplemented
-        return self.p == other.p and self.t == other.t and self.pairs == other.pairs
-
-    def __hash__(self):
-        return hash((self.p, self.t, self.pairs))
-
-    def __repr__(self):
-        return f"ExponentProfile(p={self.p!r}, t={self.t!r}, pairs={self.pairs!r})"
-
-
-# slot descriptors write past __setattr__, as in words.GroupWord
-_set_profile_p = ExponentProfile.p.__set__
-_set_profile_t = ExponentProfile.t.__set__
-_set_profile_pairs = ExponentProfile.pairs.__set__
-
-
 def exponent_profile(group, g):
-    """Profile of g in st(1) with abelianization (0, t), t != 0.
+    """Profile of g in st(1) with abelianization (0, t), t != 0: the tuple of
+    p pairs whose entry r is (n_u, m_u) for the letter u with residue r
+    (letter p sits at r = 0), where section(g, u) = a^{n_u} b^{m_u} mod G'.
+    The m-column sums to t mod p, so the pairs alone fix p and t.
 
     Computed two independent ways and cross-checked: once through the actual
     first-level sections, once through the conjugate decomposition
@@ -124,29 +92,31 @@ def exponent_profile(group, g):
         raise CrossCheckError(
             f"exponent profile mismatch for {format_word(w)!r}: "
             f"sections gave {direct}, decomposition gave {derived}")
-    return ExponentProfile(p, tb, tuple(direct))
+    return tuple(direct)
 
 
-def classify_case(profile, lam):
-    """The case, 1 or 2, of a valid profile in the two-case dichotomy.
+def classify_case(pairs, lam):
+    """The case, 1 or 2, of a profile in the two-case dichotomy.
 
+    pairs is a profile as exponent_profile returns it, indexed by residue; p
+    is its length and t the sum of its m-column mod p.
     Case 1 holds when some letter has n_u = 0 and m_u != 0 (that section is a
     pure b-power mod G'). Otherwise every letter with m_u != 0 has n_u != 0
     (the per-letter reading), and Case 2 needs at least two letters with
     n_u != lambda * m_u and at least two with m_u != 0; if either set of
     witnesses is short, something mathematically forced has failed.
     """
-    p = profile.p
+    p = len(pairs)
     lam %= p
     if lam == 0:
         raise InputError("the case split needs a non-torsion group (lambda != 0)")
-    if profile.t % p == 0:
+    if sum(m_u for _, m_u in pairs) % p == 0:
         raise InputError("the case split needs t != 0")
-    if any(n_u == 0 and m_u != 0 for n_u, m_u in profile.pairs):
+    if any(n_u == 0 and m_u != 0 for n_u, m_u in pairs):
         return 1
-    pairs = [profile.pairs[u % p] for u in range(1, p + 1)]
-    a_wit = [u for u, (n_u, m_u) in enumerate(pairs, 1) if n_u != (lam * m_u) % p]
-    m_wit = [u for u, (_, m_u) in enumerate(pairs, 1) if m_u != 0]
+    by_letter = [pairs[u % p] for u in range(1, p + 1)]
+    a_wit = [u for u, (n_u, m_u) in enumerate(by_letter, 1) if n_u != (lam * m_u) % p]
+    m_wit = [u for u, (_, m_u) in enumerate(by_letter, 1) if m_u != 0]
     if len(a_wit) < 2 or len(m_wit) < 2:
         raise CrossCheckError(
             f"Case 2 witness shortfall: a-witnesses {a_wit}, m-witnesses {m_wit}")
@@ -293,8 +263,7 @@ def infinite_order_trace(group, g, steps=TRACE_STEPS):
     i, j = g.abelianize()
     if i == 0 or j == 0:
         raise InputError("the trace needs abelianization (i, j) with i, j != 0")
-    if steps < 1:
-        raise InputError("need at least one step")
+    _require_int("steps", steps, least=1)
     trace = [g.abelianize()]
     cur = g
     for _ in range(steps):
@@ -363,17 +332,24 @@ def _case2_word(p, shape, nums):
 # sweeps ---------------------------------------------------------------------
 
 
+def _require_int(what, value, least=0):
+    """Raise InputError unless value is an int >= least (a bool is refused). A
+    seed is one with least = 0: random.Random seeds -n as n, and None from the OS."""
+    if type(value) is not int or value < least:
+        raise InputError(f"{what} must be an integer >= {least}, got {value!r}")
+
+
 def _report(lemma, seed, cases_run=0, passed=0, skipped=0, counterexamples=None, **extra):
-    rep = {
+    _require_int("seed", seed)
+    return {
         "lemma": lemma,
         "seed": seed,
         "cases_run": cases_run,
         "passed": passed,
         "skipped": skipped,
         "counterexamples": counterexamples or [],
+        **extra,
     }
-    rep.update(extra)
-    return rep
 
 
 def _guard_p(lemma, p, bound):
@@ -398,17 +374,19 @@ def sweep_commutator_tuple(group, seed=0):
                    counterexamples=bad)
 
 
-def _sweep(lemma, seed, cases, draw, check, budget=None):
+def _sweep(lemma, seed, cases, draw, check, attempts=1):
     """Draw from random.Random(seed) until `cases` cases are decided or
-    `budget` draws (default: `cases`) are spent. draw(rng) returns a hashable
+    `attempts` draws per case are spent. draw(rng) returns a hashable
     key that fixes the case; check(key) returns "pass", "skipped" or a
     counterexample entry. Each distinct key is checked once: a repeat reuses
     its verdict and counts again, a counterexample with its own "case"."""
+    _require_int("seed", seed)
+    _require_int("case count", cases)
     rng = random.Random(seed)
     verdicts = {}
     passed = skipped = 0
     bad = []
-    for _ in range(cases if budget is None else budget):
+    for _ in range(cases * attempts):
         if passed + len(bad) == cases:
             break
         key = draw(rng)
@@ -498,7 +476,7 @@ def sweep_short_section(group, cases, seed):
         return rep["status"]
 
     return _sweep("short-section", seed, cases, lambda rng: _draw_case2(p, rng), check,
-                  budget=cases * SHORT_SECTION_ATTEMPTS)
+                  attempts=SHORT_SECTION_ATTEMPTS)
 
 
 def sweep_length_contraction(group, cases, seed):
@@ -547,6 +525,7 @@ def sweep_circulant(p, seed):
     p = 5. Each row is reported at its place in product order, with the rank
     of its orbit's first row, so a failing orbit lists every member."""
     _guard_p("circulant", p, CIRCULANT_MAX_P)
+    _require_int("seed", seed)
     rng = random.Random(seed)
     exhaustive = p ** p <= CIRCULANT_SAMPLES
     if exhaustive:
@@ -634,28 +613,15 @@ def sweep_constant_model(group, seed=0):
         return _report("constant-model", seed, skipped=1,
                        note="model applies to the constant-vector group only")
     p = group.p
-    bad = []
-    cases = 0
-    skipped = 0
     _check_action_map(p)
-    cases += 1
-    for q1, q2 in ((2, 3), (2, 5)):
-        cases += 1
-        if not _model.distinct_mq_witness(q1, q2, p):
-            bad.append({"detail": f"M_{q1} and M_{q2} not seen distinct"})
-    finite_census = None
-    model_order = p * 2 ** (p - 1)
-    if model_order <= MODEL_CENSUS_ORDER_CAP:
+    bad = [{"detail": f"M_{q1} and M_{q2} not seen distinct"}
+           for q1, q2 in ((2, 3), (2, 5)) if not _model.distinct_mq_witness(q1, q2, p)]
+    cases, extra = 3, {}  # the action map and the two M_q pairs; the census is a fourth
+    if p * 2 ** (p - 1) <= MODEL_CENSUS_ORDER_CAP:
         cases += 1
         fm = _model.reduce_mod(p, 2)
-        maximal = _model.enumerate_maximal_subgroups(fm)
-        finite_census = _model.census_dict(fm, maximal)
-        if not any(not rec["normal"] and rec["index"] != p for rec in finite_census["maximal"]):
+        census = extra["census"] = _model.census_dict(fm, _model.enumerate_maximal_subgroups(fm))
+        if not any(not rec["normal"] and rec["index"] != p for rec in census["maximal"]):
             bad.append({"detail": "no non-normal maximal subgroup of index != p in the model"})
-    else:
-        skipped += 1
-    rep = _report("constant-model", seed, cases_run=cases, passed=cases - len(bad),
-                  skipped=skipped, counterexamples=bad)
-    if finite_census is not None:
-        rep["census"] = finite_census
-    return rep
+    return _report("constant-model", seed, cases_run=cases, passed=cases - len(bad),
+                   skipped=4 - cases, counterexamples=bad, **extra)

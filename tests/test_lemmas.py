@@ -6,6 +6,7 @@ import random
 import pytest
 
 from ggslab import lemmas
+from ggslab.cli import VERIFY_REGISTRY
 from ggslab.core import GgsGroup, make_ggs
 from ggslab.errors import CrossCheckError, InputError, ResourceLimitError
 from ggslab.lemmas import (
@@ -15,7 +16,6 @@ from ggslab.lemmas import (
     CONTRACTION_MAX_FACTORS,
     INTERVAL_MAX_P,
     SWEEP_MAX_FACTORS,
-    ExponentProfile,
     check_derived_product,
     check_propagates,
     check_section_less_than_half,
@@ -53,17 +53,14 @@ def test_profile_hand_example():
     # g = b * b^a over p=3, e=(1,1): psi(g) = (ab, a^2, ba)
     g = make_ggs(3, (1, 1))
     x = g.b * g.b.conjugate(g.a)
-    prof = exponent_profile(g, x)
-    assert prof.t == 2
-    # pairs by residue: letter p sits at residue 0, letters 1 and 2 at 1 and 2
-    assert prof.pairs == ((1, 1), (1, 1), (2, 0))
+    # pairs by residue: letter p sits at residue 0, letters 1 and 2 at 1 and 2;
+    # the m-column sums to t = 2
+    assert exponent_profile(g, x) == ((1, 1), (1, 1), (2, 0))
 
 
 def test_profile_of_b():
     g = make_ggs(3, (1, 1))
-    prof = exponent_profile(g, g.b)
-    assert prof.t == 1
-    assert prof.pairs == ((0, 1), (1, 0), (1, 0))
+    assert exponent_profile(g, g.b) == ((0, 1), (1, 0), (1, 0))
 
 
 def test_profile_shifts_under_conjugation_by_a():
@@ -74,7 +71,7 @@ def test_profile_shifts_under_conjugation_by_a():
     # section at letter u of x^a is the section of x at letter u-1
     for u in range(1, 6):
         prev = 5 if u == 1 else u - 1
-        assert shifted.pairs[u % 5] == base.pairs[prev % 5]
+        assert shifted[u % 5] == base[prev % 5]
 
 
 def test_profile_requires_level_one_stabilizer():
@@ -110,34 +107,16 @@ def test_classify_case_examples():
     # b * b^a: profile ((1, 1), (1, 1), (2, 0)) has no pure b-power section
     assert classify_case(exponent_profile(g, g.b * g.b.conjugate(g.a)), g.lam) == 2
     # hand-built profiles, pairs by residue (letter p at residue 0)
-    assert classify_case(ExponentProfile(5, 4, ((2, 1), (0, 3), (0, 0), (0, 0), (0, 0))), 2) == 1
-    assert classify_case(ExponentProfile(5, 4, ((1, 1), (1, 3), (3, 0), (0, 0), (0, 0))), 2) == 2
+    # p is the number of pairs and t the m-column sum, 4 at p = 5
+    assert classify_case(((2, 1), (0, 3), (0, 0), (0, 0), (0, 0)), 2) == 1
+    assert classify_case(((1, 1), (1, 3), (3, 0), (0, 0), (0, 0)), 2) == 2
     # lambda = 2: no pure b-power section, yet only letter 3 has n_u != lambda * m_u
     with pytest.raises(CrossCheckError, match="Case 2 witness shortfall"):
-        classify_case(ExponentProfile(3, 1, ((1, 1), (0, 0), (0, 0))), 2)
-    with pytest.raises(InputError):
-        classify_case(ExponentProfile(3, 1, ((0, 1), (1, 0), (1, 0))), 3)  # lambda = 0
-    with pytest.raises(InputError):
-        classify_case(ExponentProfile(3, 0, ((1, 1), (1, 2), (0, 0))), 2)  # t = 0
-
-
-def test_exponent_profile_is_an_immutable_value():
-    pairs = ((2, 1), (0, 3), (0, 0), (0, 0), (0, 0))
-    profile = ExponentProfile(5, 4, pairs)
-    assert (profile.p, profile.t, profile.pairs) == (5, 4, pairs)
-    for field in ("p", "t", "pairs"):
-        with pytest.raises(AttributeError):
-            setattr(profile, field, 0)
-    assert profile.pairs == pairs
-    twin = ExponentProfile(5, 4, ((2, 1), (0, 3)) + ((0, 0),) * 3)
-    assert twin == profile and not twin != profile
-    assert hash(twin) == hash(profile)
-    assert len({profile, twin}) == 1
-    assert profile != ExponentProfile(5, 9, pairs)  # t is compared as given, not mod p
-    assert profile != (5, 4, pairs) and (5, 4, pairs) != profile
-    with pytest.raises(CrossCheckError, match="m-column"):
-        ExponentProfile(5, 3, pairs)
-    assert repr(profile) == "ExponentProfile(p=5, t=4, pairs=((2, 1), (0, 3), (0, 0), (0, 0), (0, 0)))"
+        classify_case(((1, 1), (0, 0), (0, 0)), 2)
+    with pytest.raises(InputError, match="lambda != 0"):
+        classify_case(((0, 1), (1, 0), (1, 0)), 3)
+    with pytest.raises(InputError, match="t != 0"):
+        classify_case(((1, 1), (1, 2), (0, 0)), 2)  # m-column sum 3 = 0 mod 3
 
 
 # single checks --------------------------------------------------------------
@@ -221,6 +200,13 @@ def test_infinite_order_trace_preconditions():
         infinite_order_trace(g, g.b)
     with pytest.raises(InputError):
         infinite_order_trace(g, g.a * g.b, steps=0)
+
+
+@pytest.mark.parametrize("steps", [2.0, True, "3", None])
+def test_infinite_order_trace_refuses_a_step_count_that_is_not_an_int(steps):
+    g = make_ggs(3, (1, 1))
+    with pytest.raises(InputError, match="steps must be an integer >= 1"):
+        infinite_order_trace(g, g.a * g.b, steps)
 
 
 def test_interval_scan():
@@ -502,6 +488,37 @@ def test_constant_model_sweep():
     rep = _clean(sweep_constant_model(make_ggs(3, (1, 1)), seed=12))
     assert rep["passed"] == rep["cases_run"]
     assert sweep_constant_model(make_ggs(3, (1, 2)))["skipped"] == 1
+
+
+@pytest.fixture
+def no_generator(monkeypatch):
+    """random.Random made to fail, so a sweep that seeds one cannot pass."""
+    def refused(*args):
+        raise AssertionError(f"random.Random{args} was constructed")
+
+    monkeypatch.setattr(random, "Random", refused)
+
+
+@pytest.mark.parametrize("spec", [(3, (1, 1)), (5, (1, 0, 2, 4))])
+@pytest.mark.parametrize("name, run", VERIFY_REGISTRY, ids=[n for n, _ in VERIFY_REGISTRY])
+@pytest.mark.parametrize("seed", [-7, -1, True, 1.5, None, "0"])
+def test_every_sweep_refuses_a_seed_that_is_not_a_nonnegative_int(no_generator, spec, name,
+                                                                   run, seed):
+    # random.Random seeds -n as n and None from the OS; 1.5 and "0" would be
+    # echoed into the report. Each runs with its registry case count.
+    with pytest.raises(InputError, match="seed must be an integer >= 0"):
+        run(make_ggs(*spec), seed)
+
+
+@pytest.mark.parametrize("sweep", [sweep_derived_product, sweep_split_case, sweep_propagation,
+                                   sweep_short_section, sweep_length_contraction])
+@pytest.mark.parametrize("cases", [2.5, True, -3, None, "5"])
+def test_draw_sweeps_refuse_a_case_count_that_is_not_a_nonnegative_int(no_generator, sweep,
+                                                                       cases):
+    # unchecked, range(2.5) raises a bare TypeError, True runs one case and -3
+    # gives an empty passing report
+    with pytest.raises(InputError, match="case count must be an integer >= 0"):
+        sweep(make_ggs(5, (1, 0, 2, 4)), cases, 0)
 
 
 def test_sweeps_deterministic_for_fixed_seed():
