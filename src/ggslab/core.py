@@ -19,15 +19,23 @@ Sanity anchor for the sign conventions: psi([a, b]) computes to
 (b^{-1} a^{e_1}, a^{e_2 - e_1}, ..., a^{e_{p-1} - e_{p-2}}, a^{-e_{p-1}} b).
 
 GgsGroup and Element are immutable; the group carries internal memo tables
-(sections, settled equality pairs, certified lengths) that live as long as the
-group and never shrink. They hold what later calls revisit: sections met by
-equal(), lengths and the class floor. The sweeps' random draws repeat (10,497
-distinct words among the 20,000 short-section draws at p=7), but holding their
-sections costs memory, 14 MB in the table for those draws alone, so
-lemmas.exponent_profile calls _section_uncached and leaves the table as it
-was; the draw-based sweeps keep a per-call memo of verdicts instead, which
-the lemmas module docstring sizes. Every section that emits no b-syllable is
-one of the p words a^0, ..., a^{p-1} the group builds once.
+(sections, settled equality pairs, certified lengths, interned sections) that
+live as long as the group and never shrink. The section memo, keyed by word
+and residue, holds what later calls revisit: sections met by equal(), lengths
+and the class floor. lemmas.exponent_profile leaves it as it was, since the
+sweeps' draws are many (10,497 distinct words among the 20,000 short-section
+draws at p=7) and the draw-based sweeps keep a per-call memo of verdicts,
+which the lemmas module docstring sizes. Sections themselves are few, because
+contraction keeps them short: those draws walk 75,649 sections, and the 30,529
+that emit a b-syllable have only 1,637 distinct normal forms. So every section
+is interned. One that emits no b-syllable is one of the p words a^0, ...,
+a^{p-1} the group builds once; any other is keyed in _interned by its emitted
+runs and reduced once. After verify all at seed 0 on the benchmark's five
+groups (p=3 e=1,2; p=3 e=1,1; p=5 e=1,0,2,4; p=5 e=1,1,1,1; p=7
+e=1,0,0,0,0,0), _interned holds 196, 345, 1,144, 1,082 and 2,677 entries. A
+run reduces one section per entry, plus 3 in the second group that the
+k-generator check builds for the constant vectors, where reducing every
+b-carrying section took 460, 2,298, 4,841, 4,291 and 35,154 reductions.
 """
 
 import itertools
@@ -80,6 +88,7 @@ class GgsGroup:
         self._a_powers = tuple(GroupWord._reduced(p, k, ()) for k in range(p))
         self._id_word = self._a_powers[0]
         self._sections = {}
+        self._interned = {}
         self._eq_true = set()
         self._eq_false = set()
         self._lengths = {}
@@ -158,13 +167,15 @@ class GgsGroup:
         return res
 
     def _section_uncached(self, w, r):
-        """The section of section_word, computed without touching the memo.
+        """The section of section_word, computed without touching its memo.
 
         Walk the syllables left to right tracking the image of the letter under
         the prefix so far: an a-syllable only moves the tracked letter, a
         b-syllable emits b^beta when the letter sits at residue 0 (the letter p)
-        and a^{beta * e_v} when it sits at residue v != 0. words._reduce_runs
-        reduces the emitted runs; a section that emits no b is _a_powers[run % p].
+        and a^{beta * e_v} when it sits at residue v != 0. A section that emits
+        no b is _a_powers[run % p]. Any other is interned: the tuple of emitted
+        runs, every a-run mod p, keys _interned, so words._reduce_runs reduces
+        each distinct tuple once and later walks share its normal form.
         """
         p = self.p
         e = self.e
@@ -175,13 +186,17 @@ class GgsGroup:
             if v:
                 run += beta * e[v - 1]
             else:
-                runs += (run, beta)
+                runs += (run % p, beta)
                 run = 0
             v = (v + alpha) % p
         if not runs:
             return self._a_powers[run % p]
-        runs.append(run)
-        return _reduce_runs(p, runs)
+        runs.append(run % p)
+        key = tuple(runs)
+        word = self._interned.get(key)
+        if word is None:
+            word = self._interned[key] = _reduce_runs(p, runs)
+        return word
 
     def act_word(self, w, vertex):
         out = []

@@ -15,10 +15,12 @@ call, exponent profiles most of all: the p pairs (n_u, m_u), whose length is p
 and whose m-column sums to t; a mismatch raises CrossCheckError.
 
 The five draw-based sweeps share one loop, _sweep, which checks each
-distinct draw once per call. A draw is keyed by its numbers, or by its word
-where it goes through random_word: holding the 11,326 distinct short-section
-draws at p=7 as numbers leaves the peak RSS of a perfbench verify batch at
-23.2 MB, as words 26.1 MB (Python 3.11, medians of ten and of three 10 s runs).
+distinct draw once per call. A draw is keyed by one flat tuple of its
+numbers, (shape, *nums) for short-section, or by its word where it goes
+through random_word: holding the 11,326 distinct short-section draws at p=7
+as flat tuples leaves the peak RSS of a perfbench verify batch at 23.4 MB, as
+(shape, nums) pairs 23.8 MB and as words 26.9 MB (Python 3.11, medians of ten
+60 s and of three 10 s runs, with the groups' section intern tables filled).
 """
 
 import itertools
@@ -61,8 +63,10 @@ def exponent_profile(group, g):
     g = prod_k (b^{j_k})^{a^{l_k}} read off the normal form, which gives
     m_u = sum of j_k over k with l_k = u (the class sum B_{-u}, since
     l_k = -c_k for the walk class c_k) and n_u = sum_j e_j m_{u-j}.
-    The sections are full normal forms built by GgsGroup._section_uncached,
-    which leaves the group's section memo unchanged.
+    The sections are full normal forms built on every call by
+    GgsGroup._section_uncached, which leaves the group's section memo
+    unchanged and shares each distinct section through the group's intern
+    table.
     """
     p = group.p
     ta, tb = g.abelianize()
@@ -71,8 +75,9 @@ def exponent_profile(group, g):
     if tb == 0:
         raise InputError("exponent profile needs g = b^t mod G' with t != 0")
 
-    # route 1: sections, kept out of the memo: the draws do repeat, but holding
-    # their sections costs memory (see core)
+    # route 1: the real sections, walked for every draw and kept out of the
+    # (word, residue) memo; the intern table reduces each distinct one once
+    # (see core)
     w = g.word
     direct = [group._section_uncached(w, r)._ab for r in range(p)]
 
@@ -307,19 +312,19 @@ def random_derived_element(group, rng):
 
 
 def _draw_case2(p, rng):
-    """The shape and number tuple of a short-section draw: either a generic
+    """The flat key (shape, *nums) of a short-section draw: either a generic
     st(1) draw, shape 0 with its (j, l) pairs, or the two-letter interleaved
     word b^{i_1} (b^{j_1})^{a^v} ... that the short-section analysis centres
     on, shape 1 with v followed by its (i, j) pairs."""
     if rng.random() < 0.5:
-        return 0, _draw_st1(p, rng, SWEEP_MAX_FACTORS, True)
-    nums = [1 + _below(rng, p - 1)]
+        return (0, *_draw_st1(p, rng, SWEEP_MAX_FACTORS, True))
+    nums = [1, 1 + _below(rng, p - 1)]
     for _ in range(1 + _below(rng, 2)):
         nums += (1 + _below(rng, p - 1), 1 + _below(rng, p - 1))
-    return 1, tuple(nums)
+    return tuple(nums)
 
 
-def _case2_word(p, shape, nums):
+def _case2_word(p, shape, *nums):
     if shape == 0:
         return _st1_word(p, nums)
     v = nums[0]
@@ -374,14 +379,18 @@ def sweep_commutator_tuple(group, seed=0):
                    counterexamples=bad)
 
 
-def _sweep(lemma, seed, cases, draw, check, attempts=1):
+def _sweep(lemma, seed, cases, draw, check, attempts=1, skip_note=None):
     """Draw from random.Random(seed) until `cases` cases are decided or
     `attempts` draws per case are spent. draw(rng) returns a hashable
     key that fixes the case; check(key) returns "pass", "skipped" or a
     counterexample entry. Each distinct key is checked once: a repeat reuses
-    its verdict and counts again, a counterexample with its own "case"."""
+    its verdict and counts again, a counterexample with its own "case".
+    With a skip_note the sweep draws nothing and reports one skip with that
+    note, once the seed and case count have passed their checks."""
     _require_int("seed", seed)
     _require_int("case count", cases)
+    if skip_note:
+        return _report(lemma, seed, skipped=1, note=skip_note)
     rng = random.Random(seed)
     verdicts = {}
     passed = skipped = 0
@@ -419,9 +428,6 @@ def sweep_split_case(group, cases, seed):
     Each case computes the profile two ways and classifies it; a failed
     cross-check or a Case 2 witness shortfall is a counterexample. Skipped
     entirely on torsion groups."""
-    if group.lam == 0:
-        return _report("split-case", seed, skipped=1,
-                       note="case split undefined for torsion groups (lambda = 0)")
     p = group.p
 
     def check(nums):
@@ -433,13 +439,12 @@ def sweep_split_case(group, cases, seed):
         return "pass"
 
     return _sweep("split-case", seed, cases,
-                  lambda rng: _draw_st1(p, rng, SWEEP_MAX_FACTORS, True), check)
+                  lambda rng: _draw_st1(p, rng, SWEEP_MAX_FACTORS, True), check,
+                  skip_note=None if group.lam
+                  else "case split undefined for torsion groups (lambda = 0)")
 
 
 def sweep_propagation(group, cases, seed):
-    if group.lam == 0:
-        return _report("propagation", seed, skipped=1,
-                       note="propagation needs a non-torsion group")
     p = group.p
 
     def draw(rng):
@@ -454,7 +459,8 @@ def sweep_propagation(group, cases, seed):
             return "pass"
         return {"word": format_word(w), "mismatches": rep["mismatches"]}
 
-    return _sweep("propagation", seed, cases, draw, check)
+    return _sweep("propagation", seed, cases, draw, check,
+                  skip_note=None if group.lam else "propagation needs a non-torsion group")
 
 
 def sweep_short_section(group, cases, seed):
@@ -463,9 +469,6 @@ def sweep_short_section(group, cases, seed):
     the hypotheses count as skipped. When e has a single nonzero entry e_j,
     n_u = e_j m_{u-j} and Case 2 needs all p class sums m_u nonzero, which no
     draw reaches once p > SWEEP_MAX_FACTORS."""
-    if group.lam == 0:
-        return _report("short-section", seed, skipped=1,
-                       note="needs a non-torsion group")
     p = group.p
 
     def check(key):
@@ -476,7 +479,8 @@ def sweep_short_section(group, cases, seed):
         return rep["status"]
 
     return _sweep("short-section", seed, cases, lambda rng: _draw_case2(p, rng), check,
-                  attempts=SHORT_SECTION_ATTEMPTS)
+                  attempts=SHORT_SECTION_ATTEMPTS,
+                  skip_note=None if group.lam else "needs a non-torsion group")
 
 
 def sweep_length_contraction(group, cases, seed):

@@ -218,6 +218,56 @@ def test_uncached_sections_match_the_token_walk(case):
         want = section_by_tokens(g, w, r)
         assert got == want
         assert (got._ab, hash(got)) == (want._ab, hash(want))
+        # a second walk is served from the intern table
+        again = g._section_uncached(w, r)
+        assert again is got
+        assert again == section_by_tokens(g, w, r)
+
+
+@pytest.mark.parametrize("p,e", _SECTION_GROUPS)
+def test_words_with_one_section_share_one_interned_word(p, e):
+    # a w walks the syllables of w from the next letter, and w a^k walks them
+    # as w does, so both emit the runs of w:
+    # section(a w, r) = section(w a^k, r + 1) = section(w, r + 1)
+    g = make_ggs(p, e)
+    rng = random.Random(p)
+    shared = 0
+    for _ in range(30):
+        w = random_word(p, 5, rng)
+        aw = concat(GroupWord(p, 1, ()), w)
+        wa = concat(w, GroupWord(p, 1 + rng.randrange(p - 1), ()))
+        for r in range(p):
+            sec = g._section_uncached(w, (r + 1) % p)
+            assert g._section_uncached(aw, r) is sec
+            assert g.section_word(aw, r) is sec
+            assert g._section_uncached(wa, (r + 1) % p) is sec
+            shared += bool(sec.body)
+    assert shared
+
+
+def test_short_section_sweep_reduces_each_interned_section_once(monkeypatch):
+    # the p=7 sweep of verify all: 20,000 draws walk 75,649 sections, 30,529 of
+    # which emit a b-syllable, but those emit only 2,070 distinct run tuples,
+    # which reduce to 1,637 distinct normal forms; the rest are _a_powers
+    from ggslab.lemmas import sweep_short_section
+
+    g = make_ggs(7, (1, 0, 0, 0, 0, 0))
+    reduce_runs = core._reduce_runs
+    walk = GgsGroup._section_uncached
+    reduced = []
+    walked = []
+    monkeypatch.setattr(core, "_reduce_runs",
+                        lambda p, runs: reduced.append(tuple(runs)) or reduce_runs(p, runs))
+    monkeypatch.setattr(GgsGroup, "_section_uncached",
+                        lambda self, w, r: walked.append(walk(self, w, r)) or walked[-1])
+    assert sweep_short_section(g, 50, 0)["skipped"] == 20000
+    a_powers = set(map(id, g._a_powers))
+    emitted_b = [id(sec) for sec in walked if id(sec) not in a_powers]
+    assert len(walked) == 75649
+    assert len(emitted_b) == 30529
+    assert len(reduced) == len(set(reduced)) == len(g._interned) == 2070
+    assert len(set(g._interned.values())) == 1637
+    assert set(map(id, g._interned.values())) == set(emitted_b)
 
 
 @pytest.mark.parametrize("p,e", _SECTION_GROUPS)

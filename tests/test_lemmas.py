@@ -521,6 +521,15 @@ def test_draw_sweeps_refuse_a_case_count_that_is_not_a_nonnegative_int(no_genera
         sweep(make_ggs(5, (1, 0, 2, 4)), cases, 0)
 
 
+@pytest.mark.parametrize("sweep, cases", [(sweep_split_case, -3), (sweep_propagation, 2.5),
+                                          (sweep_short_section, True)])
+def test_torsion_skip_still_refuses_a_bad_case_count(no_generator, sweep, cases):
+    # on a torsion group these sweeps report one skip without drawing; the
+    # case count is checked before that report, as on every other group
+    with pytest.raises(InputError, match="case count must be an integer >= 0"):
+        sweep(make_ggs(3, (1, 2)), cases, 0)
+
+
 def test_sweeps_deterministic_for_fixed_seed():
     g = make_ggs(3, (1, 1))
     assert sweep_propagation(g, 25, seed=13) == sweep_propagation(g, 25, seed=13)
