@@ -5,7 +5,9 @@ Leaves are indexed by the rank of their vertex word in lexicographic order over
 deterministic stabilizer chain (base points taken in natural leaf order,
 Schreier generators processed in a fixed order, and a repeated one skipped
 unstripped, which leaves the chain as it was), so repeated runs agree byte
-for byte.
+for byte. Each level's orbit is crossed only with the generators received at
+or above that level and stored at or below it, which generate the same group
+as all those stored at or below it (the proof is in `_StabilizerChain`).
 
 Internally a permutation of degree p^n <= 256 is a 256-byte `bytes` table
 whose entries past p^n are the identity: composing is `bytes.translate`,
@@ -39,10 +41,10 @@ from .errors import CrossCheckError, InputError, ResourceLimitError
 from .fp import circulant_rank
 
 # Largest leaf count a level quotient is built on. It admits level 2 for every
-# p <= 23 (the p = 23 chain in about 0.7 s on a 2-vCPU VM), level 3 for p <= 7
-# (0.4 s at 343 leaves) and level 5 for p = 3 (0.1 s); it refuses p = 5 at
+# p <= 23 (the p = 23 chain in about 0.18 s on a 2-vCPU VM), level 3 for p <= 7
+# (0.12 s at 343 leaves) and level 5 for p = 3 (0.02 s); it refuses p = 5 at
 # level 4 and p = 3 at level 6, whose 625 and 729 leaves take the stabilizer
-# chain 18 s and 17 s. `project` is refused past it too.
+# chain 2.3 s and 2.8 s. `project` is refused past it too.
 LEAF_GUARD = 529  # 23^2 leaves
 
 _TABLE = 256  # largest degree stored as a bytes translate table
@@ -188,20 +190,34 @@ class _StabilizerChain:
     `sift` and the Schreier step share `_strip`, which composes with a
     representative's inverse only where the base point moves.
 
-    Orbits and generator lists only grow, and closing level i ingests
-    Schreier generators at deeper levels only, so no level's closure
-    re-enters itself. Hence whenever `_close_level(i)` returns, `done[i]` is
-    the full rectangle: every orbit point times every generator of level i
-    and deeper. `_crossed[i]` holds how many of each gens[k], k >= i, that
-    rectangle spans, so a pass crosses the old orbit points with the
-    generators added since and the new orbit points with all of them, in
-    (orbit position, level, position) order, and never looks at a pair
-    again.
+    Level j crosses its orbit with its usable generators `_usable[j]`: those
+    that `_ingest` received at a level <= j and stored at a level >= j, as
+    (level, position, permutation) in the order they were stored. An input of
+    `add_generator` is received at level 0, a Schreier generator of level i
+    at level i + 1. Schreier's lemma needs only a generating set of H_j, the
+    group of every generator stored at level j or deeper, and the usable ones
+    generate it, by induction on creation order. A generator g received at
+    L > j is a Schreier generator of level L - 1, a word in the usable
+    generators of that level, stripped by transversal elements of levels
+    >= L, words in the usable generators there. So g lies in H_(L-1), which
+    lies in H_j, which the usable generators of level j already generate.
+    Hence a level's orbit is the full H_j-orbit of its base. A generator
+    stored deeper still counts at every level from the one it was received
+    at: when e_1 = 0, b fixes leaf 0 and is stored below level 0, and level 0
+    crosses it. For a level quotient, level 0 crosses the p^n leaves with a
+    and b alone; the textbook rule, every generator stored at level j or
+    deeper (`tests/oracles.TextbookChain`), crossed them with every generator
+    of the chain, which did 16,141 pairs on the benchmark census to this
+    chain's 6,100.
 
-    A level's orbit is closed under the generators of that level and every
-    deeper one: a generator stored deeper fixes this level's base by
-    construction but can still move other points of the orbit, so leaving it
-    out undercounts the orbit.
+    Orbits and usable lists only grow. Closing level i ingests Schreier
+    generators received at level i + 1, so `_usable[i]` stays put while
+    level i closes and no level's closure re-enters itself. `_crossed[i]`
+    counts the usable generators of level i crossed so far, so one pass
+    crosses the old orbit points with those added since and the new orbit
+    points with all of them, in (orbit position, level, position) order.
+    When `_close_level(i)` returns, `done[i]` is the full rectangle of orbit
+    points times usable generators, and no pair is looked at again.
 
     Next to each transversal the chain keeps the inverse of every
     representative, computed once when the entry is created, so sifting and
@@ -213,16 +229,19 @@ class _StabilizerChain:
     the same level returns at once. That changes no chain state. The first
     copy of g stripped from level L to a residue r that either was the
     identity or was stored at the level i where stripping stopped, and
-    closing that level set trans[r(base_i)] = r before anything else could
-    run. Transversal entries are never replaced, so a repeat of g strips
-    through the same entries to r, then to the identity, and was a no-op.
+    closing that level set trans[r(base_i)] = r before the transversal took
+    any other entry: every usable generator crossed ahead of r there was
+    stored deeper and fixes base_i. Transversal entries are never replaced,
+    so a repeat of g strips through the same entries to r, then to the
+    identity, and was a no-op.
     The seen sets are keyed by the images of 0..degree-1 alone (a 256-byte
     table would double the peak memory of a degree-125 chain) and are
     dropped when `add_generator` returns.
 
     Every stored permutation is in the internal format of `_as_perm`: a
     256-byte translate table for degree <= 256 and a tuple above 256.
-    `add_generator`, `sift` and `contains` accept any sequence of images.
+    `sift` and `contains` accept any sequence of images; `add_generator`
+    refuses one that is not a permutation of 0..degree-1.
     """
 
     def __init__(self, degree):
@@ -234,7 +253,8 @@ class _StabilizerChain:
         self.transversals = []  # per level: point -> perm mapping base to point
         self.inverses = []      # per level: point -> inverse of that perm
         self.done = []          # per level: (point, level, position) processed
-        self._crossed = []      # per level: len(gens[k]), k >= level, crossed with the orbit
+        self._usable = []       # per level: (level, position, perm) it crosses its orbit with
+        self._crossed = []      # per level: how many of _usable[level] the orbit has crossed
         self._compose = bytes.translate if degree <= _TABLE else _compose
         self._seen = None       # per level: perms ingested in this add_generator call
 
@@ -266,9 +286,20 @@ class _StabilizerChain:
         return self.sift(perm) == self.identity
 
     def add_generator(self, perm):
+        """Add a permutation of 0..degree-1: a sequence of its images, or a
+        table that also fixes every point past the degree. Anything else is
+        an InputError, raised before the chain changes: an input seeds level
+        0 and every level it is stored at or above."""
+        degree = self.degree
+        table = degree <= _TABLE and type(perm) is bytes and len(perm) == _TABLE
+        images = perm[:degree] if table else tuple(perm)
+        if ((table and perm[degree:] != _IDENTITY_TABLE[degree:])
+                or any(type(x) is not int for x in images)
+                or sorted(images) != list(range(degree))):
+            raise InputError(f"not a permutation of {degree} points")
         self._seen = collections.defaultdict(set)
         try:
-            self._ingest(_as_perm(perm, self.degree), 0)
+            self._ingest(_as_perm(perm, degree), 0)
             # a residue placed deep in the chain may move non-base points of
             # shallower orbits, so sweep every level to a global fixpoint
             while any(self._close_level(i) for i in range(len(self.bases))):
@@ -277,7 +308,7 @@ class _StabilizerChain:
             self._seen = None
 
     def _ingest(self, g, level):
-        # g fixes the bases of all levels below `level`
+        # g is received at `level`: it fixes the bases of all levels below it
         seen = self._seen[level]
         key = g[:self.degree] if type(g) is bytes else g
         if key in seen:
@@ -294,52 +325,51 @@ class _StabilizerChain:
             self.transversals.append({base: self.identity})
             self.inverses.append({base: self.identity})
             self.done.append(set())
-            self._crossed.append([])
+            self._usable.append([])
+            self._crossed.append(0)
         if res not in self.gens[i]:
             self.gens[i].append(res)
+            entry = (i, len(self.gens[i]) - 1, res)
+            for j in range(level, i + 1):
+                self._usable[j].append(entry)
         self._close_level(i)
 
     def _close_level(self, i):
-        """Cross the orbit of level i with the generators of level i and
-        deeper until it is closed, each (orbit point, generator) pair once;
-        returns whether any pair was new."""
+        """Cross the orbit of level i with its usable generators until it is
+        closed, each (orbit point, generator) pair once, in one pass; returns
+        whether any pair was new."""
+        usable = self._usable[i]
+        crossed = self._crossed[i]
+        if crossed == len(usable):
+            return False
         orbit = self.orbits[i]
         trans = self.transversals[i]
         inverses = self.inverses[i]
         done = self.done[i]
         compose = self._compose
         identity = self.identity
-        gens = self.gens
-        progressed = False
-        while True:
-            sizes = [len(gens[k]) for k in range(i, len(gens))]
-            # levels made since the last pass have no generator crossed yet
-            crossed = self._crossed[i] + [0] * (len(sizes) - len(self._crossed[i]))
-            fresh = [(k, pos, s) for k, c in enumerate(crossed, i)
-                     for pos, s in enumerate(gens[k][c:], c)]
-            if not fresh:
-                return progressed
-            progressed = True
-            every = [(k, pos, s) for k in range(i, len(gens)) for pos, s in enumerate(gens[k])]
-            old = len(orbit)
-            j = 0
-            while j < len(orbit):
-                beta = orbit[j]
-                t = trans[beta]
-                for k, pos, s in (fresh if j < old else every):
-                    done.add((beta, k, pos))
-                    gamma = s[beta]
-                    image = compose(t, s)
-                    if gamma not in trans:
-                        trans[gamma] = image
-                        inverses[gamma] = _inverse(image)
-                        orbit.append(gamma)
-                    else:
-                        schreier = compose(image, inverses[gamma])
-                        if schreier != identity:
-                            self._ingest(schreier, i + 1)
-                j += 1
-            self._crossed[i] = sizes
+        # the Schreier generators go to deeper levels, so `usable` stays put
+        fresh = usable[crossed:]
+        old = len(orbit)
+        j = 0
+        while j < len(orbit):
+            beta = orbit[j]
+            t = trans[beta]
+            for k, pos, s in (fresh if j < old else usable):
+                done.add((beta, k, pos))
+                gamma = s[beta]
+                image = compose(t, s)
+                if gamma not in trans:
+                    trans[gamma] = image
+                    inverses[gamma] = _inverse(image)
+                    orbit.append(gamma)
+                else:
+                    schreier = compose(image, inverses[gamma])
+                    if schreier != identity:
+                        self._ingest(schreier, i + 1)
+            j += 1
+        self._crossed[i] = len(usable)
+        return True
 
 
 class PermQuotient:

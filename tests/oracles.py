@@ -4,9 +4,10 @@ Everything here but the layered basis is deliberately naive and cache-free:
 plain breadth-first enumeration of leaf permutations, depth-bounded
 recursive action comparison, the closed-form quotient order and circulant
 rank, the circulant sweep ranking every first row, the maximal-subgroup
-census on stabilizer chains built from nothing, a chain that strips every
-Schreier generator it is handed and rescans every (orbit point, generator)
-pair on each pass, the length sieve on the full
+census on stabilizer chains built from nothing, a chain that crosses each
+level's orbit with every generator stored at that level or deeper, a chain
+that strips every Schreier generator it is handed and rescans every (orbit
+point, generator) pair on each pass, the length sieve on the full
 section-target system and its class sequences filtered from all p^m, the
 class floor read off token lists, first-level sections as token walks,
 the sweeps' st(1) and short-section draws built from tokens, the
@@ -139,11 +140,63 @@ def closed_form_log_order(p, e, n):
     return rank * p ** (n - 2) + 1 - delta * (p ** (n - 2) - 1) // (p - 1)
 
 
+class TextbookChain(_StabilizerChain):
+    """The stabilizer chain with the textbook closure rule: `_close_level(i)`
+    crosses the orbit of level i with every generator stored at level i or
+    deeper, not only with the usable ones. Those generate the same group, so
+    the order and every membership agree with the package's chain; the work
+    does not. Generators stored deeper can grow during a pass, so a pass
+    crosses the old orbit points with the generators added since the last one
+    and the new points with all of them, until a pass finds nothing new."""
+
+    def __init__(self, degree):
+        super().__init__(degree)
+        # per level: len(gens[k]), k >= level, crossed with the orbit
+        self._crossed_every = collections.defaultdict(list)
+
+    def _close_level(self, i):
+        orbit = self.orbits[i]
+        trans = self.transversals[i]
+        inverses = self.inverses[i]
+        done = self.done[i]
+        gens = self.gens
+        progressed = False
+        while True:
+            sizes = [len(gens[k]) for k in range(i, len(gens))]
+            # levels made since the last pass have no generator crossed yet
+            crossed = self._crossed_every[i] + [0] * (len(sizes) - len(self._crossed_every[i]))
+            fresh = [(k, pos, s) for k, c in enumerate(crossed, i)
+                     for pos, s in enumerate(gens[k][c:], c)]
+            if not fresh:
+                return progressed
+            progressed = True
+            every = [(k, pos, s) for k in range(i, len(gens)) for pos, s in enumerate(gens[k])]
+            old = len(orbit)
+            j = 0
+            while j < len(orbit):
+                beta = orbit[j]
+                for k, pos, s in (fresh if j < old else every):
+                    done.add((beta, k, pos))
+                    gamma = s[beta]
+                    image = _compose(trans[beta], s)
+                    if gamma not in trans:
+                        trans[gamma] = image
+                        inverses[gamma] = _inverse(image)
+                        orbit.append(gamma)
+                    else:
+                        schreier = _compose(image, inverses[gamma])
+                        if schreier != self.identity:
+                            self._ingest(schreier, i + 1)
+                j += 1
+            self._crossed_every[i] = sizes
+
+
 class StripEveryGeneratorChain(_StabilizerChain):
     """The stabilizer chain as it ran before it skipped repeated Schreier
     generators and crossed each level's orbit from its frontier: `_ingest`
     strips every generator it is handed, and each pass of `_close_level`
-    walks every (orbit point, generator) pair, skipping those in `done`."""
+    walks every (orbit point, usable generator) pair, skipping those in
+    `done`."""
 
     def _ingest(self, g, level):
         # g fixes the bases of all levels below `level`
@@ -158,8 +211,12 @@ class StripEveryGeneratorChain(_StabilizerChain):
             self.transversals.append({base: self.identity})
             self.inverses.append({base: self.identity})
             self.done.append(set())
+            self._usable.append([])
         if res not in self.gens[i]:
             self.gens[i].append(res)
+            entry = (i, len(self.gens[i]) - 1, res)
+            for j in range(level, i + 1):
+                self._usable[j].append(entry)
         self._close_level(i)
 
     def _close_level(self, i):
@@ -169,8 +226,7 @@ class StripEveryGeneratorChain(_StabilizerChain):
         done = self.done[i]
         progressed = False
         while True:
-            gens = [(k, pos, s) for k in range(i, len(self.gens))
-                    for pos, s in enumerate(self.gens[k])]
+            gens = list(self._usable[i])
             advanced = False
             j = 0
             while j < len(orbit):
@@ -349,11 +405,13 @@ def frattini_theorem_failures(p, vectors):
             != p ** (circulant_rank(list(e) + [0], p) - 1)]
 
 
-def normal_closure_chain(seeds, conjugators, degree):
+def normal_closure_chain(seeds, conjugators, degree, chain_type=_StabilizerChain):
     """Chain for the smallest subgroup containing seeds and closed under
     conjugation by the given conjugators, and the seeds it kept.
-    Deterministic: seeds in order, new conjugates appended FIFO."""
-    chain = _StabilizerChain(degree)
+    Deterministic: seeds in order, new conjugates appended FIFO. Each kept
+    seed enlarges the group, and a chain of subgroups of S_d has fewer than
+    2d links, so more kept seeds than that mean a chain that does not close."""
+    chain = chain_type(degree)
     pairs = [(_inverse(c), c) for c in conjugators]
     kept = []
     queue = list(seeds)
@@ -361,6 +419,8 @@ def normal_closure_chain(seeds, conjugators, degree):
         h = queue.pop(0)
         if chain.contains(h):
             continue
+        if len(kept) == 2 * degree:
+            raise AssertionError(f"the chain kept {len(kept)} seeds of degree {degree}")
         chain.add_generator(h)
         kept.append(h)
         for c_inv, c in pairs:

@@ -34,12 +34,14 @@ from ggslab.words import random_word
 
 from oracles import (
     StripEveryGeneratorChain,
+    TextbookChain,
     _LayeredBasis,
     bfs_quotient_order,
     census_by_sifting,
     closed_form_log_order,
     frattini_theorem_failures,
     layered_frattini_index,
+    normal_closure_chain,
 )
 
 
@@ -270,34 +272,38 @@ def test_chain_inverse_cache(p, e, n):
     assert extended.order() > chain.order()
 
 
-# the chain shape of the six benchmark census groups, frozen from the chain on
-# tuples: bases, orbit sizes and processed (point, generator) pairs per level
+# the chain shape of the six benchmark census groups, frozen from the chain
+# that crosses each level with its usable generators: bases, orbit sizes and
+# processed (point, generator) pairs per level. The textbook rule
+# (`oracles.TextbookChain`) has the same orbit sizes and 16,141 pairs in all:
+# its level 0 crosses every generator of the chain (81 x 25 pairs at p=3
+# e=1,0), where it now crosses a and b alone (81 x 2)
 CHAIN_SHAPES = {
     ("p=3;e=1,0", 4): (
         (0, 27, 54, 72, 63, 57, 45, 48, 36, 30, 39, 75, 18, 21, 9, 3, 12, 66),
         (81, 27, 27, 9, 3, 3, 9, 3, 3, 3, 3, 3, 9, 3, 3, 3, 3, 3),
-        (2025, 621, 567, 162, 48, 45, 126, 36, 33, 30, 27, 24, 63, 15, 12, 9, 6, 3)),
+        (162, 216, 351, 117, 36, 33, 90, 30, 27, 24, 21, 18, 45, 15, 12, 9, 6, 3)),
     ("p=3;e=1,2", 4): (
         (0, 27, 30, 36, 45, 54, 63, 9, 57, 72, 3, 18),
         (81, 27, 3, 9, 3, 9, 3, 3, 3, 3, 3, 3),
-        (1296, 378, 36, 99, 27, 72, 18, 15, 12, 9, 6, 3)),
+        (162, 243, 33, 90, 27, 72, 18, 15, 12, 9, 6, 3)),
     ("p=3;e=1,1", 4): (
         (0, 27, 30, 36, 9, 54, 63, 12, 39, 18, 45, 57, 72, 3),
         (81, 27, 3, 9, 9, 27, 3, 3, 3, 3, 3, 3, 3, 3),
-        (1458, 432, 45, 126, 108, 297, 24, 21, 18, 15, 12, 9, 6, 3)),
+        (162, 324, 33, 99, 99, 270, 24, 21, 18, 15, 12, 9, 6, 3)),
     ("p=5;e=1,0,2,4", 3): (
-        (0, 25, 75, 100, 105, 80, 110, 85, 90, 50, 30, 35, 55, 40, 60, 115, 65, 5, 10, 15),
+        (0, 25, 75, 100, 105, 110, 80, 85, 90, 50, 30, 35, 55, 40, 60, 115, 65, 5, 10, 15),
         (125, 25, 25, 25, 5, 5, 5, 5, 5, 25, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5),
-        (3125, 575, 525, 475, 85, 80, 75, 70, 65, 300, 50, 45, 40, 35, 30, 25, 20, 15,
+        (250, 250, 425, 475, 85, 80, 75, 70, 65, 300, 50, 45, 40, 35, 30, 25, 20, 15,
          10, 5)),
     ("p=5;e=1,2,3,4", 3): (
         (0, 25, 30, 50, 55, 75, 100, 5),
         (125, 25, 5, 5, 5, 5, 5, 5),
-        (1250, 200, 30, 25, 20, 15, 10, 5)),
+        (250, 150, 30, 25, 20, 15, 10, 5)),
     ("p=7;e=1,0,0,0,0,0", 2): (
         (0, 42, 35, 28, 21, 14, 7),
         (49, 7, 7, 7, 7, 7, 7),
-        (392, 42, 35, 28, 21, 14, 7)),
+        (98, 42, 35, 28, 21, 14, 7)),
 }
 
 
@@ -305,7 +311,7 @@ def test_chain_shape_totals():
     # the totals the benchmark's traced census reports
     assert sum(len(b) for b, _, _ in CHAIN_SHAPES.values()) == 79
     assert sum(sum(o) for _, o, _ in CHAIN_SHAPES.values()) == 1099
-    assert sum(sum(d) for _, _, d in CHAIN_SHAPES.values()) == 16141
+    assert sum(sum(d) for _, _, d in CHAIN_SHAPES.values()) == 6100
 
 
 @pytest.mark.parametrize("spec,n", list(CHAIN_SHAPES))
@@ -317,12 +323,12 @@ def test_chain_shape_frozen(spec, n):
     assert tuple(len(d) for d in chain.done) == pairs
 
 
-# the same shape on the tuple path, frozen from the chain before its sift
-# skipped unmoved base points and `done` was keyed by generator position
+# the same shape on the tuple path; the textbook rule gives the same bases
+# and orbit sizes and 7,514 pairs, 5,202 of them at level 0
 P17_SHAPE = (
     (0, 17, 34, 51, 68, 85, 102, 119, 136, 153, 170, 187, 204, 238, 221, 255, 272),
     (289,) + (17,) * 16,
-    (5202, 272, 255, 238, 221, 204, 187, 170, 153, 136, 119, 102, 85, 68, 51, 34, 17))
+    (578, 272, 255, 238, 221, 204, 187, 170, 153, 136, 119, 102, 85, 68, 51, 34, 17))
 
 
 def test_chain_shape_frozen_on_tuples():
@@ -332,7 +338,7 @@ def test_chain_shape_frozen_on_tuples():
     assert tuple(chain.bases) == bases
     assert tuple(len(o) for o in chain.orbits) == orbit_sizes
     assert tuple(len(d) for d in chain.done) == pairs
-    assert (len(bases), sum(orbit_sizes), sum(pairs)) == (17, 561, 7514)
+    assert (len(bases), sum(orbit_sizes), sum(pairs)) == (17, 561, 2890)
 
 
 @pytest.mark.parametrize("p,e,n", [(3, (1, 0), 4), (17, P17_E, 2)])
@@ -362,6 +368,79 @@ def test_chain_skips_repeated_generators_exactly(spec, n):
     assert chain._seen is None
 
 
+def _case_id(case):
+    p, e, n = case
+    return f"{p}-{''.join(map(str, e))}-{n}"
+
+
+# every nonzero vector at p = 3 up to level 4, every vector at p = 5 whose
+# first nonzero entry is 1 at level 2 (G_{ce} = G_e), the benchmark census
+# groups and the tuple path. Vectors with e_1 = 0 matter most: there b fixes
+# leaf 0 and is stored below level 0, and level 0 must still cross it.
+USABLE_RULE_CASES = tuple(dict.fromkeys(
+    [(3, e, n) for n in (2, 3, 4) for e in itertools.product(range(3), repeat=2) if any(e)]
+    + [(5, e, 2) for e in itertools.product(range(5), repeat=4)
+       if any(e) and next(x for x in e if x) == 1]
+    + [(parse_group_spec(spec).p, tuple(parse_group_spec(spec).e), n)
+       for spec, n in CHAIN_SHAPES]
+    + [(17, P17_E, 2)]))
+
+
+def _agree_with_textbook(chain, oracle, p, n, words, rng):
+    degree = p ** n
+    assert chain.order() == oracle.order()
+    members = [project(w, n).images for w in words]
+    others = [tuple(rng.sample(range(degree), degree)) for _ in range(3)]
+    for x in members + others:
+        assert chain.contains(x) == oracle.contains(x)
+
+
+@pytest.mark.parametrize("case", USABLE_RULE_CASES, ids=_case_id)
+def test_usable_generators_give_the_textbook_chain(case):
+    # each level crosses only generators received at or above it and stored
+    # at or below it; the oracle crosses every generator stored at or below
+    p, e, n = case
+    g = make_ggs(p, e)
+    gens = [project(g.a, n).images, project(g.b, n).images]
+    oracle = TextbookChain(p ** n)
+    for x in gens:
+        oracle.add_generator(x)
+    rng = random.Random(repr(case))
+    words = [g.element(random_word(p, 6, rng)) for _ in range(6)]
+    _agree_with_textbook(_chain_of(gens, p ** n), oracle, p, n, words, rng)
+
+
+def test_usable_generators_give_the_textbook_normal_closure():
+    # the normal closure of [a, b] hands the chain one input per kept conjugate
+    p, n = 3, 4
+    g = make_ggs(p, (1, 0))
+    a_img, b_img = project(g.a, n).images, project(g.b, n).images
+    comm = _compose(_compose(_inverse(a_img), _inverse(b_img)), _compose(a_img, b_img))
+    chain, kept = normal_closure_chain([comm], [a_img, b_img], p ** n)
+    oracle, oracle_kept = normal_closure_chain([comm], [a_img, b_img], p ** n, TextbookChain)
+    assert kept == oracle_kept and len(kept) > 2
+    rng = random.Random(n)
+    words = [g.element(random_word(p, 6, rng)) for _ in range(6)]
+    _agree_with_textbook(chain, oracle, p, n, words, rng)
+
+
+def test_add_generator_refuses_non_permutations():
+    # a repeated image once recursed until RecursionError, and a table moving
+    # points past the degree was stored as it was, giving order 2
+    swapped = bytearray(_IDENTITY_TABLE)
+    swapped[200], swapped[201] = 201, 200
+    for bad in ((1, 1, 2, 3, 4, 5, 6, 7, 8), bytes(swapped), (1, 0, 2, 3, 4, 5, 6, 7, 9),
+                (1, 0, 2, 3, 4, 5, 6, 7, 8.0), (True, 0, 2, 3, 4, 5, 6, 7, 8)):
+        chain = _StabilizerChain(9)
+        with pytest.raises(InputError, match="not a permutation of 9 points"):
+            chain.add_generator(bad)
+        assert chain.order() == 1 and chain.bases == [] and chain._seen is None
+    chain = _chain_of([(1, 2, 0, 3, 4, 5, 6, 7, 8)], 9)
+    with pytest.raises(InputError):
+        chain.add_generator((1, 1, 2, 3, 4, 5, 6, 7, 8))
+    assert chain.order() == 3 and chain.contains((1, 2, 0, 3, 4, 5, 6, 7, 8))
+
+
 class _PairCounter(set):
     """A `done` set that counts pair examinations: each membership test is one,
     and so is each add that does not follow a membership test of its key."""
@@ -389,9 +468,9 @@ class _CountingLevels(list):
 
 
 def test_chain_examines_each_pair_once():
-    # over the benchmark census shapes the chain processes 16,141 pairs; a
-    # loop that rescanned every pair on each pass and skipped those in `done`
-    # examined 260,031
+    # over the benchmark census shapes the chain processes 6,100 pairs (the
+    # textbook rule 16,141); a loop that rescanned every pair on each pass and
+    # skipped those in `done` examined 86,752 (260,031 under the textbook rule)
     processed = examined = 0
     for spec, n in CHAIN_SHAPES:
         g = parse_group_spec(spec)
@@ -401,14 +480,15 @@ def test_chain_examines_each_pair_once():
         chain.add_generator(project(g.b, n).images)
         processed += sum(len(d) for d in chain.done)
         examined += sum(d.examined for d in chain.done)
-    assert processed == 16141
+    assert processed == 6100
     assert examined == processed
 
 
 def test_census_strips_each_distinct_generator_once(monkeypatch):
-    # one census pass over the six benchmark groups hands the chain 14,636
-    # Schreier generators, 5,092 of them distinct (level, permutation) pairs;
-    # the chain once stripped all 14,636
+    # one census pass over the six benchmark groups hands the chain 4,784
+    # Schreier generators, 1,355 of them distinct (level, permutation) pairs;
+    # the chain once stripped all of them, and under the textbook rule it was
+    # handed 14,636, 5,092 of them distinct
     calls = collections.Counter()
     real_strip, real_ingest = _StabilizerChain._strip, _StabilizerChain._ingest
 
@@ -424,7 +504,7 @@ def test_census_strips_each_distinct_generator_once(monkeypatch):
     monkeypatch.setattr(_StabilizerChain, "_ingest", ingest)
     for spec, n in CHAIN_SHAPES:
         maximal_subgroups_census(parse_group_spec(spec), n)
-    assert calls == {"ingest": 14636, "strip": 5092}
+    assert calls == {"ingest": 4784, "strip": 1355}
 
 
 _LEVEL_CALLS = {
@@ -552,11 +632,6 @@ CENSUS_ORACLE_CASES = (
                            (1, 1, 1, 1), (1, 2, 2, 1))]
     + [(5, e, 3) for e in ((1, 0, 2, 4), (1, 2, 3, 4))]
     + [(7, e, 2) for e in ((1, 0, 0, 0, 0, 0), (1, 2, 3, 4, 5, 6))])
-
-
-def _case_id(case):
-    p, e, n = case
-    return f"{p}-{''.join(map(str, e))}-{n}"
 
 
 @pytest.mark.parametrize("case", CENSUS_ORACLE_CASES, ids=_case_id)
