@@ -2,9 +2,10 @@
 
 A matrix is a plain sequence of equal-length integer rows; every entry is
 reduced to its canonical residue in {0, ..., p-1} before use, and no floating
-point enters anywhere. There is one elimination routine: rank runs only its
-forward pass to row echelon form (_echelon), and solving adds
-back-substitution to reduced row echelon form (_row_reduce).
+point enters anywhere. There is one elimination routine, behind gaussian_rank
+and solve_linear_mod_p: rank runs only its forward pass to row echelon form
+(_echelon), and solving adds back-substitution to reduced row echelon form
+(_row_reduce).
 
 The routine holds residue rows in one of two encodings, chosen by p alone
 (_row_ops). Below p = 128 a row is a bytes object, one residue per byte, and
@@ -16,9 +17,14 @@ field stays at or below 2p - 2, which fits in a byte, so no carry crosses
 into the next field, only while p < 128. From p = 128 on the rows stay lists
 of ints, reduced entry by entry. The tables are built on first use of each p.
 
-Entries must be ints (_residue_rows): a bool, float or string raises InputError.
-A circulant's first row is reduced and encoded once, and _echelon eliminates
-its p rotations, slices of that one encoded row.
+Entries must be ints (_residue_rows, which reads each row once, so a row may
+be an iterator): a bool, float or string raises InputError.
+
+A circulant's rank needs no elimination. Its row k is x^k c(x) mod x^p - 1,
+for c the first-row polynomial, so its row space is the ideal of
+F_p[x]/(x^p - 1) that c generates, which is the ideal of g = gcd(c, x^p - 1),
+of dimension p - deg g. circulant_rank runs Euclid's algorithm with x^p - 1
+itself, in O(p^2) field operations against O(p^3) for elimination.
 """
 
 from .errors import InputError
@@ -140,7 +146,9 @@ def _row_reduce(work, n_cols, p):
 
 def _residue_rows(rows, p):
     """The rows as lists of canonical residues mod p; InputError unless every
-    entry is an int (a bool is not). Only the set of entry types is tested."""
+    entry is an int (a bool is not). Only the set of entry types is tested.
+    Each row is read once, into a list, before any check."""
+    rows = [list(row) for row in rows]
     types = set()
     for row in rows:
         types.update(map(type, row))
@@ -169,10 +177,12 @@ def solve_linear_mod_p(rows, rhs, p):
     None when the system is inconsistent.
     """
     validate_odd_prime(p)
-    n_cols = len(rows[0]) if rows else 0
-    if len(rhs) != len(rows) or any(len(row) != n_cols for row in rows):
+    work = _residue_rows(rows, p)
+    (rhs,) = _residue_rows([rhs], p)
+    n_cols = len(work[0]) if work else 0
+    if len(rhs) != len(work) or any(len(row) != n_cols for row in work):
         raise InputError("a linear system needs equal-length rows and one right-hand side per row")
-    aug = _encode_rows(_residue_rows([[*row, b] for row, b in zip(rows, rhs)], p), p)
+    aug = _encode_rows([row + [b] for row, b in zip(work, rhs)], p)
     pivots = _row_reduce(aug, n_cols, p)
     if any(row[n_cols] for row in aug[len(pivots):]):
         return None
@@ -192,16 +202,42 @@ def solve_linear_mod_p(rows, rhs, p):
     return tuple(particular), tuple(basis)
 
 
-def _rotations(row, p):
-    """The p rows whose row k is row (of length p, a list or a bytes row)
-    cyclically shifted k steps to the right."""
+def circulant_rank(first_row, p):
+    """Rank over F_p of the circulant with the given first row (length p):
+    p - deg gcd(c, x^p - 1) for c the first-row polynomial (module docstring).
+
+    The gcd comes from Euclid's algorithm on coefficient lists, highest degree
+    first, started from x^p - 1 itself. It reads neither the entry sum nor the
+    factor x - 1: x^p - 1 = (x - 1)^p makes the rank p minus the multiplicity
+    of the root 1, which is the closed form the tests check this against, and
+    a rank read off the entry sum would make the circulant sweep's criterion
+    (rank < p iff the entries sum to 0) restate itself instead of checking it."""
+    validate_odd_prime(p)
+    (row,) = _residue_rows([first_row], p)
     if len(row) != p:
         raise InputError(f"a circulant over F_{p} needs exactly {p} entries, got {len(row)}")
-    return [row[-k:] + row[:-k] for k in range(p)]
-
-
-def circulant_rank(first_row, p):
-    """Rank over F_p of the circulant with the given first row (length p)."""
-    validate_odd_prime(p)
-    row = _encode_rows(_residue_rows([first_row], p), p)[0]
-    return len(_echelon(_rotations(row, p), p, p))
+    # Euclid from x^p - 1 and c: dividend <- dividend mod divisor in place,
+    # reduced mod p only where a quotient coefficient is read and once as the
+    # remainder (an entry meanwhile loses fewer than p products of residues);
+    # every remainder is trimmed, so its length is its degree + 1
+    dividend, divisor = [1] + [0] * (p - 1) + [p - 1], row[::-1]
+    while divisor and not divisor[0]:
+        del divisor[0]
+    if not divisor:
+        return 0
+    while len(divisor) > 1:
+        n = len(divisor)
+        lead_inv = pow(divisor[0], p - 2, p)
+        start = len(dividend) - n + 1
+        for i in range(start):
+            q = dividend[i] * lead_inv % p
+            if q:
+                for j in range(1, n):
+                    dividend[i + j] -= q * divisor[j]
+        remainder = [x % p for x in dividend[start:]]
+        while remainder and not remainder[0]:
+            del remainder[0]
+        if not remainder:
+            return p - (n - 1)
+        dividend, divisor = divisor, remainder
+    return p

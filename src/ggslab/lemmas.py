@@ -27,7 +27,7 @@ import itertools
 import random
 
 from .errors import CrossCheckError, InputError, ResourceLimitError
-from .fp import circulant_rank
+from .fp import circulant_rank, validate_odd_prime
 from .words import class_sums, format_word, random_word
 from .words import _below, _reduce_runs
 from .core import DEFAULT_LENGTH_CAP, FAMILY_CONSTANT, make_ggs
@@ -46,8 +46,8 @@ CENSUS_LEVEL = 2  # level of the maximal-subgroup census
 MODEL_CENSUS_ORDER_CAP = 100  # largest finite model the census enumerates
 # Largest p each scan of fixed size runs at before it raises ResourceLimitError.
 # The interval scan grows like p^6 (3-5 s at p = 19 on a 2-vCPU VM); the
-# circulant sweep ranks 10,000 p x p circulants (about 5 s at p = 31, from
-# 7-7.5 s when each rank reduced and encoded all p^2 entries).
+# circulant sweep ranks 10,000 p x p circulants (1.3 s at p = 31 by a gcd, from
+# 2.9 s when each rank was an elimination of the p rotations).
 INTERVAL_MAX_P = 19
 CIRCULANT_MAX_P = 31
 
@@ -223,7 +223,9 @@ def interval_lemma_scan(p):
     For every step i != 0, interval count 1 < k < p-1 and pair i1 != i2:
     whenever exactly two v in F_p have |I_v intersect {i1, i2}| = 1, where
     I_v = {v - d*i : 0 <= d <= k-1}, check i2 = i1 +- i. Returns the list of
-    violating quadruples (empty when the lemma holds)."""
+    violating quadruples (empty when the lemma holds); InputError unless p is
+    an odd prime >= 5."""
+    validate_odd_prime(p)
     if p < 5:
         raise InputError("the interval criterion needs p >= 5 (so that 1 < k < p-1 is nonempty)")
     violations = []
@@ -556,11 +558,14 @@ def sweep_circulant(p, seed):
 
 def sweep_interval(p, seed=0):
     """The interval criterion over F_p, scanned exhaustively; past
-    INTERVAL_MAX_P it raises ResourceLimitError before scanning."""
+    INTERVAL_MAX_P it raises ResourceLimitError before scanning, and below it
+    a p that is not an odd prime raises InputError (the bound comes first, so
+    a huge p is refused before its trial division)."""
+    _guard_p("interval-lemma", p, INTERVAL_MAX_P)
+    validate_odd_prime(p)
     if p < 5:
         return _report("interval-lemma", seed, skipped=1,
                        note="needs p >= 5; the inner interval range is empty below that")
-    _guard_p("interval-lemma", p, INTERVAL_MAX_P)
     violations = interval_lemma_scan(p)
     total = (p - 1) * (p - 3) * p * (p - 1)  # (i, k, i1, i2) quadruples scanned
     return _report("interval-lemma", seed, cases_run=total, passed=total - len(violations),

@@ -494,6 +494,13 @@ def circulant_rank_closed_form(row, p):
     return p - mult
 
 
+def _rotations(row, p):
+    """The p rows of the circulant with first row `row` (a list or a bytes
+    row): row k is `row` cyclically shifted k steps to the right. Ranked by
+    gaussian_rank, they are the elimination oracle for circulant_rank."""
+    return [row[-k:] + row[:-k] for k in range(p)]
+
+
 def circulant_sweep_by_vector(p, seed):
     """The circulant sweep's report with every first row ranked on its own:
     all p^p in product order when p^p <= CIRCULANT_SAMPLES, else that many

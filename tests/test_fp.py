@@ -11,7 +11,6 @@ from ggslab.errors import InputError
 from ggslab.fp import (
     BYTE_ROWS_BELOW,
     _encode_rows,
-    _rotations,
     _row_reduce,
     circulant_rank,
     gaussian_rank,
@@ -19,7 +18,7 @@ from ggslab.fp import (
     validate_odd_prime,
 )
 
-from oracles import circulant_rank_closed_form, rref, solve_by_rref
+from oracles import _rotations, circulant_rank_closed_form, rref, solve_by_rref
 
 
 def test_validate_odd_prime_accepts_small_primes():
@@ -69,8 +68,8 @@ def test_entries_must_be_integers_not_bools_floats_or_strings():
 
 
 def test_circulant_row_structure():
-    # row k is the first row shifted k steps right; circulant_rank rotates its
-    # one encoded row, a bytes row below p = 128 and a list from there on
+    # row k is the first row shifted k steps right, on either row encoding of
+    # the elimination the oracle ranks them with
     assert _rotations([1, 2, 0], 3) == [[1, 2, 0], [0, 1, 2], [2, 0, 1]]
     assert _rotations(b"\x01\x02\x00", 3) == [b"\x01\x02\x00", b"\x00\x01\x02", b"\x02\x00\x01"]
     assert _rotations([4, 0, -1, 0, 0], 5) == [
@@ -91,9 +90,16 @@ def test_circulant_rank_examples():
     # single 1: a permutation matrix, full rank
     assert circulant_rank((1, 0, 0), 3) == 3
     assert circulant_rank((1, 0, 2, 4, 0), 5) == 5
-    # entries are reduced mod p first, on both row encodings
+    # entries are reduced mod p first
     assert circulant_rank((4, -1, 3), 3) == circulant_rank((1, 2, 0), 3)
     assert circulant_rank((132, -1) + (0,) * 129, 131) == 130
+    # rows whose polynomial needs its zero high-degree coefficients trimmed,
+    # or has none: the zero row, x^(p-1) (a permutation matrix) and the
+    # all-ones row, which is (x - 1)^(p-1), on small p and at p = 131
+    for p in (3, 5, 7, 131):
+        assert circulant_rank((0,) * p, p) == 0
+        assert circulant_rank((0,) * (p - 1) + (1,), p) == p
+        assert circulant_rank((1,) * p, p) == 1
 
 
 def test_circulant_rank_full_iff_nonzero_sum_p3():
@@ -131,7 +137,7 @@ def _shifted_root_row(rng, p):
     return tuple(_times_root_power([rng.randrange(p) for _ in range(p - k)], k, p))
 
 
-@pytest.mark.parametrize("p", [7, 11, 13])
+@pytest.mark.parametrize("p", [7, 11, 13, 257])
 def test_circulant_rank_matches_closed_form_sampled(p):
     # the sweep's own check (rank < p iff the entries sum to 0) cannot see a
     # rank that is too high below p, so compare with the closed form
@@ -156,13 +162,13 @@ def _raw_circulant_row(draw, p):
     return [c + lift * p for c, lift in zip(_times_root_power(g, k, p), lifts)]
 
 
-# byte rows up to p = 127, list rows from p = 131 on
+# the elimination runs on byte rows up to p = 127, on list rows from p = 131
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 31, 127, 131])
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_circulant_rank_matches_the_rank_of_its_rotations(p, data):
-    # the one reduced, encoded row against the p raw rows gaussian_rank reduces
-    # entry by entry, and against the closed form, which eliminates nothing
+    # the gcd rank of one raw row against elimination of its p rotations,
+    # and against the closed form, which eliminates nothing
     row = data.draw(_raw_circulant_row(p))
     rank = circulant_rank(row, p)
     assert rank == gaussian_rank(_rotations(row, p), p)
@@ -174,6 +180,22 @@ def test_circulant_length_check():
         circulant_rank((1, 2), 3)
     with pytest.raises(InputError):
         circulant_rank((1, 2, 0, 0), 4)
+
+
+def test_rows_are_read_once_so_iterators_are_rows():
+    # the entry-type check must not consume a row before its residues are read
+    assert gaussian_rank([iter([1, 0]), iter([0, 1])], 3) == 2
+    assert gaussian_rank([(x for x in (1, 0)), [0, 1]], 3) == 2
+    assert circulant_rank((x for x in (1, 0, 0)), 3) == 3
+    assert circulant_rank(iter((1, 1, 1)), 3) == 1
+    assert solve_linear_mod_p([iter([1, 0])], [1], 3) == ((1, 0), ((0, 1),))
+    assert solve_linear_mod_p([iter([1, 0]), [0, 1]], iter([2, 1]), 3) == ((2, 1), ())
+    with pytest.raises(InputError, match="exactly 3 entries, got 2"):
+        circulant_rank(iter((1, 2)), 3)
+    with pytest.raises(InputError, match="ragged rows"):
+        gaussian_rank([iter([1, 0]), iter([0])], 3)
+    with pytest.raises(InputError):
+        gaussian_rank([iter([1, 2.5])], 3)
 
 
 def _check_solution(rows, rhs, sol, p):

@@ -458,6 +458,16 @@ def test_interval_sweep():
     assert sweep_interval(3)["skipped"] == 1
 
 
+@pytest.mark.parametrize("p", [9, 15, 4, 1, -5, True, 2.5, 5.0])
+def test_interval_checks_refuse_a_modulus_that_is_not_an_odd_prime(p):
+    # 9 and 15 once scanned to 108 and 1,080 counterexamples, and 4, True
+    # and 2.5 came back as a skip report
+    with pytest.raises(InputError, match="modulus"):
+        sweep_interval(p)
+    with pytest.raises(InputError, match="modulus"):
+        interval_lemma_scan(p)
+
+
 def test_fixed_size_scans_stop_past_their_bounds():
     # the bounds admit the largest p each scan finishes in seconds
     assert INTERVAL_MAX_P >= 19 and CIRCULANT_MAX_P >= 31
