@@ -27,26 +27,54 @@ of dimension p - deg g. circulant_rank runs Euclid's algorithm with x^p - 1
 itself, in O(p^2) field operations against O(p^3) for elimination.
 """
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 
 _VALIDATED_PRIMES = {3, 5, 7, 11, 13}
 
+# Miller-Rabin with the first 13 prime bases is exact below this bound, the
+# least strong pseudoprime to all of them (Sorenson and Webster, Math. Comp.
+# 2017); a larger modulus is refused before any arithmetic.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+
 
 def validate_odd_prime(p):
-    """Return p if it is an odd prime >= 3, else raise InputError."""
+    """Return p if it is an odd prime >= 3, else raise InputError; a p at or
+    past PRIME_TEST_BOUND raises ResourceLimitError."""
     if not isinstance(p, int) or isinstance(p, bool):
         raise InputError(f"modulus must be an integer, got {p!r}")
     if p in _VALIDATED_PRIMES:
         return p
+    if p >= PRIME_TEST_BOUND:
+        raise ResourceLimitError(
+            f"modulus {p} is past {PRIME_TEST_BOUND}, the bound of the exact primality test")
     if p < 3 or p % 2 == 0:
         raise InputError(f"modulus must be an odd prime >= 3, got {p}")
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            raise InputError(f"modulus must be prime, got {p} = {d} * {p // d}")
-        d += 2
+    if not _is_odd_prime(p):
+        raise InputError(f"modulus must be prime, got {p}")
     _VALIDATED_PRIMES.add(p)
     return p
+
+
+def _is_odd_prime(p):
+    """Deterministic Miller-Rabin for an odd p with 3 <= p < PRIME_TEST_BOUND."""
+    for q in _PRIME_BASES:
+        if p % q == 0:
+            return p == q
+    d = p - 1
+    s = (d & -d).bit_length() - 1  # p - 1 = d 2^s with d odd
+    d >>= s
+    for q in _PRIME_BASES:
+        x = pow(q, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 BYTE_ROWS_BELOW = 128  # rows are bytes for p below this (see the module docstring)

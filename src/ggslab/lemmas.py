@@ -360,6 +360,10 @@ def _report(lemma, seed, cases_run=0, passed=0, skipped=0, counterexamples=None,
 
 
 def _guard_p(lemma, p, bound):
+    """Raise InputError unless p is an int (a bool is refused), then
+    ResourceLimitError past bound, so a huge p never reaches a primality test."""
+    if type(p) is not int:
+        raise InputError(f"modulus must be an integer, got {p!r}")
     if p > bound:
         raise ResourceLimitError(f"{lemma} check at p={p} is past its bound p <= {bound}")
 
@@ -522,15 +526,17 @@ def sweep_circulant(p, seed):
     """Circulant rank criterion: rank < p iff the entries sum to zero.
 
     Sampled, CIRCULANT_SAMPLES first rows, once p^p is larger; past
-    CIRCULANT_MAX_P it raises ResourceLimitError before ranking anything.
-    Otherwise (p = 3, 5) every first row is checked, and one row per orbit
-    under rotation and nonzero scaling is ranked: a rotated first row gives
-    the same rows in another order, c != 0 times a first row gives c times
-    the matrix with c times the entry sum, so rank and verdict are constant
-    on an orbit. That is 6 ranks for 27 rows at p = 3 and 158 for 3,125 at
+    CIRCULANT_MAX_P it raises ResourceLimitError before ranking anything, and
+    below it a p that is not an odd prime raises InputError. Otherwise
+    (p = 3, 5) every first row is checked, and one row per orbit under
+    rotation and nonzero scaling is ranked: a rotated first row gives the
+    same rows in another order, c != 0 times a first row gives c times the
+    matrix with c times the entry sum, so rank and verdict are constant on
+    an orbit. That is 6 ranks for 27 rows at p = 3 and 158 for 3,125 at
     p = 5. Each row is reported at its place in product order, with the rank
     of its orbit's first row, so a failing orbit lists every member."""
     _guard_p("circulant", p, CIRCULANT_MAX_P)
+    validate_odd_prime(p)
     _require_int("seed", seed)
     rng = random.Random(seed)
     exhaustive = p ** p <= CIRCULANT_SAMPLES

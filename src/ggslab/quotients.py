@@ -1,13 +1,22 @@
 """Finite congruence quotients G / st_G(n) as permutation groups on the p^n leaves.
 
 Leaves are indexed by the rank of their vertex word in lexicographic order over
-{1, ..., p}^n. Quotient orders and `PermQuotient.contains` come from a
-deterministic stabilizer chain (base points taken in natural leaf order,
-Schreier generators processed in a fixed order, and a repeated one skipped
-unstripped, which leaves the chain as it was), so repeated runs agree byte
-for byte. Each level's orbit is crossed only with the generators received at
-or above that level and stored at or below it, which generate the same group
-as all those stored at or below it (the proof is in `_StabilizerChain`).
+{1, ..., p}^n. `project` builds a leaf permutation by recursion on first-level
+sections, not by walking each leaf from the root: the leaves under the first
+letter d + 1 form the block d p^(n-1) + (0..p^(n-1) - 1), which an element w
+maps onto the block of letter (d + r mod p) + 1, r its root power, permuted as
+its section at letter d + 1 permutes level n - 1. A dict local to the call
+holds the images of each (word, level) pair, so each distinct section is
+expanded once per level. `tests/oracles.leaf_action` walks every leaf and is
+its test oracle.
+
+Quotient orders and `PermQuotient.contains` come from a deterministic
+stabilizer chain (base points taken in natural leaf order, Schreier
+generators processed in a fixed order, and a repeated one skipped unstripped,
+which leaves the chain as it was), so repeated runs agree byte for byte.
+Each level's orbit is crossed only with the generators received at or above
+that level and stored at or below it, which generate the same group as all
+those stored at or below it (the proof is in `_StabilizerChain`).
 
 Internally a permutation of degree p^n <= 256 is a 256-byte `bytes` table
 whose entries past p^n are the identity: composing is `bytes.translate`,
@@ -36,7 +45,7 @@ for the index.
 import collections
 import operator
 
-from .core import FAMILY_CONSTANT
+from .core import FAMILY_CONSTANT, Element
 from .errors import CrossCheckError, InputError, ResourceLimitError
 from .fp import circulant_rank
 
@@ -135,21 +144,6 @@ class LeafPermutation:
         return f"LeafPermutation(p={self.p}, n={self.n}, {list(self.images)})"
 
 
-def leaf_vertices(p, n):
-    """All level-n vertices in lexicographic order (the leaf indexing order)."""
-    if n == 0:
-        return [()]
-    shorter = leaf_vertices(p, n - 1)
-    return [v + (x,) for v in shorter for x in range(1, p + 1)]
-
-
-def leaf_index(vertex, p):
-    idx = 0
-    for x in vertex:
-        idx = idx * p + (x - 1)
-    return idx
-
-
 def _check_level(n, least):
     if not isinstance(n, int) or isinstance(n, bool) or n < least:
         raise InputError(f"level must be an integer >= {least}, got {n!r}")
@@ -169,12 +163,40 @@ def _leaf_count(p, n):
 
 
 def project(g, n):
-    """The permutation a group element induces on the p^n leaves."""
-    p = g.group.p
-    images = [0] * _leaf_count(p, n)
-    for v in leaf_vertices(p, n):
-        images[leaf_index(v, p)] = leaf_index(g.act(v), p)
-    return LeafPermutation(p, n, images)
+    """The permutation a group element induces on the p^n leaves.
+
+    By recursion on first-level sections: leaf d p^(k-1) + j, for a first
+    letter d + 1, goes to ((d + r) mod p) p^(k-1) + j', where r is the root
+    power of the word w (g's word, then its sections) and j' the image of j
+    under the section of w at that letter on level k - 1; level 1 is the
+    rotation by r. A dict local to the call holds
+    the images of each (word, level) pair, so each distinct section is
+    expanded once per level. The leaf guard is checked before any of it."""
+    if not isinstance(g, Element):
+        raise InputError(f"expected an Element, got {g!r}")
+    group = g.group
+    p = group.p
+    _leaf_count(p, n)
+    section = group.section_word
+    memo = {}
+
+    def images(w, k):
+        key = (w, k)
+        out = memo.get(key)
+        if out is None:
+            r = w._ab[0]
+            if k == 1:
+                out = [(d + r) % p for d in range(p)]
+            else:
+                block = p ** (k - 1)
+                out = []
+                for d in range(p):
+                    shift = (d + r) % p * block
+                    out += [shift + j for j in images(section(w, (d + 1) % p), k - 1)]
+            memo[key] = out
+        return out
+
+    return LeafPermutation(p, n, images(g.word, n))
 
 
 class _StabilizerChain:

@@ -50,12 +50,26 @@ from ggslab.quotients import (
 from ggslab.words import GroupWord, format_word
 
 
+def leaf_vertices(p, n):
+    """All level-n vertices in lexicographic order (the leaf indexing order)."""
+    if n == 0:
+        return [()]
+    shorter = leaf_vertices(p, n - 1)
+    return [v + (x,) for v in shorter for x in range(1, p + 1)]
+
+
+def leaf_index(vertex, p):
+    """The rank of a vertex in lexicographic order over {1, ..., p}^n."""
+    idx = 0
+    for x in vertex:
+        idx = idx * p + (x - 1)
+    return idx
+
+
 def leaf_action(group, w, n):
     """The permutation a word induces on level-n vertices, as a tuple of
     indices into the lexicographic vertex list."""
-    leaves = list(itertools.product(range(1, group.p + 1), repeat=n))
-    index = {v: i for i, v in enumerate(leaves)}
-    return tuple(index[group.act_word(w, v)] for v in leaves)
+    return tuple(leaf_index(group.act_word(w, v), group.p) for v in leaf_vertices(group.p, n))
 
 
 def bfs_quotient_order(group, n, limit=200000):

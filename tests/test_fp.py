@@ -1,15 +1,20 @@
 """Linear algebra over F_p: rank, linear solving, circulant rank."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ggslab.errors import InputError
+from ggslab import fp
+from ggslab.errors import InputError, ResourceLimitError
 from ggslab.fp import (
     BYTE_ROWS_BELOW,
+    PRIME_TEST_BOUND,
     _encode_rows,
     _row_reduce,
     circulant_rank,
@@ -30,6 +35,73 @@ def test_validate_odd_prime_accepts_small_primes():
 def test_validate_odd_prime_rejects(bad):
     with pytest.raises(InputError):
         validate_odd_prime(bad)
+
+
+def _odd_prime_by_trial_division(n):
+    if n < 3 or n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def test_validate_odd_prime_agrees_with_trial_division():
+    for n in range(-3, 10 ** 5):
+        try:
+            got = validate_odd_prime(n) == n
+        except InputError:
+            got = False
+        assert got == _odd_prime_by_trial_division(n), n
+
+
+@pytest.mark.parametrize("n", [3_215_031_751, 3_825_123_056_546_413_051])
+def test_validate_odd_prime_rejects_strong_pseudoprimes(n):
+    # 3215031751 is a strong pseudoprime to bases 2, 3, 5 and 7, and
+    # 3825123056546413051 to every prime base up to 23
+    with pytest.raises(InputError, match="must be prime"):
+        validate_odd_prime(n)
+
+
+def test_prime_test_bound_is_the_first_pseudoprime_to_every_base():
+    # the 13 bases call the bound itself prime, so it is refused, not tested
+    assert PRIME_TEST_BOUND == 1_287_836_182_261 * 2_575_672_364_521
+    assert fp._is_odd_prime(PRIME_TEST_BOUND)
+
+
+def test_validate_odd_prime_accepts_large_primes():
+    for p in (2 ** 31 - 1, 2 ** 61 - 1, 1_000_000_007):
+        assert validate_odd_prime(p) == p
+
+
+def test_huge_modulus_is_refused_at_once():
+    # past PRIME_TEST_BOUND the test is not known to be exact; trial division
+    # up to the square root of 10^30 + 57 used to spin for good, so the calls
+    # run in a child that is killed if it hangs
+    code = """if True:
+        import time
+        from ggslab import words
+        from ggslab.errors import ResourceLimitError
+        from ggslab.fp import circulant_rank, validate_odd_prime
+        for call in (lambda: circulant_rank([1], 10 ** 30 + 57),
+                     lambda: words.normalize([("a", 1)], 10 ** 30 + 57),
+                     lambda: validate_odd_prime(3317044064679887385961981)):
+            start = time.perf_counter()
+            try:
+                call()
+            except ResourceLimitError:
+                print(time.perf_counter() - start)
+    """
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    times = [float(line) for line in proc.stdout.split()]
+    assert len(times) == 3 and max(times) < 1.0
+    with pytest.raises(ResourceLimitError, match="exact primality test"):
+        validate_odd_prime(PRIME_TEST_BOUND)
 
 
 def test_gaussian_rank_known_values():

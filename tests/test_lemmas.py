@@ -477,6 +477,17 @@ def test_fixed_size_scans_stop_past_their_bounds():
         sweep_circulant(37, seed=0)
 
 
+@pytest.mark.parametrize("p", ["7", 7.0, None, True, -5, 9])
+def test_bounded_sweeps_refuse_a_modulus_that_is_not_an_odd_prime(p):
+    # "7" and None once reached the bound comparison and raised a bare
+    # TypeError, and sweep_circulant(-5, 0) a bare ValueError from
+    # itertools.product
+    with pytest.raises(InputError, match="modulus"):
+        sweep_circulant(p, 0)
+    with pytest.raises(InputError, match="modulus"):
+        sweep_interval(p)
+
+
 def test_k_generator_sweep():
     rep = _clean(sweep_k_generator(make_ggs(3, (1, 1)), seed=9))
     assert rep["passed"] == 3

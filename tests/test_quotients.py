@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ggslab import quotients
+from ggslab import core, quotients
 from ggslab.core import make_ggs, parse_group_spec
 from ggslab.errors import CrossCheckError, InputError, ResourceLimitError
 from ggslab.quotients import (
@@ -24,8 +24,6 @@ from ggslab.quotients import (
     _perm_power,
     _StabilizerChain,
     closed_form_order,
-    leaf_index,
-    leaf_vertices,
     level_quotient,
     maximal_subgroups_census,
     project,
@@ -41,6 +39,9 @@ from oracles import (
     closed_form_log_order,
     frattini_theorem_failures,
     layered_frattini_index,
+    leaf_action,
+    leaf_index,
+    leaf_vertices,
     normal_closure_chain,
 )
 
@@ -131,6 +132,59 @@ def test_generator_images_have_order_p():
             assert project(g.a, n).images != identity
             assert _perm_power(project(g.a, n).images, p) == identity
             assert _perm_power(project(g.b, n).images, p) == identity
+
+
+@pytest.mark.parametrize("p,e,levels", [
+    (3, (1, 0), range(1, 6)), (3, (1, 1), range(1, 6)), (5, (1, 0, 2, 4), range(1, 4)),
+    (7, (1, 0, 0, 0, 0, 0), range(1, 4)),  # 343 leaves at level 3: the tuple path
+    (23, (1, 0, 2, 4, 3, 5, 1, 2, 0, 3, 1, 2, 6, 0, 7, 1, 0, 0, 2, 0, 0, 5), range(1, 3))])
+def test_project_matches_the_leaf_walk_at_every_admitted_level(p, e, levels):
+    # the recursion on sections against the action walked from the root on
+    # every leaf, for a, b and random words, at each level the guard admits
+    g = make_ggs(p, e)
+    rng = random.Random(p)
+    elements = [g.a, g.b] + [g.element(random_word(p, 8, rng)) for _ in range(20)]
+    for n in levels:
+        for x in elements:
+            assert project(x, n).images == leaf_action(g, x.word, n)
+
+
+def test_project_is_refused_past_the_guard_before_any_section():
+    g = make_ggs(3, (1, 0))
+    x = g.element([("b", 1), ("a", 1), ("b", 2), ("a", 2), ("b", 1)])
+    before = dict(g._sections)
+    with pytest.raises(ResourceLimitError, match="more than 529 leaves"):
+        project(x, 6)
+    assert g._sections == before
+
+
+@pytest.mark.parametrize("bad", ["a", make_ggs(3, (1, 0)).a.word, None])
+def test_project_refuses_what_is_not_an_element(bad):
+    # each of these once raised a bare AttributeError
+    with pytest.raises(InputError, match="expected an Element"):
+        project(bad, 2)
+
+
+def test_project_counts_on_the_census_items(monkeypatch):
+    # each distinct (word, level) is expanded once per call: the six census
+    # items took 3,640 section lookups and 1,084 leaf walks from the root
+    # when every leaf was walked
+    calls = collections.Counter()
+    section, act = core.GgsGroup.section_word, core.GgsGroup.act_word
+
+    def counted_section(self, w, r):
+        calls["section_word"] += 1
+        return section(self, w, r)
+
+    def counted_act(self, w, vertex):
+        calls["act_word"] += 1
+        return act(self, w, vertex)
+
+    monkeypatch.setattr(core.GgsGroup, "section_word", counted_section)
+    monkeypatch.setattr(core.GgsGroup, "act_word", counted_act)
+    for spec, n in CHAIN_SHAPES:
+        maximal_subgroups_census(parse_group_spec(spec), n)
+    assert calls == {"section_word": 184}
 
 
 # the internal permutation format ---------------------------------------------
