@@ -7,18 +7,13 @@ and solve_linear_mod_p: rank runs only its forward pass to row echelon form
 (_echelon), and solving adds back-substitution to reduced row echelon form
 (_row_reduce).
 
-The routine holds residue rows in one of two encodings, chosen by p alone
-(_row_ops). Below p = 128 a row is a bytes object, one residue per byte, and
-a row operation works on the whole row at once: scaling is one translate
-through a multiplication table, and row - f * pivot adds the two rows read as
-big integers, the pivot first translated through the table of -f, then
-reduces every field by one more translate. The sum is exact because each
-field stays at or below 2p - 2, which fits in a byte, so no carry crosses
-into the next field, only while p < 128. From p = 128 on the rows stay lists
-of ints, reduced entry by entry. The tables are built on first use of each p.
+Rows are lists of residues, reduced entry by entry, because the length
+sieve's systems are small: a verify batch solves systems of 3-7 rows by 1-6
+columns.
 
 Entries must be ints (_residue_rows, which reads each row once, so a row may
-be an iterator): a bool, float or string raises InputError.
+be an iterator): a bool, float or string raises InputError, and so does a
+matrix, row or right-hand side that is not iterable.
 
 A circulant's rank needs no elimination. Its row k is x^k c(x) mod x^p - 1,
 for c the first-row polynomial, so its row space is the ideal of
@@ -28,8 +23,6 @@ itself, in O(p^2) field operations against O(p^3) for elimination.
 """
 
 from .errors import InputError, ResourceLimitError
-
-_VALIDATED_PRIMES = {3, 5, 7, 11, 13}
 
 # Miller-Rabin with the first 13 prime bases is exact below this bound, the
 # least strong pseudoprime to all of them (Sorenson and Webster, Math. Comp.
@@ -43,8 +36,6 @@ def validate_odd_prime(p):
     past PRIME_TEST_BOUND raises ResourceLimitError."""
     if not isinstance(p, int) or isinstance(p, bool):
         raise InputError(f"modulus must be an integer, got {p!r}")
-    if p in _VALIDATED_PRIMES:
-        return p
     if p >= PRIME_TEST_BOUND:
         raise ResourceLimitError(
             f"modulus {p} is past {PRIME_TEST_BOUND}, the bound of the exact primality test")
@@ -52,7 +43,6 @@ def validate_odd_prime(p):
         raise InputError(f"modulus must be an odd prime >= 3, got {p}")
     if not _is_odd_prime(p):
         raise InputError(f"modulus must be prime, got {p}")
-    _VALIDATED_PRIMES.add(p)
     return p
 
 
@@ -77,61 +67,15 @@ def _is_odd_prime(p):
     return True
 
 
-BYTE_ROWS_BELOW = 128  # rows are bytes for p below this (see the module docstring)
-
-_row_ops_by_p = {}
-
-
-def _row_ops(p):
-    """(encode, scale, subtract) for residue rows over F_p, built on first use
-    of each p: encode(row) turns a list of residues into a row, scale(row, c)
-    is c * row and subtract(row, f, pivot) is row - f * pivot."""
-    ops = _row_ops_by_p.get(p)
-    if ops is not None:
-        return ops
-    if p < BYTE_ROWS_BELOW:
-        mul = [bytes((c * x) % p for x in range(256)) for c in range(p)]
-        mod = bytes(x % p for x in range(256))
-        from_bytes = int.from_bytes
-
-        def scale(row, c):
-            return row.translate(mul[c])
-
-        def subtract(row, f, pivot):
-            # fields of the sum stay at or below 2p - 2 < 256: no carries;
-            # the byte order is spelled out because Python 3.10 requires it
-            return (from_bytes(row, "big") + from_bytes(pivot.translate(mul[p - f]), "big")
-                    ).to_bytes(len(row), "big").translate(mod)
-
-        ops = (bytes, scale, subtract)
-    else:
-        def scale(row, c):
-            return [(x * c) % p for x in row]
-
-        def subtract(row, f, pivot):
-            return [(x - f * y) % p for x, y in zip(row, pivot)]
-
-        ops = (list, scale, subtract)
-    _row_ops_by_p[p] = ops
-    return ops
-
-
-def _encode_rows(rows, p):
-    """Lists of residues as the rows _echelon and _row_reduce work on."""
-    encode = _row_ops(p)[0]
-    return [encode(row) for row in rows]
-
-
 def _echelon(work, n_cols, p):
-    """Bring the rows in work (as _encode_rows gives them) to row echelon form
-    in place, pivoting only in the first n_cols columns; later columns (an
-    augmented right-hand side) are carried along. Each pivot row is scaled to
-    lead with 1.
+    """Bring the residue rows in work (lists, as _residue_rows gives them) to
+    row echelon form in place, pivoting only in the first n_cols columns;
+    later columns (an augmented right-hand side) are carried along. Each
+    pivot row is scaled to lead with 1.
 
     Below the current pivot every row is zero left of the pivot column, and
     the pass stops once every row holds a pivot. Returns the pivot columns in
     order; their count is the rank."""
-    _, scale, subtract = _row_ops(p)
     n_rows = len(work)
     pivots = []
     rank = 0
@@ -143,11 +87,12 @@ def _echelon(work, n_cols, p):
             continue
         row = work[i]
         work[i] = work[rank]
-        pivot = work[rank] = scale(row, pow(row[col], p - 2, p))
+        inv = pow(row[col], p - 2, p)
+        pivot = work[rank] = [x * inv % p for x in row]
         for i in range(rank + 1, n_rows):
             f = work[i][col]
             if f:
-                work[i] = subtract(work[i], f, pivot)
+                work[i] = [(x - f * y) % p for x, y in zip(work[i], pivot)]
         pivots.append(col)
         rank += 1
         if rank == n_rows:
@@ -156,27 +101,30 @@ def _echelon(work, n_cols, p):
 
 
 def _row_reduce(work, n_cols, p):
-    """Bring the rows in work (as _encode_rows gives them) to reduced row
-    echelon form in place: the forward pass _echelon, then back-substitution
-    clearing each pivot column above its pivot. Returns the pivot columns in
-    order."""
+    """Bring the residue rows in work to reduced row echelon form in place:
+    the forward pass _echelon, then back-substitution clearing each pivot
+    column above its pivot. Returns the pivot columns in order."""
     pivots = _echelon(work, n_cols, p)
-    subtract = _row_ops(p)[2]
     for k in range(len(pivots) - 1, 0, -1):
         col = pivots[k]
         pivot = work[k]
         for i in range(k):
             f = work[i][col]
             if f:
-                work[i] = subtract(work[i], f, pivot)
+                work[i] = [(x - f * y) % p for x, y in zip(work[i], pivot)]
     return pivots
 
 
 def _residue_rows(rows, p):
     """The rows as lists of canonical residues mod p; InputError unless every
     entry is an int (a bool is not). Only the set of entry types is tested.
-    Each row is read once, into a list, before any check."""
-    rows = [list(row) for row in rows]
+    Each row is read once, into a list, before any check; a matrix or row
+    that cannot be iterated raises InputError too."""
+    try:
+        rows = [list(row) for row in rows]
+    except TypeError:
+        raise InputError(
+            f"a matrix over F_{p}, its rows and a right-hand side must be sequences") from None
     types = set()
     for row in rows:
         types.update(map(type, row))
@@ -193,7 +141,7 @@ def gaussian_rank(rows, p):
     n_cols = len(work[0]) if work else 0
     if any(len(row) != n_cols for row in work):
         raise InputError("ragged rows")
-    return len(_echelon(_encode_rows(work, p), n_cols, p))
+    return len(_echelon(work, n_cols, p))
 
 
 def solve_linear_mod_p(rows, rhs, p):
@@ -210,7 +158,7 @@ def solve_linear_mod_p(rows, rhs, p):
     n_cols = len(work[0]) if work else 0
     if len(rhs) != len(work) or any(len(row) != n_cols for row in work):
         raise InputError("a linear system needs equal-length rows and one right-hand side per row")
-    aug = _encode_rows([row + [b] for row, b in zip(work, rhs)], p)
+    aug = [row + [b] for row, b in zip(work, rhs)]
     pivots = _row_reduce(aug, n_cols, p)
     if any(row[n_cols] for row in aug[len(pivots):]):
         return None

@@ -13,9 +13,7 @@ from hypothesis import strategies as st
 from ggslab import fp
 from ggslab.errors import InputError, ResourceLimitError
 from ggslab.fp import (
-    BYTE_ROWS_BELOW,
     PRIME_TEST_BOUND,
-    _encode_rows,
     _row_reduce,
     circulant_rank,
     gaussian_rank,
@@ -69,6 +67,31 @@ def test_prime_test_bound_is_the_first_pseudoprime_to_every_base():
     # the 13 bases call the bound itself prime, so it is refused, not tested
     assert PRIME_TEST_BOUND == 1_287_836_182_261 * 2_575_672_364_521
     assert fp._is_odd_prime(PRIME_TEST_BOUND)
+
+
+def test_fp_keeps_no_state_that_grows_with_p():
+    # every module-level set, dict and list keeps its size however many
+    # primes are validated and however many fields elimination runs over;
+    # the primes past 10^6 are ones no other test uses, so a cache keyed by
+    # p would grow here whatever ran first
+    def sizes():
+        return {name: len(value) for name, value in vars(fp).items()
+                if not name.startswith("__") and isinstance(value, (set, dict, list))}
+
+    before = sizes()
+    for n in range(3, 10 ** 4, 2):
+        if _odd_prime_by_trial_division(n):
+            validate_odd_prime(n)
+    primes = [127, 131]
+    n = 10 ** 6 + 1
+    while len(primes) < 20:
+        if _odd_prime_by_trial_division(n):
+            primes.append(n)
+        n += 2
+    for p in primes:
+        assert gaussian_rank([[1, 2, 3], [2, 4, 6], [p - 1, 0, 1]], p) == 2
+        assert solve_linear_mod_p([[1, 2], [0, 3]], [3, 3], p) == ((1, 1), ())
+    assert sizes() == before
 
 
 def test_validate_odd_prime_accepts_large_primes():
@@ -139,9 +162,16 @@ def test_entries_must_be_integers_not_bools_floats_or_strings():
             solve_linear_mod_p([[1, 0]], [bad], 3)
 
 
+def test_a_matrix_row_or_right_hand_side_must_be_iterable():
+    # bad input like any other malformed matrix, not a bare TypeError
+    for call in (lambda: gaussian_rank(5, 3), lambda: gaussian_rank([5], 3),
+                 lambda: solve_linear_mod_p([[1, 2]], 5, 3), lambda: circulant_rank(5, 3)):
+        with pytest.raises(InputError, match="must be sequences"):
+            call()
+
+
 def test_circulant_row_structure():
-    # row k is the first row shifted k steps right, on either row encoding of
-    # the elimination the oracle ranks them with
+    # row k is the first row shifted k steps right, for a list or a bytes row
     assert _rotations([1, 2, 0], 3) == [[1, 2, 0], [0, 1, 2], [2, 0, 1]]
     assert _rotations(b"\x01\x02\x00", 3) == [b"\x01\x02\x00", b"\x00\x01\x02", b"\x02\x00\x01"]
     assert _rotations([4, 0, -1, 0, 0], 5) == [
@@ -234,7 +264,7 @@ def _raw_circulant_row(draw, p):
     return [c + lift * p for c, lift in zip(_times_root_power(g, k, p), lifts)]
 
 
-# the elimination runs on byte rows up to p = 127, on list rows from p = 131
+# small primes, and 127 and 131 either side of 2^7
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 31, 127, 131])
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
@@ -410,10 +440,10 @@ def test_elimination_matches_gauss_jordan(case):
     _check_against_gauss_jordan(*case)
 
 
-# the last prime with byte rows and the first with list rows, 200 draws each
+# the primes either side of 2^7, 200 draws each
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_sparse_matrices(primes=(127, 131)))
-def test_elimination_matches_gauss_jordan_at_the_row_encoding_line(case):
+def test_elimination_matches_gauss_jordan_at_p127_and_p131(case):
     _check_against_gauss_jordan(*case)
 
 
@@ -430,17 +460,17 @@ def _check_against_gauss_jordan(p, rows, rhs):
     assert gaussian_rank(augmented(), p) == len(rref(augmented(), n + 1, p))
     assert solve_linear_mod_p(rows, rhs, p) == solve_by_rref(rows, rhs, p)
     # reduced row echelon form is unique, so the pivot rows agree entry by entry
-    work = _encode_rows(augmented(), p)
-    assert all(type(row) is (bytes if p < BYTE_ROWS_BELOW else list) for row in work)
+    work = augmented()
     pivots = _row_reduce(work, n, p)
     assert pivots == ref_pivots
-    assert [list(row) for row in work[:len(pivots)]] == ref[:len(pivots)]
+    assert work[:len(pivots)] == ref[:len(pivots)]
 
 
 @pytest.mark.parametrize("p", [113, 127])
-def test_byte_rows_hold_the_largest_field_sums(p):
-    # row 2 minus row 1 adds (p - 1) + (p - 1) = 2p - 2 in every field after
-    # the first, the most a byte row ever holds before it is reduced
+def test_elimination_on_rows_of_the_largest_residues(p):
+    # row 2 minus row 1 meets p - 1 against p - 1 in every entry after the
+    # first; each entry is reduced as it is computed, so the rows end in
+    # canonical residues
     n = 9
     rows = [[1] * n, [1] + [p - 1] * (n - 1), [2] + [p - 2] * (n - 1)]
     rhs = [1, p - 1, 0]
@@ -448,6 +478,6 @@ def test_byte_rows_hold_the_largest_field_sums(p):
     ref_pivots = rref(ref, n, p)
     assert gaussian_rank(rows, p) == len(ref_pivots) == 2
     assert solve_linear_mod_p(rows, rhs, p) == solve_by_rref(rows, rhs, p)
-    work = _encode_rows([list(row) + [b] for row, b in zip(rows, rhs)], p)
+    work = [list(row) + [b] for row, b in zip(rows, rhs)]
     assert _row_reduce(work, n, p) == ref_pivots
-    assert [list(row) for row in work] == ref
+    assert work == ref
