@@ -74,6 +74,8 @@ class GgsGroup:
         self.p = p
         self.e = e
         self.lam = sum(e) % p
+        # the pairs (j, e_j) with e_j != 0, which exponent_profile reads
+        self._support = tuple((j, c) for j, c in enumerate(e, 1) if c)
         # b_{ce} = b_e^c, so every scalar multiple of the all-ones vector
         # defines the same (constant-vector) group
         if len(set(e)) == 1:

@@ -19,7 +19,10 @@ A circulant's rank needs no elimination. Its row k is x^k c(x) mod x^p - 1,
 for c the first-row polynomial, so its row space is the ideal of
 F_p[x]/(x^p - 1) that c generates, which is the ideal of g = gcd(c, x^p - 1),
 of dimension p - deg g. circulant_rank runs Euclid's algorithm with x^p - 1
-itself, in O(p^2) field operations against O(p^3) for elimination.
+itself, in O(p^2) field operations against O(p^3) for elimination. It
+validates p and the row and hands the residues to _circulant_rank, the Euclid
+kernel, which checks nothing; the circulant sweep, which has validated p
+once and draws residues, calls the kernel on each of its 10,000 rows.
 """
 
 from .errors import InputError, ResourceLimitError
@@ -192,15 +195,22 @@ def circulant_rank(first_row, p):
     (row,) = _residue_rows([first_row], p)
     if len(row) != p:
         raise InputError(f"a circulant over F_{p} needs exactly {p} entries, got {len(row)}")
+    return _circulant_rank(row, p)
+
+
+def _circulant_rank(row, p):
+    """circulant_rank's Euclid kernel: row is a sequence of exactly p
+    canonical residues and p an odd prime, neither of them checked."""
     # Euclid from x^p - 1 and c: dividend <- dividend mod divisor in place,
     # reduced mod p only where a quotient coefficient is read and once as the
     # remainder (an entry meanwhile loses fewer than p products of residues);
     # every remainder is trimmed, so its length is its degree + 1
-    dividend, divisor = [1] + [0] * (p - 1) + [p - 1], row[::-1]
+    divisor = list(reversed(row))
     while divisor and not divisor[0]:
         del divisor[0]
     if not divisor:
         return 0
+    dividend = [1] + [0] * (p - 1) + [p - 1]
     while len(divisor) > 1:
         n = len(divisor)
         lead_inv = pow(divisor[0], p - 2, p)

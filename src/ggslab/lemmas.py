@@ -27,7 +27,7 @@ import itertools
 import random
 
 from .errors import CrossCheckError, InputError, ResourceLimitError
-from .fp import circulant_rank, validate_odd_prime
+from .fp import _circulant_rank, validate_odd_prime
 from .words import class_sums, format_word, random_word
 from .words import _below, _reduce_runs
 from .core import DEFAULT_LENGTH_CAP, FAMILY_CONSTANT, make_ggs
@@ -45,9 +45,12 @@ TRACE_STEPS = 5  # steps of the infinite-order trace
 CENSUS_LEVEL = 2  # level of the maximal-subgroup census
 MODEL_CENSUS_ORDER_CAP = 100  # largest finite model the census enumerates
 # Largest p each scan of fixed size runs at before it raises ResourceLimitError.
-# The interval scan grows like p^6 (3-5 s at p = 19 on a 2-vCPU VM); the
-# circulant sweep ranks 10,000 p x p circulants (1.3 s at p = 31 by a gcd, from
-# 2.9 s when each rank was an elimination of the p rotations).
+# The interval scan checks the (p-3)(p-1) pairs (k, s) that stand for the
+# (p-1)^2 (p-3) p quadruples under the affine orbit map (interval_lemma_scan),
+# p^3 work for the windows: 0.05 s at p = 19 on a 2-vCPU VM with interpreter
+# start-up, where scanning every quadruple, p^6, took 2.0-2.1 s; the circulant
+# sweep ranks 10,000 p x p circulants (1.2 s at p = 31 by a gcd, from 2.9 s
+# when each rank was an elimination of the p rotations).
 INTERVAL_MAX_P = 19
 CIRCULANT_MAX_P = 31
 
@@ -81,18 +84,16 @@ def exponent_profile(group, g):
     w = g.word
     direct = [group._section_uncached(w, r)._ab for r in range(p)]
 
-    # route 2: conjugate decomposition from the word, over the support of e
+    # route 2: conjugate decomposition from the word, over the support of e;
+    # m_r = B_{-r}, and e_j adds e_j m_{u-j} to n_u, the m-column rotated by j
     sums = class_sums(w)
-    ms = [sums[-r] for r in range(p)]
+    ms = sums[:1] + sums[:0:-1]
     ns = [0] * p
-    supp = [(j, c) for j, c in enumerate(group.e, 1) if c]
-    for v, m_v in enumerate(ms):
-        if m_v:
-            for j, c in supp:
-                ns[(v + j) % p] += c * m_v
+    for j, c in group._support:
+        ns = [n + c * m for n, m in zip(ns, ms[-j:] + ms[:-j])]
 
     # derived columns sum to t and lambda * t by construction: equality checks both sums
-    derived = [(n % p, ms[r]) for r, n in enumerate(ns)]
+    derived = [(n % p, m) for n, m in zip(ns, ms)]
     if derived != direct:
         raise CrossCheckError(
             f"exponent profile mismatch for {format_word(w)!r}: "
@@ -218,29 +219,33 @@ def check_section_less_than_half(group, x):
 
 
 def interval_lemma_scan(p):
-    """Exhaustive scan of the interval criterion over F_p (needs p >= 5).
+    """Scan of the interval criterion over F_p (needs p >= 5), by orbits.
 
-    For every step i != 0, interval count 1 < k < p-1 and pair i1 != i2:
-    whenever exactly two v in F_p have |I_v intersect {i1, i2}| = 1, where
-    I_v = {v - d*i : 0 <= d <= k-1}, check i2 = i1 +- i. Returns the list of
-    violating quadruples (empty when the lemma holds); InputError unless p is
-    an odd prime >= 5."""
+    The criterion: for every step i != 0, interval count 1 < k < p-1 and pair
+    i1 != i2, whenever exactly two v in F_p have |I_v intersect {i1, i2}| = 1,
+    where I_v = {v - d*i : 0 <= d <= k-1}, then i2 = i1 +- i. The affine map
+    x -> (x - i1)/i sends I_v to the step-1 window I'_{(v - i1)/i}, {i1, i2}
+    to {0, s} with s = (i2 - i1)/i, and i2 = i1 +- i to s = +-1, and it is a
+    bijection on v; so (i, k, i1, i2) violates the criterion iff (1, k, 0, s)
+    does. Only the (p-3)(p-1) pairs (k, s) are scanned (_interval_violates),
+    and each violating pair expands over its orbit of p(p-1) quadruples.
+    Returns the violating quadruples in (i, k, i1, i2) order, the empty list
+    when the criterion holds; InputError unless p is an odd prime >= 5."""
     validate_odd_prime(p)
     if p < 5:
         raise InputError("the interval criterion needs p >= 5 (so that 1 < k < p-1 is nonempty)")
-    violations = []
-    for i in range(1, p):
-        for k in range(2, p - 1):
-            offsets = [(-d * i) % p for d in range(k)]
-            for i1 in range(p):
-                for i2 in range(p):
-                    if i1 == i2:
-                        continue
-                    boundary = [v for v in range(p)
-                                if sum(1 for o in offsets if (v + o) % p in (i1, i2)) == 1]
-                    if len(boundary) == 2 and i2 not in ((i1 + i) % p, (i1 - i) % p):
-                        violations.append((i, k, i1, i2))
-    return violations
+    bad = {k: [s for s in range(1, p) if _interval_violates(p, k, s)] for k in range(2, p - 1)}
+    return [(i, k, i1, i2)
+            for i in range(1, p) for k in range(2, p - 1) if bad[k]
+            for i1 in range(p) for i2 in sorted((i1 + s * i) % p for s in bad[k])]
+
+
+def _interval_violates(p, k, s):
+    """Whether (1, k, 0, s) violates the interval criterion: exactly two v
+    have exactly one of 0 and s in the window {v, v - 1, ..., v - k + 1},
+    and s is not +-1."""
+    boundary = sum(1 for v in range(p) if ((v - s) % p < k) != (v < k))
+    return boundary == 2 and s not in (1, p - 1)
 
 
 def k_generator_identity(p):
@@ -285,11 +290,25 @@ def infinite_order_trace(group, g, steps=TRACE_STEPS):
 def _draw_st1(p, rng, max_factors, nonzero_t):
     """The tuple j_1, l_1, ..., j_k, l_k of a product of k <= max_factors
     conjugates (b^j)^(a^l). With nonzero_t, redraw until the b-exponent sum
-    is nonzero mod p; the reduced word keeps that sum, so it is read here."""
+    is nonzero mod p; the reduced word keeps that sum, so it is read here.
+    Each number is _below(rng, n) with its rejection loop run in place (see
+    words), so the getrandbits words drawn are _below's."""
+    getrandbits = rng.getrandbits
+    q = p - 1
+    kf, kq, kp = max_factors.bit_length(), q.bit_length(), p.bit_length()
     while True:
+        f = getrandbits(kf)
+        while f >= max_factors:
+            f = getrandbits(kf)
         nums = []
-        for _ in range(1 + _below(rng, max_factors)):
-            nums += (1 + _below(rng, p - 1), _below(rng, p))
+        for _ in range(f + 1):
+            j = getrandbits(kq)
+            while j >= q:
+                j = getrandbits(kq)
+            l = getrandbits(kp)
+            while l >= p:
+                l = getrandbits(kp)
+            nums += (j + 1, l)
         if not nonzero_t or sum(nums[::2]) % p:
             return tuple(nums)
 
@@ -320,9 +339,23 @@ def _draw_case2(p, rng):
     on, shape 1 with v followed by its (i, j) pairs."""
     if rng.random() < 0.5:
         return (0, *_draw_st1(p, rng, SWEEP_MAX_FACTORS, True))
-    nums = [1, 1 + _below(rng, p - 1)]
-    for _ in range(1 + _below(rng, 2)):
-        nums += (1 + _below(rng, p - 1), 1 + _below(rng, p - 1))
+    # v = 1 + _below(rng, p - 1), then 1 + _below(rng, 2) pairs (i, j) of the
+    # same draw as v, each rejection loop run in place as in _draw_st1
+    getrandbits = rng.getrandbits
+    q = p - 1
+    kq = q.bit_length()
+    v = getrandbits(kq)
+    while v >= q:
+        v = getrandbits(kq)
+    pairs = getrandbits(2)  # (2).bit_length() bits, as _below(rng, 2) draws
+    while pairs >= 2:
+        pairs = getrandbits(2)
+    nums = [1, v + 1]
+    for _ in range(2 * pairs + 2):
+        x = getrandbits(kq)
+        while x >= q:
+            x = getrandbits(kq)
+        nums.append(x + 1)
     return tuple(nums)
 
 
@@ -516,6 +549,21 @@ def sweep_length_contraction(group, cases, seed):
                   lambda rng: _draw_st1(p, rng, CONTRACTION_MAX_FACTORS, False), check)
 
 
+def _draw_vectors(p, rng, count):
+    """count first rows, each p draws of _below(rng, p) with its rejection
+    loop run in place as in _draw_st1."""
+    getrandbits = rng.getrandbits
+    k = p.bit_length()
+    for _ in range(count):
+        m = []
+        for _ in range(p):
+            x = getrandbits(k)
+            while x >= p:
+                x = getrandbits(k)
+            m.append(x)
+        yield tuple(m)
+
+
 def _rotation_scaling_orbit(m, p):
     """The first rows c * (m rotated k steps), c in F_p \\ {0}, 0 <= k < p."""
     rotations = [m[k:] + m[:k] for k in range(p)]
@@ -544,14 +592,14 @@ def sweep_circulant(p, seed):
         vectors = itertools.product(range(p), repeat=p)
         total = p ** p
     else:
-        vectors = (tuple(_below(rng, p) for _ in range(p)) for _ in range(CIRCULANT_SAMPLES))
+        vectors = _draw_vectors(p, rng, CIRCULANT_SAMPLES)
         total = CIRCULANT_SAMPLES
     bad = []
     orbit_verdicts = {}
     for m in vectors:
         verdict = orbit_verdicts.get(m)
         if verdict is None:
-            rank = circulant_rank(m, p)
+            rank = _circulant_rank(m, p)
             verdict = rank, (rank < p) != (sum(m) % p == 0)
             if exhaustive:
                 orbit_verdicts.update(dict.fromkeys(_rotation_scaling_orbit(m, p), verdict))
@@ -563,7 +611,8 @@ def sweep_circulant(p, seed):
 
 
 def sweep_interval(p, seed=0):
-    """The interval criterion over F_p, scanned exhaustively; past
+    """The interval criterion over F_p on every quadruple, decided one orbit
+    at a time by interval_lemma_scan; past
     INTERVAL_MAX_P it raises ResourceLimitError before scanning, and below it
     a p that is not an odd prime raises InputError (the bound comes first, so
     a huge p is refused before its trial division)."""
@@ -573,7 +622,7 @@ def sweep_interval(p, seed=0):
         return _report("interval-lemma", seed, skipped=1,
                        note="needs p >= 5; the inner interval range is empty below that")
     violations = interval_lemma_scan(p)
-    total = (p - 1) * (p - 3) * p * (p - 1)  # (i, k, i1, i2) quadruples scanned
+    total = (p - 1) * (p - 3) * p * (p - 1)  # (i, k, i1, i2) quadruples decided
     return _report("interval-lemma", seed, cases_run=total, passed=total - len(violations),
                    counterexamples=[list(v) for v in violations])
 

@@ -14,12 +14,14 @@ concat, invert, the sections in core and the sweep draws in lemmas reduce
 through _reduce_runs; it and random_word, whose draws are normal forms by
 construction, build words with GroupWord._reduced, which checks nothing.
 
-Every random draw in the package goes through _below, the getrandbits
-rejection loop that random.Random.randrange(n) runs, without randrange's
-argument checks. randrange(n), randrange(1, n) and randint(a, b) draw
-_below(n), 1 + _below(n - 1) and a + _below(b - a + 1) and consume the same
-getrandbits words (CPython 3.10 to 3.13), so a seed gives the streams, the
-verify reports and the golden rows it gave when the draws called them.
+Every random draw in the package runs _below's rejection loop, the
+getrandbits loop that random.Random.randrange(n) runs, without randrange's
+argument checks: by calling _below, or, in the sweep draws of lemmas, with
+getrandbits and the bit width n.bit_length() bound once and the loop run in
+place. randrange(n), randrange(1, n) and randint(a, b) draw _below(n),
+1 + _below(n - 1) and a + _below(b - a + 1) and consume the same getrandbits
+words (CPython 3.10 to 3.13), so a seed gives the streams, the verify reports
+and the golden rows it gave when the draws called them.
 """
 
 import re

@@ -13,9 +13,11 @@ class floor read off token lists, first-level sections as token walks,
 the sweeps' st(1) and short-section draws built from tokens, the
 short-section and split-case sweeps redrawing and rechecking every draw from
 its tokens, each of those token lists rewritten to a fixpoint one merge at a
-time rather than by the package's reducer, Gauss-Jordan elimination to
-reduced row echelon form in one sweep per pivot, and the subgroup lattice of
-a finite model saturated under all-pairs joins.
+time rather than by the package's reducer, the sweeps' draws with every
+number a call to words._below, the interval criterion scanned over every
+quadruple, Gauss-Jordan elimination to reduced row echelon form in one sweep
+per pivot, and the subgroup lattice of a finite model saturated under
+all-pairs joins.
 
 The layered basis (`_LayeredBasis`) is a second group engine, independent of
 the package's stabilizer chain: an induced polycyclic sequence of a subgroup
@@ -47,7 +49,7 @@ from ggslab.quotients import (
     level_quotient,
     project,
 )
-from ggslab.words import GroupWord, format_word
+from ggslab.words import GroupWord, _below, format_word
 
 
 def leaf_vertices(p, n):
@@ -518,7 +520,8 @@ def _rotations(row, p):
 def circulant_sweep_by_vector(p, seed):
     """The circulant sweep's report with every first row ranked on its own:
     all p^p in product order when p^p <= CIRCULANT_SAMPLES, else that many
-    drawn by randrange. It ranks through lemmas.circulant_rank, so a patched
+    drawn by randrange. It ranks through lemmas._circulant_rank, the kernel
+    the sweep calls, so a patched
     rank reaches both this and the sweep, which ranks one row per orbit under
     rotation and scaling. A rank fault that is not constant on those orbits
     is left to test_circulant_rank_matches_closed_form_p3_p5, which checks
@@ -534,7 +537,7 @@ def circulant_sweep_by_vector(p, seed):
         total = lemmas.CIRCULANT_SAMPLES
     bad = []
     for m in vectors:
-        rank = lemmas.circulant_rank(m, p)
+        rank = lemmas._circulant_rank(m, p)
         if (rank < p) != (sum(m) % p == 0):
             bad.append({"vector": list(m), "rank": rank})
     return lemmas._report("circulant", seed, cases_run=total, passed=total - len(bad),
@@ -841,3 +844,54 @@ def split_case_by_redrawing(group, cases, seed):
             bad.append({"word": format_word(g.word), "error": str(exc), "case": idx})
     return lemmas._report("split-case", seed, cases_run=cases, passed=cases - len(bad),
                           counterexamples=bad)
+
+
+def draw_st1_by_below(p, rng, max_factors, nonzero_t):
+    """lemmas._draw_st1 as it was written before its rejection loops ran in
+    place: every number drawn by a call to words._below."""
+    while True:
+        nums = []
+        for _ in range(1 + _below(rng, max_factors)):
+            nums += (1 + _below(rng, p - 1), _below(rng, p))
+        if not nonzero_t or sum(nums[::2]) % p:
+            return tuple(nums)
+
+
+def draw_case2_by_below(p, rng):
+    """lemmas._draw_case2 with every number drawn by a call to words._below."""
+    if rng.random() < 0.5:
+        return (0, *draw_st1_by_below(p, rng, lemmas.SWEEP_MAX_FACTORS, True))
+    nums = [1, 1 + _below(rng, p - 1)]
+    for _ in range(1 + _below(rng, 2)):
+        nums += (1 + _below(rng, p - 1), 1 + _below(rng, p - 1))
+    return tuple(nums)
+
+
+def draw_vectors_by_below(p, rng, count):
+    """lemmas._draw_vectors with every entry drawn by a call to words._below."""
+    return [tuple(_below(rng, p) for _ in range(p)) for _ in range(count)]
+
+
+def interval_scan_by_quadruples(p, violates=None):
+    """The interval criterion scanned over every quadruple (i, k, i1, i2), in
+    that order, as lemmas.interval_lemma_scan did before it scanned orbits.
+    With violates, a quadruple is listed when violates(p, k, s) holds for
+    s = (i2 - i1)/i, in place of the criterion."""
+    violations = []
+    for i in range(1, p):
+        inv = pow(i, p - 2, p)
+        for k in range(2, p - 1):
+            offsets = [(-d * i) % p for d in range(k)]
+            for i1 in range(p):
+                for i2 in range(p):
+                    if i1 == i2:
+                        continue
+                    if violates is not None:
+                        wrong = violates(p, k, (i2 - i1) * inv % p)
+                    else:
+                        boundary = [v for v in range(p)
+                                    if sum(1 for o in offsets if (v + o) % p in (i1, i2)) == 1]
+                        wrong = len(boundary) == 2 and i2 not in ((i1 + i) % p, (i1 - i) % p)
+                    if wrong:
+                        violations.append((i, k, i1, i2))
+    return violations

@@ -224,6 +224,22 @@ def test_circulant_rank_matches_closed_form_p3_p5():
             assert circulant_rank(row, p) == circulant_rank_closed_form(row, p), row
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 31])
+def test_circulant_kernel_matches_closed_form(p):
+    # the kernel the circulant sweep calls on its residue tuples, with no
+    # validation of its own: every row at p = 3 and 5, and at p = 7, 13 and
+    # 31 1,000 uniform rows and 1,000 whose rank spreads over 0..p
+    if p ** p <= 5 ** 5:
+        rows = list(itertools.product(range(p), repeat=p))
+    else:
+        rng = random.Random(p)
+        rows = [tuple(rng.randrange(p) for _ in range(p)) for _ in range(1000)]
+        rows += [_shifted_root_row(rng, p) for _ in range(1000)]
+    assert len(rows) in (p ** p, 2000)
+    for row in rows:
+        assert fp._circulant_rank(row, p) == circulant_rank_closed_form(row, p), row
+
+
 def _times_root_power(coeffs, k, p):
     """The coefficients (constant term first) of g(x) (x - 1)^k over F_p."""
     for _ in range(k):

@@ -40,8 +40,9 @@ from ggslab.lemmas import (
 )
 from ggslab.words import format_word
 from oracles import (case2_by_tokens, case2_candidate, circulant_sweep_by_vector,
-                     random_st1_element, short_section_by_redrawing, split_case_by_redrawing,
-                     st1_by_tokens)
+                     draw_case2_by_below, draw_st1_by_below, draw_vectors_by_below,
+                     interval_scan_by_quadruples, random_st1_element, short_section_by_redrawing,
+                     split_case_by_redrawing, st1_by_tokens)
 
 REPORT_KEYS = {"lemma", "seed", "cases_run", "passed", "skipped", "counterexamples"}
 
@@ -216,6 +217,27 @@ def test_interval_scan():
         interval_lemma_scan(3)
 
 
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19])
+def test_interval_scan_by_orbits_matches_every_quadruple(p):
+    assert interval_lemma_scan(p) == interval_scan_by_quadruples(p)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_interval_scan_expands_a_violating_pair_over_its_orbit(p, monkeypatch):
+    # a planted predicate violates several s per k, so the expansion must sort
+    # each i1's partners i2 = i1 + s*i to list them as the quadruple scan does
+    def rule(p, k, s):
+        return (k * s) % 3 == 1
+
+    monkeypatch.setattr(lemmas, "_interval_violates", rule)
+    expected = interval_scan_by_quadruples(p, rule)
+    assert expected
+    assert interval_lemma_scan(p) == expected
+    rep = sweep_interval(p)
+    assert rep["counterexamples"] == [list(v) for v in expected]
+    assert rep["passed"] == rep["cases_run"] - len(expected)
+
+
 def test_k_generator_identity_small_primes():
     for p in (3, 5, 7):
         assert k_generator_identity(p)
@@ -240,6 +262,26 @@ def test_random_derived_elements_vanish_in_abelianization():
     rng = random.Random(97)
     for _ in range(30):
         assert random_derived_element(g, rng).abelianize() == (0, 0)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31])
+def test_draws_consume_the_stream_below_draws(p):
+    # the draws run _below's rejection loop in place; the oracles call
+    # _below, so equal values and equal generator states after every block
+    # mean the same getrandbits words were drawn
+    for seed in range(10):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for max_factors, nonzero_t in ((SWEEP_MAX_FACTORS, True),
+                                       (CONTRACTION_MAX_FACTORS, False), (1, True)):
+            for _ in range(60):
+                assert (lemmas._draw_st1(p, ours, max_factors, nonzero_t)
+                        == draw_st1_by_below(p, ref, max_factors, nonzero_t))
+            assert ours.getstate() == ref.getstate()
+        for _ in range(60):
+            assert lemmas._draw_case2(p, ours) == draw_case2_by_below(p, ref)
+        assert ours.getstate() == ref.getstate()
+        assert list(lemmas._draw_vectors(p, ours, 40)) == draw_vectors_by_below(p, ref, 40)
+        assert ours.getstate() == ref.getstate()
 
 
 # sweeps ---------------------------------------------------------------------
@@ -430,7 +472,7 @@ def test_circulant_sweep_matches_ranking_every_row(p, seed):
 def test_circulant_sweep_reports_every_member_of_a_failing_orbit(monkeypatch):
     # a rank that is always full fails every row with entry sum zero: both
     # list the 5^4 such rows at p = 5, in product order
-    monkeypatch.setattr(lemmas, "circulant_rank", lambda row, p: p)
+    monkeypatch.setattr(lemmas, "_circulant_rank", lambda row, p: p)
     rep = sweep_circulant(5, seed=0)
     assert rep == circulant_sweep_by_vector(5, seed=0)
     assert len(rep["counterexamples"]) == 625 and rep["passed"] == 2500
@@ -440,13 +482,13 @@ def test_circulant_sweep_reports_every_member_of_a_failing_orbit(monkeypatch):
 
 def test_circulant_sweep_ranks_one_row_per_orbit(monkeypatch):
     calls = collections.Counter()
-    rank = lemmas.circulant_rank
+    rank = lemmas._circulant_rank
 
     def counted(row, p):
         calls[p] += 1
         return rank(row, p)
 
-    monkeypatch.setattr(lemmas, "circulant_rank", counted)
+    monkeypatch.setattr(lemmas, "_circulant_rank", counted)
     for p in (3, 5, 7):
         sweep_circulant(p, seed=0)
     assert calls == {3: 6, 5: 158, 7: CIRCULANT_SAMPLES}
