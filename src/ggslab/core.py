@@ -36,15 +36,21 @@ e=1,0,0,0,0,0), _interned holds 196, 345, 1,144, 1,082 and 2,677 entries. A
 run reduces one section per entry, plus 3 in the second group that the
 k-generator check builds for the constant vectors, where reducing every
 b-carrying section took 460, 2,298, 4,841, 4,291 and 35,154 reductions.
+
+Text input is read by plain string tests, with no regular expression. A group
+spec, once stripped of surrounding whitespace, is "p=", decimal digits, ";e="
+and one or more comma-separated entries, each an optional "-" and decimal
+digits (words._is_int_text); tests/oracles.py keeps the regex
+p=(\\d+);e=(-?\\d+(?:,-?\\d+)*)$ it was, as the oracle. A vertex is letters
+of the same optional "-" and digits, separated by dots, each in 1..p.
 """
 
 import itertools
-import re
 
 from .errors import CrossCheckError, InputError
 from .fp import solve_linear_mod_p, validate_odd_prime
 from .words import (GroupWord, class_sums, concat, format_word, invert, normalize, parse_word,
-                    power, walk_classes, _reduce_runs)
+                    power, walk_classes, _is_int_text, _reduce_runs)
 
 FAMILY_TORSION = "torsion"
 FAMILY_CONSTANT = "constant"
@@ -508,17 +514,16 @@ _set_group = Element.group.__set__
 _set_word = Element.word.__set__
 
 
-_GROUP_SPEC_RE = re.compile(r"p=(\d+);e=(-?\d+(?:,-?\d+)*)$")
-
-
 def parse_group_spec(text):
-    """Parse a group specification string like 'p=3;e=1,2'."""
-    m = _GROUP_SPEC_RE.match(text.strip())
-    if m is None:
+    """Parse a group specification string like 'p=3;e=1,2' (the grammar is
+    in the module docstring)."""
+    head, sep, tail = text.strip().partition(";e=")
+    entries = tail.split(",")
+    if not (sep and head[:2] == "p=" and head[2:].isdecimal() and all(map(_is_int_text, entries))):
         raise InputError(f"cannot parse group spec {text!r}; expected p=<prime>;e=<c1>,...,<c_(p-1)>")
     try:
-        p = int(m.group(1))
-        e = [int(x) for x in m.group(2).split(",")]
+        p = int(head[2:])
+        e = [int(x) for x in entries]
     except ValueError:  # past the interpreter's limit on digits in int text
         raise InputError("group spec has an integer with too many digits") from None
     return make_ggs(p, e)
@@ -531,10 +536,12 @@ def parse_vertex(text, p):
         return ()
     out = []
     for piece in text.split("."):
+        if not _is_int_text(piece):
+            raise InputError(f"bad vertex letter {piece!r}")
         try:
             x = int(piece)
-        except ValueError:
-            raise InputError(f"bad vertex letter {piece!r}") from None
+        except ValueError:  # past the interpreter's limit on digits in int text
+            raise InputError(f"bad vertex letter {piece[:12]}... has too many digits") from None
         if not 1 <= x <= p:
             raise InputError(f"vertex letter {x} out of range 1..{p}")
         out.append(x)

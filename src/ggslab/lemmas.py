@@ -47,11 +47,13 @@ MODEL_CENSUS_ORDER_CAP = 100  # largest finite model the census enumerates
 # Largest p each scan of fixed size runs at before it raises ResourceLimitError.
 # The interval scan checks the (p-3)(p-1) pairs (k, s) that stand for the
 # (p-1)^2 (p-3) p quadruples under the affine orbit map (interval_lemma_scan),
-# p^3 work for the windows: 0.05 s at p = 19 on a 2-vCPU VM with interpreter
-# start-up, where scanning every quadruple, p^6, took 2.0-2.1 s; the circulant
-# sweep ranks 10,000 p x p circulants (1.2 s at p = 31 by a gcd, from 2.9 s
-# when each rank was an elimination of the p rotations).
-INTERVAL_MAX_P = 19
+# p^3 work for the windows. Its bound is the largest prime whose
+# `verify interval-lemma` finishes within 2 s with interpreter start-up, the
+# cost of scanning every quadruple (p^6) at p = 19: on a 2-vCPU VM, medians of
+# 5 runs read 1.74 and 1.86 s at p = 271 and 1.84 and 2.44 s at p = 277. The
+# circulant sweep ranks 10,000 p x p circulants (1.2 s at p = 31 by a gcd,
+# from 2.9 s when each rank was an elimination of the p rotations).
+INTERVAL_MAX_P = 271
 CIRCULANT_MAX_P = 31
 
 

@@ -42,7 +42,6 @@ records; the layered basis in `tests/oracles.py` closes Q' and is the oracle
 for the index.
 """
 
-import collections
 import operator
 
 from .core import FAMILY_CONSTANT, Element
@@ -319,7 +318,7 @@ class _StabilizerChain:
                 or any(type(x) is not int for x in images)
                 or sorted(images) != list(range(degree))):
             raise InputError(f"not a permutation of {degree} points")
-        self._seen = collections.defaultdict(set)
+        self._seen = {}
         try:
             self._ingest(_as_perm(perm, degree), 0)
             # a residue placed deep in the chain may move non-base points of
@@ -331,7 +330,9 @@ class _StabilizerChain:
 
     def _ingest(self, g, level):
         # g is received at `level`: it fixes the bases of all levels below it
-        seen = self._seen[level]
+        seen = self._seen.get(level)
+        if seen is None:
+            seen = self._seen[level] = set()
         key = g[:self.degree] if type(g) is bytes else g
         if key in seen:
             return

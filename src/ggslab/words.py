@@ -22,9 +22,14 @@ place. randrange(n), randrange(1, n) and randint(a, b) draw _below(n),
 1 + _below(n - 1) and a + _below(b - a + 1) and consume the same getrandbits
 words (CPython 3.10 to 3.13), so a seed gives the streams, the verify reports
 and the golden rows it gave when the draws called them.
-"""
 
-import re
+parse_word reads text by plain string tests, with no regular expression, so
+importing the package compiles no pattern and loads neither re nor
+collections. A token is a or b, alone or followed by "^" and an exponent: an
+optional "-" and one or more decimal digits, as _is_int_text decides, which
+core's group-spec and vertex parsers share. tests/oracles.py keeps the regex
+([ab])(?:\\^(-?\\d+))?$ this grammar was, and the tests check the two agree.
+"""
 
 from .errors import InputError
 from .fp import validate_odd_prime
@@ -279,25 +284,28 @@ def random_word(p, max_syllables, rng):
     return GroupWord._reduced(p, lead, tuple(body))
 
 
-_TOKEN_RE = re.compile(r"([ab])(?:\^(-?\d+))?$")
+def _is_int_text(s):
+    """Whether s is an optional "-" and then one or more decimal digits: the
+    digits are str.isdecimal(), Unicode category Nd, which is exactly what
+    \\d matches in a str pattern (isdigit would also take "²")."""
+    return s[1:].isdecimal() if s[:1] == "-" else s.isdecimal()
 
 
 def parse_word(text, p):
     """Parse whitespace-separated tokens a, b, a^k, b^k; "1" or the empty
-    string is the identity."""
+    string is the identity (the token grammar is in the module docstring)."""
     pieces = text.split()
     if pieces == ["1"]:
         return GroupWord.identity(p)
     toks = []
     for piece in pieces:
-        m = _TOKEN_RE.match(piece)
-        if m is None:
+        gen, exp = piece[:1], piece[2:]
+        if gen not in ("a", "b") or (len(piece) > 1 and (piece[1] != "^" or not _is_int_text(exp))):
             raise InputError(f"cannot parse word token {piece!r}")
         try:
-            exp = int(m.group(2)) if m.group(2) is not None else 1
+            toks.append((gen, int(exp) if exp else 1))
         except ValueError:  # past the interpreter's limit on digits in int text
             raise InputError(f"exponent of {piece[:12]}... has too many digits") from None
-        toks.append((m.group(1), exp))
     return normalize(toks, p)
 
 

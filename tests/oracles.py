@@ -17,7 +17,8 @@ time rather than by the package's reducer, the sweeps' draws with every
 number a call to words._below, the interval criterion scanned over every
 quadruple, Gauss-Jordan elimination to reduced row echelon form in one sweep
 per pivot, and the subgroup lattice of a finite model saturated under
-all-pairs joins.
+all-pairs joins. The word and group-spec grammars are kept here as the
+regular expressions the parsers matched before they became string tests.
 
 The layered basis (`_LayeredBasis`) is a second group engine, independent of
 the package's stabilizer chain: an induced polycyclic sequence of a subgroup
@@ -33,10 +34,11 @@ import bisect
 import collections
 import itertools
 import random
+import re
 
 from ggslab import lemmas
 from ggslab.core import make_ggs
-from ggslab.errors import CrossCheckError
+from ggslab.errors import CrossCheckError, InputError
 from ggslab.fp import circulant_rank, solve_linear_mod_p
 from ggslab.quotients import (
     _TABLE,
@@ -49,7 +51,7 @@ from ggslab.quotients import (
     level_quotient,
     project,
 )
-from ggslab.words import GroupWord, _below, format_word
+from ggslab.words import GroupWord, _below, format_word, normalize
 
 
 def leaf_vertices(p, n):
@@ -895,3 +897,38 @@ def interval_scan_by_quadruples(p, violates=None):
                     if wrong:
                         violations.append((i, k, i1, i2))
     return violations
+
+
+TOKEN_RE = re.compile(r"([ab])(?:\^(-?\d+))?$")
+GROUP_SPEC_RE = re.compile(r"p=(\d+);e=(-?\d+(?:,-?\d+)*)$")
+
+
+def parse_word_by_regex(text, p):
+    """words.parse_word with each token matched by TOKEN_RE."""
+    pieces = text.split()
+    if pieces == ["1"]:
+        return GroupWord.identity(p)
+    toks = []
+    for piece in pieces:
+        m = TOKEN_RE.match(piece)
+        if m is None:
+            raise InputError(f"cannot parse word token {piece!r}")
+        try:
+            exp = int(m.group(2)) if m.group(2) is not None else 1
+        except ValueError:
+            raise InputError(f"exponent of {piece[:12]}... has too many digits") from None
+        toks.append((m.group(1), exp))
+    return normalize(toks, p)
+
+
+def parse_group_spec_by_regex(text):
+    """core.parse_group_spec with the stripped text matched by GROUP_SPEC_RE."""
+    m = GROUP_SPEC_RE.match(text.strip())
+    if m is None:
+        raise InputError(f"cannot parse group spec {text!r}; expected p=<prime>;e=<c1>,...,<c_(p-1)>")
+    try:
+        p = int(m.group(1))
+        e = [int(x) for x in m.group(2).split(",")]
+    except ValueError:
+        raise InputError("group spec has an integer with too many digits") from None
+    return make_ggs(p, e)

@@ -364,6 +364,18 @@ def test_bad_word_and_vertex_exit_2(capsys):
     assert "vertex" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("act", "--group", "p=3;e=1,2", "a", "+1. 2"),
+    ("section", "--group", "p=31;e=1" + ",0" * 29, "a", "3_0"),
+], ids=["act", "section"])
+def test_vertex_letters_int_would_take_exit_2(capsys, argv):
+    # int() reads "+1" and " 2", so this act once printed 2.2, and "3_0" as letter 30
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad vertex letter")
+
+
 # past the interpreter's 4,300-digit limit on converting text to int
 LONG_INT = "7" * 5000
 
@@ -407,15 +419,16 @@ def test_resource_guard_exits_4(capsys):
     assert "level 4 at p = 5 has more than 529 leaves" in err
 
 
-@pytest.mark.parametrize("check", ["interval-lemma", "circulant"])
-def test_fixed_size_scans_refuse_large_p_at_once(capsys, check):
-    spec = "p=101;e=" + ",".join(["1"] + ["0"] * 99)
+# the first prime past each scan's bound
+@pytest.mark.parametrize("check,p", [("interval-lemma", 277), ("circulant", 101)])
+def test_fixed_size_scans_refuse_large_p_at_once(capsys, check, p):
+    spec = f"p={p};e=" + ",".join(["1"] + ["0"] * (p - 2))
     start = time.perf_counter()
     code, out, err = run(capsys, "verify", "--group", spec, check)
     assert time.perf_counter() - start < 1.0
     assert code == 4
     assert out == ""
-    assert err.startswith(f"resource guard: {check} check at p=101")
+    assert err.startswith(f"resource guard: {check} check at p={p}")
     assert "p <= " in err
 
 
@@ -470,14 +483,17 @@ def test_help_screen_prints_usage(capsys, command):
 
 
 # modules the start-up must not load: the dataclasses chain (inspect pulls in
-# ast, dis and tokenize) and typing; the library path loads no CLI modules either
+# ast, dis and tokenize) and typing; the library path loads no CLI modules
+# either, and none of re, enum and collections, which argparse and json bring
+# in on the CLI path: its parsers test strings by hand
 HEAVY_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
 CLI_MODULES = {"argparse", "json", "random"}
+PATTERN_MODULES = {"re", "enum", "collections"}
 
 
 @pytest.mark.parametrize("module,forbidden", [
     ("ggslab.cli", HEAVY_MODULES),
-    ("ggslab", HEAVY_MODULES | CLI_MODULES),
+    ("ggslab", HEAVY_MODULES | CLI_MODULES | PATTERN_MODULES),
 ])
 def test_import_loads_no_heavy_modules(module, forbidden):
     # -S: no site, whose .pth files could import these first and hide a regression

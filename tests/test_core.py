@@ -25,9 +25,11 @@ from ggslab.quotients import level_quotient, project
 from ggslab.words import GroupWord, class_sums, concat, normalize, parse_word, random_word
 
 from oracles import (
+    GROUP_SPEC_RE,
     agree_to_depth,
     class_floor,
     leaf_action,
+    parse_group_spec_by_regex,
     product_class_sequences,
     section_by_tokens,
     section_target_candidates,
@@ -119,6 +121,75 @@ def test_group_equality_is_presentation_equality():
 def test_spec_string_round_trip():
     g = make_ggs(5, (1, 0, 2, 4))
     assert parse_group_spec(g.spec_string()) == g
+
+
+# what a spec's grammar turns on, "e" and ";" apart from ";e=", whitespace
+# that strip() removes, and a digit outside ASCII (ARABIC-INDIC DIGIT THREE)
+SPEC_FRAGMENTS = ["p=", ";e=", ",", "-", "+", "_", " ", "\n", "0", "7", "\u0663", "e", ";"]
+
+
+def _spec_outcome(parse, text):
+    try:
+        g = parse(text)
+    except InputError as exc:
+        return str(exc)
+    return g.p, g.e
+
+
+def _fragments(most):
+    return st.lists(st.sampled_from(SPEC_FRAGMENTS), max_size=most).map("".join)
+
+
+# free strings of fragments, and specs of digit runs with a fragment here and
+# there, which reach the int conversions and make_ggs
+_DIGITS = st.lists(st.sampled_from("07\u0663"), min_size=1, max_size=2).map("".join)
+_ENTRY = st.one_of(_DIGITS, _DIGITS.map("-".__add__))
+SPEC_TEXTS = st.one_of(
+    _fragments(12),
+    st.tuples(_fragments(1), st.just("p="), st.one_of(_DIGITS, _fragments(2)), st.just(";e="),
+              st.lists(_ENTRY, min_size=1, max_size=6).map(",".join), _fragments(1)).map("".join),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(SPEC_TEXTS)
+@example(" p=7;e=1,0,-7,\u0663,+0,0\n")  # "+0" is no entry
+@example("p=7;e=1,0,-7,\u0663,00,-0\n")
+@example("p=3;e=1;e=2")  # a second ";e=" is no entry either
+@example("p=3;e=;e=1,2")
+@example("p=3;e=1,2;e=")
+@example("p=\u00b2;e=1")  # "²" is a digit to isdigit, not to \d
+@example("p=3;e=1,\u00b2")
+@example("p=3;e=-1,-2")
+@example("p=3;e=--1,2")
+@example("p=3;e=1,2,")
+def test_parse_group_spec_is_the_regex(text):
+    outcome = _spec_outcome(parse_group_spec, text)
+    assert outcome == _spec_outcome(parse_group_spec_by_regex, text)
+    refused = isinstance(outcome, str) and outcome.startswith("cannot parse group spec")
+    assert refused == (GROUP_SPEC_RE.match(text.strip()) is None)
+
+
+def test_parse_vertex():
+    assert parse_vertex("", 3) == ()
+    assert parse_vertex(" \t", 3) == ()
+    assert parse_vertex("1.2.3", 3) == (1, 2, 3)
+    assert parse_vertex(" 3.1\n", 3) == (3, 1)
+    assert parse_vertex("\u0663", 3) == (3,)
+    with pytest.raises(InputError, match=r"^vertex letter 4 out of range 1\.\.3$"):
+        parse_vertex("1.4", 3)
+    with pytest.raises(InputError, match=r"^vertex letter -1 out of range 1\.\.3$"):
+        parse_vertex("-1", 3)
+
+
+# int() takes each of these, so the first two once read as 1 and 1.2, and
+# "1_0" as letter 10; 5,000 digits are past the interpreter's int text limit
+@pytest.mark.parametrize("text", ["+1", "1. 2", "1_0", "1..2", "1.", ".1", "\u00b2",
+                                  pytest.param("7" * 5000, id="5000-digits")])
+def test_parse_vertex_refuses_what_the_grammars_refuse(text):
+    with pytest.raises(InputError, match="^bad vertex letter") as exc:
+        parse_vertex(text, 31)
+    assert len(str(exc.value)) < 60
 
 
 # sections and psi -----------------------------------------------------------

@@ -512,9 +512,9 @@ def test_interval_checks_refuse_a_modulus_that_is_not_an_odd_prime(p):
 
 def test_fixed_size_scans_stop_past_their_bounds():
     # the bounds admit the largest p each scan finishes in seconds
-    assert INTERVAL_MAX_P >= 19 and CIRCULANT_MAX_P >= 31
-    with pytest.raises(ResourceLimitError, match=f"interval-lemma check at p=23 .* p <= {INTERVAL_MAX_P}"):
-        sweep_interval(23)
+    assert INTERVAL_MAX_P >= 271 and CIRCULANT_MAX_P >= 31
+    with pytest.raises(ResourceLimitError, match=f"interval-lemma check at p=277 .* p <= {INTERVAL_MAX_P}"):
+        sweep_interval(277)
     with pytest.raises(ResourceLimitError, match=f"circulant check at p=37 .* p <= {CIRCULANT_MAX_P}"):
         sweep_circulant(37, seed=0)
 

@@ -1,6 +1,9 @@
 """Normal forms for words in the two generators."""
 
+import itertools
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -18,9 +21,9 @@ from ggslab.words import (
     power,
     random_word,
 )
-from ggslab.words import _below, _reduce_runs
+from ggslab.words import _below, _is_int_text, _reduce_runs
 
-from oracles import reduce_to_fixpoint
+from oracles import parse_word_by_regex, reduce_to_fixpoint
 
 
 def test_identity_word():
@@ -140,6 +143,41 @@ def test_parse_whitespace_and_exponents():
 def test_parse_rejects_malformed(bad):
     with pytest.raises(InputError):
         parse_word(bad, 3)
+
+
+def test_int_text_is_the_regex_over_every_code_point():
+    # \d in a str pattern is Unicode category Nd, which str.isdecimal() is;
+    # isdigit() would also take superscripts such as "²"
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    by_regex = set(re.findall(r"\d", chars))
+    assert {c for c in chars if _is_int_text(c)} == by_regex
+    assert {c for c in chars if _is_int_text("-" + c)} == by_regex
+    assert len(by_regex) > 600 and "\u0663" in by_regex and "\u00b2" not in by_regex
+
+
+# the characters a token's grammar turns on, one other letter, the identity's
+# digit and a digit outside ASCII (ARABIC-INDIC DIGIT THREE, which int() reads)
+TOKEN_ALPHABET = "ab^-+_1\u0663x"
+
+
+def _parsed(parse, text, p):
+    try:
+        return parse(text, p)
+    except InputError as exc:
+        return str(exc)
+
+
+def test_parse_word_is_the_regex_on_every_short_string():
+    # 66,429 strings of length 0 to 5; "1" alone is the identity, outside the token grammar
+    count = 0
+    for n in range(6):
+        for letters in itertools.product(TOKEN_ALPHABET, repeat=n):
+            text = "".join(letters)
+            if text == "1":
+                continue
+            count += 1
+            assert _parsed(parse_word, text, 5) == _parsed(parse_word_by_regex, text, 5), text
+    assert count == 66429
 
 
 def test_format_round_trip_random():
