@@ -64,8 +64,8 @@ class GgsGroup:
     """A GGS-group, plus the word-level computation engine for its elements."""
 
     def __init__(self, p, e):
-        # the length check bounds p by the size of the input, so it runs
-        # before the trial division in the primality test
+        # the length check comes first, so a huge p with the wrong entry count
+        # is bad input (exit 2), not a tripped primality-test bound (exit 4)
         if not isinstance(p, int) or isinstance(p, bool):
             raise InputError(f"modulus must be an integer, got {p!r}")
         e = tuple(e)
@@ -134,8 +134,6 @@ class GgsGroup:
     def element(self, w):
         """Wrap a GroupWord, a text word, or a (gen, exp) token iterable."""
         if isinstance(w, GroupWord):
-            if w.p != self.p:
-                raise InputError(f"word modulus {w.p} does not match group p={self.p}")
             return Element(self, w)
         if isinstance(w, str):
             return Element(self, parse_word(w, self.p))

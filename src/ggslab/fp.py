@@ -3,9 +3,9 @@
 A matrix is a plain sequence of equal-length integer rows; every entry is
 reduced to its canonical residue in {0, ..., p-1} before use, and no floating
 point enters anywhere. There is one elimination routine, behind gaussian_rank
-and solve_linear_mod_p: rank runs only its forward pass to row echelon form
-(_echelon), and solving adds back-substitution to reduced row echelon form
-(_row_reduce).
+and solve_linear_mod_p: _row_reduce, one Gauss-Jordan pass to reduced row
+echelon form. Rank is its pivot count, and solving reads the solution set off
+the reduced rows.
 
 Rows are lists of residues, reduced entry by entry, because the length
 sieve's systems are small: a verify batch solves systems of 3-7 rows by 1-6
@@ -70,15 +70,13 @@ def _is_odd_prime(p):
     return True
 
 
-def _echelon(work, n_cols, p):
+def _row_reduce(work, n_cols, p):
     """Bring the residue rows in work (lists, as _residue_rows gives them) to
-    row echelon form in place, pivoting only in the first n_cols columns;
-    later columns (an augmented right-hand side) are carried along. Each
-    pivot row is scaled to lead with 1.
-
-    Below the current pivot every row is zero left of the pivot column, and
-    the pass stops once every row holds a pivot. Returns the pivot columns in
-    order; their count is the rank."""
+    reduced row echelon form in place, in one Gauss-Jordan pass pivoting only
+    in the first n_cols columns; later columns (an augmented right-hand side)
+    are carried along. Each pivot row is scaled to lead with 1 and its pivot
+    column is cleared in every other row; the pass stops once every row holds
+    a pivot. Returns the pivot columns in order; their count is the rank."""
     n_rows = len(work)
     pivots = []
     rank = 0
@@ -92,29 +90,14 @@ def _echelon(work, n_cols, p):
         work[i] = work[rank]
         inv = pow(row[col], p - 2, p)
         pivot = work[rank] = [x * inv % p for x in row]
-        for i in range(rank + 1, n_rows):
-            f = work[i][col]
-            if f:
-                work[i] = [(x - f * y) % p for x, y in zip(work[i], pivot)]
+        for i, other in enumerate(work):
+            f = other[col]
+            if f and i != rank:
+                work[i] = [(x - f * y) % p for x, y in zip(other, pivot)]
         pivots.append(col)
         rank += 1
         if rank == n_rows:
             break
-    return pivots
-
-
-def _row_reduce(work, n_cols, p):
-    """Bring the residue rows in work to reduced row echelon form in place:
-    the forward pass _echelon, then back-substitution clearing each pivot
-    column above its pivot. Returns the pivot columns in order."""
-    pivots = _echelon(work, n_cols, p)
-    for k in range(len(pivots) - 1, 0, -1):
-        col = pivots[k]
-        pivot = work[k]
-        for i in range(k):
-            f = work[i][col]
-            if f:
-                work[i] = [(x - f * y) % p for x, y in zip(work[i], pivot)]
     return pivots
 
 
@@ -144,7 +127,7 @@ def gaussian_rank(rows, p):
     n_cols = len(work[0]) if work else 0
     if any(len(row) != n_cols for row in work):
         raise InputError("ragged rows")
-    return len(_echelon(work, n_cols, p))
+    return len(_row_reduce(work, n_cols, p))
 
 
 def solve_linear_mod_p(rows, rhs, p):

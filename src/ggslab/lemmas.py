@@ -144,12 +144,10 @@ def check_derived_product(group, g):
     return prod.abelianize() == (0, 0)
 
 
-def check_propagates(group, g, length_cap=None):
+def check_propagates(group, g):
     """p-th power propagation: for g with abelianization (i, j), i != 0, in a
     non-torsion group, every first-level section of g^p is a^{lambda j} b^j
-    mod G'. When length_cap is given and every length involved is certified
-    within it, the section lengths of g^p are also checked against
-    sum_k |g_k| <= |g| (sections g_k of a^{-i} g)."""
+    mod G'."""
     p = group.p
     lam = group.lam
     if lam == 0:
@@ -164,27 +162,11 @@ def check_propagates(group, g, length_cap=None):
         got = gp.section(u).abelianize()
         if got != expected:
             mismatches.append({"letter": u, "expected": list(expected), "got": list(got)})
-    report = {
+    return {
         "abelianizations_ok": not mismatches,
         "expected": list(expected),
         "mismatches": mismatches,
-        "length_checked": False,
     }
-    if length_cap is not None:
-        h = (group.a ** (-i)) * g
-        section_lengths = [h.section(u).length(length_cap) for u in range(1, p + 1)]
-        g_len = g.length(length_cap)
-        gp_lengths = [gp.section(u).length(length_cap) for u in range(1, p + 1)]
-        if None not in section_lengths and g_len is not None and None not in gp_lengths:
-            bound = sum(section_lengths)
-            report["length_checked"] = True
-            report["length_ok"] = bound <= g_len and all(l <= bound for l in gp_lengths)
-            report["length_of_g"] = g_len
-            report["section_length_sum"] = bound
-            report["power_section_lengths"] = gp_lengths
-        else:
-            report["length_note"] = "lengths not certified within cap; inequality skipped"
-    return report
 
 
 def check_section_less_than_half(group, x):
@@ -614,10 +596,10 @@ def sweep_circulant(p, seed):
 
 def sweep_interval(p, seed=0):
     """The interval criterion over F_p on every quadruple, decided one orbit
-    at a time by interval_lemma_scan; past
-    INTERVAL_MAX_P it raises ResourceLimitError before scanning, and below it
-    a p that is not an odd prime raises InputError (the bound comes first, so
-    a huge p is refused before its trial division)."""
+    at a time by interval_lemma_scan; past INTERVAL_MAX_P it raises
+    ResourceLimitError before scanning, and below it a p that is not an odd
+    prime raises InputError (the bound comes first, so a huge p is refused by
+    the sweep's own bound before any primality test)."""
     _guard_p("interval-lemma", p, INTERVAL_MAX_P)
     validate_odd_prime(p)
     if p < 5:

